@@ -1,7 +1,7 @@
 """Exact rational computations on free loop space models.
 
 Subpackages cover: free graded-commutative algebras and derivations (gca),
-fraction-free linear algebra (linalg), cochain complexes and induced maps
+sparse exact linear algebra (linalg), cochain complexes and induced maps
 (homology), minimal models with their loop, based and circle-equivariant
 extensions (models), surface word brackets on ribbon graphs (goldman),
 bracket/coproduct axiom checkers on finite structure tables (structures),

@@ -3,8 +3,9 @@
 Exit codes: 0 when every requested check passes, 1 when the input is
 well-formed but a mathematical identity fails (a checker line reports
 FAIL, a fuzz trial finds a counterexample, an exactness row breaks), 2
-when the input itself is unusable (missing file, parse error, a
-differential that does not square to zero, unknown names).
+when the input itself is unusable (missing file, a file that is not
+UTF-8, parse error, a differential that does not square to zero, unknown
+names, a numeric option below its least value).
 
 All reports are plain text, deterministic down to the byte for a given
 input, so repeated runs can be compared with cmp.  --out writes through a
@@ -49,7 +50,19 @@ from .structures import (
     string_brackets,
 )
 
+
+class UsageError(ValueError):
+    """A numeric option is below its least meaningful value."""
+
+
+# Least value of each numeric option: fewer trials or shorter words than
+# this would check nothing and still print pass, and coderivation Jacobi
+# needs words of length 3.
+_LEAST = {"cutoff": 0, "trials": 1, "max_len": 1, "word_len": 3}
+
 _INPUT_ERRORS = (
+    UsageError,
+    UnicodeDecodeError,
     ModelError,
     ModelFileError,
     StructureError,
@@ -60,6 +73,14 @@ _INPUT_ERRORS = (
     ChainMapError,
     OSError,
 )
+
+
+def _check_bounds(args):
+    for option, least in _LEAST.items():
+        value = getattr(args, option, least)
+        if value < least:
+            flag = "--" + option.replace("_", "-")
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
 def _emit(text, out_path):
@@ -252,6 +273,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         text, code = args.handler(args)
         _emit(text, args.out)
     except _INPUT_ERRORS as e:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gca import AlgebraError, GradedElement
-from .linalg import MatrixSlice, SpanTracker, kernel_basis, matrix_rank, solve_coords
+from .linalg import MatrixSlice, SpanTracker, column_solver, kernel_basis, matrix_rank
 
 __all__ = [
     "ComplexError",
@@ -29,7 +29,6 @@ __all__ = [
     "induced_map",
     "euler_check",
     "format_betti_table",
-    "format_map_report",
 ]
 
 
@@ -114,19 +113,14 @@ class CochainComplex:
     def cocycles(self, n):
         if self.dim(n) == 0:
             return []
-        return kernel_basis(self.slice(n).rows(), self.dim(n))
+        return kernel_basis(self.slice(n).row_vectors(), self.dim(n))
 
     def boundary_columns(self, n):
-        """Images of the degree n-1 basis under d, nonzero columns only."""
+        """Images of the degree n-1 basis under d, nonzero columns only,
+        as sparse {index: value} dicts over basis(n)."""
         if n < 1 or self.dim(n) == 0:
             return []
-        prev = self.slice(n - 1)
-        cols = []
-        for j in range(prev.ncols):
-            col = prev.column(j)
-            if any(col):
-                cols.append(col)
-        return cols
+        return [col for col in self.slice(n - 1).column_vectors() if col]
 
     def cohomology(self, n):
         """Deterministic cocycle representatives of H^n, as coordinate
@@ -139,9 +133,6 @@ class CochainComplex:
             assert len(reps) == self.betti(n)
             self._reps[n] = reps
         return self._reps[n]
-
-    def cohomology_elements(self, n):
-        return [self.element(n, v) for v in self.cohomology(n)]
 
 
 class BettiTable:
@@ -211,21 +202,6 @@ class ChainMap:
         for mono, c in elt.terms.items():
             out = out + c * self._fn(mono)
         return out
-
-    def matrix(self, n):
-        """Matrix of the map from source degree n to target degree n+degree."""
-        src_basis = self.src.algebra.basis(n) if n >= 0 else []
-        t = n + self.degree
-        tgt_dim = self.tgt.dim(t)
-        entries = {}
-        for j, mono in enumerate(src_basis):
-            img = self._fn(mono)
-            if img:
-                vec = self.tgt.coords(img, t)
-                for i, c in enumerate(vec):
-                    if c:
-                        entries[(i, j)] = c
-        return MatrixSlice(tgt_dim, len(src_basis), entries)
 
     def compose(self, inner):
         """self after inner."""
@@ -337,7 +313,7 @@ def induced_map(f, n):
     t = n + f.degree
     src_reps = src.cohomology(n)
     tgt_reps = tgt.cohomology(t) if t >= 0 else []
-    columns = [list(v) for v in tgt_reps] + tgt.boundary_columns(t)
+    solve = column_solver(tgt_reps + tgt.boundary_columns(t), tgt.dim(t))
     mat = [[Fraction(0)] * len(src_reps) for _ in range(len(tgt_reps))]
     for j, vec in enumerate(src_reps):
         img = f(src.element(n, vec))
@@ -347,8 +323,7 @@ def induced_map(f, n):
                     f"{f.name or 'map'}: image in negative degree is nonzero"
                 )
             continue
-        tvec = tgt.coords(img, t)
-        coords = solve_coords(columns, tvec)
+        coords = solve(tgt.coords(img, t))
         if coords is None:
             raise ChainMapError(
                 f"{f.name or 'map'}: image of a degree-{n} cocycle is not a cocycle"
@@ -365,8 +340,3 @@ def induced_map(f, n):
 def format_betti_table(table):
     return "".join(f"{i}\t{b}\n" for i, b in enumerate(table.values))
 
-
-def format_map_report(reports):
-    return "".join(
-        f"{r.degree}\t{r.src_betti}\t{r.tgt_betti}\t{r.rank}\n" for r in reports
-    )

@@ -1,28 +1,43 @@
 """Exact linear algebra over the rationals.
 
-Matrices are small and often sparse, so entries are dicts keyed by
-(row, col).  Ranks go through fraction-free Bareiss elimination on
-denominator-cleared integer rows; kernels and preimages go through reduced
-row echelon form over Fraction.  Everything is deterministic: pivots are
-always the first nonzero entry in row-major order, so representative
-choices downstream never depend on dict iteration order.
+One sparse echelon engine, SpanTracker, does all the elimination.  Its rows
+are {col: Fraction} dicts, each with a leading 1, keyed by that lead
+column.  A vector is reduced against the rows in ascending lead order, so
+its remainder is zero in every lead column; a nonzero remainder becomes a
+new row.  The differential slices are about 1% dense, so the work follows
+the nonzero entries, never the full rows x cols grid (sparse exact rank as
+in Dumas-Villard, "Computing the rank of sparse matrices", CASC 2002).
+
+matrix_rank, kernel_basis and solve_coords are short functions over the
+engine.  Their results do not depend on how the engine stores its rows, so
+representative choices downstream never depend on insertion or dict order:
+kernel_basis back-substitutes to the unique reduced row echelon form, and
+solve_coords inserts columns greedily in order, which accepts exactly the
+leftmost independent ones, and sets every other coordinate to zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
 
 __all__ = [
     "MatrixSlice",
     "matrix_rank",
-    "rref",
     "kernel_basis",
+    "column_solver",
     "solve_coords",
-    "mat_mul_vec",
-    "dense_mul",
     "SpanTracker",
 ]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _sparse(vec):
+    """{index: Fraction} copy of a dense sequence or a sparse dict, zeros dropped."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {j: Fraction(v) for j, v in items if v}
 
 
 class MatrixSlice:
@@ -41,118 +56,164 @@ class MatrixSlice:
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                 self.entries[(i, j)] = v
 
-    def rows(self):
-        out = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+    def row_vectors(self):
+        """The rows as sparse {col: value} dicts."""
+        rows = [{} for _ in range(self.nrows)]
         for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
+            rows[i][j] = v
+        return rows
 
-    def column(self, j):
-        return [self.entries.get((i, j), Fraction(0)) for i in range(self.nrows)]
+    def column_vectors(self):
+        """The columns as sparse {row: value} dicts."""
+        cols = [{} for _ in range(self.ncols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
 
     def rank(self):
-        return matrix_rank(self.rows())
+        return _echelon(self.ncols, self.row_vectors()).rank()
 
     def __repr__(self):
         return f"MatrixSlice({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
 
 
-def _clear_denominators(row):
-    den = 1
-    for v in row:
-        den = den * v.denominator // gcd(den, v.denominator)
-    return [int(v * den) for v in row]
+class SpanTracker:
+    """Incrementally maintained echelon basis of a growing span.
+
+    Vectors are dense sequences or sparse {index: value} dicts.  Indices at
+    or past dim are carried along but never lead a row; column_solver uses
+    them to record which inputs each row combines.
+
+    add() reports whether the vector enlarged the span; the answer depends
+    only on the span, so feeding candidate vectors in a fixed order always
+    selects the same independent subset.
+    """
+
+    def __init__(self, dim):
+        self.dim = dim
+        self._rows = {}       # lead column -> row, with row[lead] == 1
+
+    def rank(self):
+        return len(self._rows)
+
+    def reduce(self, vec):
+        """Sparse remainder of vec, zero in every lead column."""
+        v = _sparse(vec)
+        rows = self._rows
+        heap = [c for c in v if c in rows]
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            f = v.pop(lead, None)
+            if f is None:     # cancelled since it was queued
+                continue
+            for k, x in rows[lead].items():
+                if k == lead:
+                    continue
+                old = v.get(k)
+                if old is None:
+                    v[k] = -f * x
+                    if k in rows:
+                        heappush(heap, k)
+                else:
+                    y = old - f * x
+                    if y:
+                        v[k] = y
+                    else:
+                        del v[k]
+        return v
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return False
+        lead = min(v)
+        if lead >= self.dim:
+            return False
+        p = v[lead]
+        if p != 1:
+            v = {k: x / p for k, x in v.items()}
+        self._rows[lead] = v
+        return True
+
+    def reduced_rows(self):
+        """Back-substitute to the unique reduced row echelon form of the
+        span: {lead: row}, each row zero in every other lead column."""
+        rows = self._rows
+        for lead in sorted(rows, reverse=True):
+            row = rows[lead]
+            # rows with larger leads are already reduced, so clearing one
+            # lead column never refills another
+            for c in [c for c in row if c != lead and c in rows]:
+                f = row.pop(c)
+                for k, x in rows[c].items():
+                    if k != c:
+                        y = row.get(k, _ZERO) - f * x
+                        if y:
+                            row[k] = y
+                        else:
+                            row.pop(k, None)
+        return rows
+
+
+def _echelon(dim, vectors):
+    tracker = SpanTracker(dim)
+    for vec in vectors:
+        tracker.add(vec)
+    return tracker
 
 
 def matrix_rank(rows):
-    """Rank by fraction-free Bareiss elimination on integer rows."""
-    work = [_clear_denominators([Fraction(v) for v in row]) for row in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        p = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if not any(work[r][col:]):
-                continue
-            for c in range(ncols):
-                if c == col:
-                    continue
-                num = work[r][c] * p - work[r][col] * work[rank][c]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
-                work[r][c] = q
-            work[r][col] = 0
-        prev = p
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
-def rref(rows):
-    """Reduced row echelon form over Fraction.
-
-    Returns (echelon rows, pivot column list).  Input is not mutated.
-    """
-    work = [[Fraction(v) for v in row] for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        p = work[r][col]
-        work[r] = [v / p for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    """Rank of a matrix given as a list of equal-length rows."""
+    return _echelon(len(rows[0]), rows).rank() if rows else 0
 
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel, one vector per free column.
 
-    Free columns are visited in ascending order; each basis vector has a 1
-    in its free column and zeros in the other free columns, which pins the
-    representative choice for every caller.
+    Rows are dense sequences or sparse dicts.  Free columns are visited in
+    ascending order; each basis vector has a 1 in its free column and zeros
+    in the other free columns, which pins the representative choice for
+    every caller.
     """
-    ech, pivots = rref(rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis = []
+    ech = _echelon(ncols, rows).reduced_rows()
+    basis = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -ech[r][free]
-        basis.append(vec)
-    return basis
+        if free not in ech:
+            vec = [_ZERO] * ncols
+            vec[free] = _ONE
+            basis[free] = vec
+    for lead, row in ech.items():
+        for c, x in row.items():
+            if c != lead:
+                basis[c][lead] = -x
+    return list(basis.values())
+
+
+def column_solver(columns, dim):
+    """Factor the given column vectors of length dim once.
+
+    Returns solve(target): the coordinates of target in their span, as a
+    list with the free coordinates set to zero, or None when target is
+    outside the span.
+    """
+    tracker = SpanTracker(dim)
+    for j, col in enumerate(columns):
+        v = _sparse(col)
+        v[dim + j] = _ONE     # reduction turns this into the row's combination
+        tracker.add(v)
+    k = len(columns)
+
+    def solve(target):
+        rem = tracker.reduce(target)
+        if any(c < dim for c in rem):
+            return None
+        return [-rem.get(dim + j, _ZERO) for j in range(k)]
+
+    return solve
 
 
 def solve_coords(columns, target):
@@ -161,86 +222,4 @@ def solve_coords(columns, target):
     Returns a coefficient list (free coordinates set to zero) or None when
     target is outside the span.
     """
-    n = len(target)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    ech, pivots = rref(aug)
-    if k in pivots:
-        return None
-    coords = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coords[pc] = ech[r][k]
-    return coords
-
-
-def mat_mul_vec(slice_, vec):
-    out = [Fraction(0)] * slice_.nrows
-    for (i, j), v in slice_.entries.items():
-        if vec[j]:
-            out[i] += v * vec[j]
-    return out
-
-
-def dense_mul(a, b):
-    """Product of two dense row-list matrices; inner dimensions must agree.
-
-    Empty factors are fine: the result collapses to the appropriate number
-    of empty rows, which is what degreewise rank bookkeeping expects.
-    """
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
-    if not b or not b[0]:
-        return [[] for _ in a] if a else []
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * len(b[0])
-        for k, c in enumerate(row):
-            if c:
-                brow = b[k]
-                for j, v in enumerate(brow):
-                    if v:
-                        acc[j] += c * v
-        out.append(acc)
-    return out
-
-
-class SpanTracker:
-    """Incrementally maintained echelon basis of a growing span.
-
-    add() reports whether the vector enlarged the span; the reduction is
-    deterministic, so feeding candidate vectors in a fixed order always
-    selects the same independent subset.
-    """
-
-    def __init__(self, dim):
-        self.dim = dim
-        self._rows = []       # echelon rows, each with leading 1
-        self._lead = []       # leading column per row, ascending
-
-    def rank(self):
-        return len(self._rows)
-
-    def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, lead in zip(self._rows, self._lead):
-            if v[lead]:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
-
-    def add(self, vec):
-        v = self.reduce(vec)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        p = v[lead]
-        v = [x / p for x in v]
-        pos = 0
-        while pos < len(self._lead) and self._lead[pos] < lead:
-            pos += 1
-        self._rows.insert(pos, v)
-        self._lead.insert(pos, lead)
-        return True
+    return column_solver(columns, len(target))(target)

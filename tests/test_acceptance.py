@@ -113,6 +113,21 @@ def test_three_sphere_rank_tables():
     )
 
 
+def test_product_loop_ranks_satisfy_kunneth():
+    started = time.monotonic()
+    cutoff = 28
+    s2, s3, s2xs3 = (
+        betti_table(loop_model(load_model(_data(name))).complex, cutoff).values
+        for name in ("s2.min", "s3.min", "s2xs3.min")
+    )
+    # L(X x Y) = LX x LY, so the product ranks are the convolution
+    want = [sum(s2[i] * s3[n - i] for i in range(n + 1)) for n in range(cutoff + 1)]
+    _verdict(
+        "loop ranks of S2 x S3 are the Kunneth convolution of S2 and S3 through 28",
+        s2xs3 == want, started, 5.0,
+    )
+
+
 def test_model_validators_pass_on_all_fixtures():
     started = time.monotonic()
     ok = True

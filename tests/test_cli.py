@@ -163,6 +163,48 @@ def test_unusable_input_exit_2(capsys, data_path, tmp_path):
         assert out == ""
 
 
+def _one_error_line(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("betti", "--model", "{f}"),
+        ("goldman", "--surface", "{f}", "--a", "a", "--b", "b"),
+        ("verify", "bv", "--structure", "{f}"),
+    ],
+)
+def test_non_utf8_input_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"gen x 2\n\xff\n")
+    code, out, err = run(capsys, *(a.replace("{f}", str(path)) for a in argv))
+    assert _one_error_line(code, out, err), err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("betti", "--model", "{d}/s2.min", "--cutoff", "-1"), "--cutoff"),
+        (("gysin", "--model", "{d}/s2.min", "--cutoff", "-1"), "--cutoff"),
+        (("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "-5"), "--trials"),
+        (("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "0"), "--trials"),
+        (("jacobi-fuzz", "--surface", "{d}/torus.fat", "--max-len", "0"), "--max-len"),
+        (
+            ("verify", "coderivations", "--structure", "{d}/torus_bracket.struct",
+             "--word-len", "2"),
+            "--word-len",
+        ),
+    ],
+)
+def test_out_of_range_options_exit_2(capsys, argv, flag):
+    from conftest import DATA_DIR
+
+    code, out, err = run(capsys, *(a.replace("{d}", DATA_DIR) for a in argv))
+    assert _one_error_line(code, out, err), err
+    assert flag in err
+
+
 def test_out_flag_atomic_write(capsys, data_path, tmp_path):
     target = tmp_path / "report.tsv"
     code, out, _ = run(
