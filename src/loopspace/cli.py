@@ -62,7 +62,6 @@ _LEAST = {"cutoff": 0, "trials": 1, "max_len": 1, "word_len": 3}
 
 _INPUT_ERRORS = (
     UsageError,
-    UnicodeDecodeError,
     ModelError,
     ModelFileError,
     StructureError,
@@ -276,6 +275,13 @@ def main(argv=None):
         _check_bounds(args)
         text, code = args.handler(args)
         _emit(text, args.out)
+    except UnicodeDecodeError as e:
+        # every subcommand reads exactly one input file
+        path = next(
+            getattr(args, k) for k in ("model", "surface", "structure") if k in args
+        )
+        print(f"error: {path}: {e}", file=sys.stderr)
+        return 2
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

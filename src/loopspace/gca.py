@@ -360,17 +360,8 @@ class GradedElement:
             raise AlgebraError(f"element is not homogeneous: degrees {ds}")
         return ds[0]
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def coefficient(self, mono):
         return self.terms.get(mono, Fraction(0))
-
-    def homogeneous_part(self, n):
-        alg = self.algebra
-        return GradedElement(
-            alg, {m: c for m, c in self.terms.items() if alg.monomial_degree(m) == n}
-        )
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -497,10 +488,6 @@ class Derivation:
             if got != [want]:
                 return (alg.names[i], want, got)
         return None
-
-    def value_on(self, name):
-        i = self.algebra.index(name)
-        return self._values.get(i, self.algebra.zero())
 
     def is_zero(self):
         return not self._values

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
+from operator import eq, neg
 
 __all__ = [
     "FatGraphError",
@@ -37,7 +37,6 @@ __all__ = [
     "bracket_combo",
     "invert_classes",
     "combo_sub",
-    "combo_scale",
     "random_reduced_cyclic_word",
     "jacobi_fuzz",
     "format_combo",
@@ -61,7 +60,9 @@ class FatGraph:
     cyclic order of the 2n half-edges around the vertex.
 
     Letters are nonzero ints: generator k (0-based) is k+1, its inverse
-    -(k+1).
+    -(k+1).  ``tok`` maps each letter to its token string; ``rank`` maps it
+    to the one-character string whose code point is the position of that
+    token in sorted order, so joined ranks compare like token sequences.
     """
 
     def __init__(self, names, order):
@@ -93,7 +94,8 @@ class FatGraph:
         self.order = order
         self.pos = {letter: k for k, letter in enumerate(order)}
         self.size = len(order)
-        self._bracket_cache = {}
+        self.tok = {x: self.token(x) for x in order}
+        self.rank = {x: chr(k) for k, x in enumerate(sorted(order, key=self.tok.get))}
 
     def token(self, letter):
         name = self.names[abs(letter) - 1]
@@ -186,6 +188,11 @@ def load_fat_graph(path):
 
 def cyclic_reduce(letters):
     """Free reduction followed by reduction across the wraparound."""
+    letters = tuple(letters)
+    if not letters or (
+        letters[0] != -letters[-1] and not any(map(eq, letters, map(neg, letters[1:])))
+    ):
+        return letters
     stack = []
     for x in letters:
         if stack and stack[-1] == -x:
@@ -209,9 +216,7 @@ class CyclicWord:
     def __init__(self, graph, letters):
         reduced = cyclic_reduce(letters)
         if reduced:
-            toks = [graph.token(x) for x in reduced]
-            m = len(reduced)
-            best = min(range(m), key=lambda r: toks[r:] + toks[:r])
+            best = _least_rotation("".join(map(graph.rank.__getitem__, reduced)))
             reduced = reduced[best:] + reduced[:best]
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "letters", reduced)
@@ -223,7 +228,11 @@ class CyclicWord:
         return CyclicWord(self.graph, tuple(-x for x in reversed(self.letters)))
 
     def tokens(self):
-        return tuple(self.graph.token(x) for x in self.letters)
+        return tuple(map(self.graph.tok.__getitem__, self.letters))
+
+    def rank_key(self):
+        """The joined ranks of the letters; orders words as tokens() does."""
+        return "".join(map(self.graph.rank.__getitem__, self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -251,34 +260,38 @@ class CyclicWord:
         return f"CyclicWord({str(self)!r})"
 
 
-def _pair_order(graph, r1, r2, start, limit):
-    """Counterclockwise order of two rays that share their first ``start+1``
-    letters, read at the vertex where they diverge against the dart pointing
-    back along the shared path."""
-    k = start + 1
-    while r1(k) == r2(k):
+def _least_rotation(key):
+    """Start of the least rotation of a nonempty string.  Only positions
+    holding its least character can start it; their rotations are compared
+    as slices of the doubled string, in C: quadratic for a power of one
+    letter, yet faster than Booth's or Duval's linear loop in Python on
+    words of a few hundred letters."""
+    n = len(key)
+    twice = key + key
+    low = min(key)
+    best = r = key.index(low)
+    least = twice[best:best + n]
+    while True:
+        r = key.find(low, r + 1)
+        if r < 0:
+            return best
+        rotation = twice[r:r + n]
+        if rotation < least:
+            best, least = r, rotation
+
+
+def _pair_order(graph, w1, i1, w2, i2, limit):
+    """Counterclockwise order of the rays reading w1 from i1 and w2 from i2,
+    cyclically, which share their first letter: read at the vertex where
+    they diverge against the dart pointing back along the shared path."""
+    n1, n2 = len(w1), len(w2)
+    k = 1
+    while w1[(i1 + k) % n1] == w2[(i2 + k) % n2]:
         k += 1
         if k > limit:
             raise FatGraphError("rays fail to diverge; words are not reduced")
-    return graph.ccw3(r1(k), r2(k), -r1(k - 1))
-
-
-def _orient(graph, r1, r2, r3, limit):
-    """Orientation (+1 counterclockwise) of three pairwise distinct rays
-    leaving the basepoint."""
-    off = 0
-    while r1(off) == r2(off) == r3(off):
-        off += 1
-        if off > limit:
-            raise FatGraphError("rays fail to diverge; words are not reduced")
-    a, b, c = r1(off), r2(off), r3(off)
-    if a != b and a != c and b != c:
-        return graph.ccw3(a, b, c)
-    if a == b:
-        return _pair_order(graph, r1, r2, off, limit)
-    if b == c:
-        return _pair_order(graph, r2, r3, off, limit)
-    return -_pair_order(graph, r1, r3, off, limit)
+    back = -w1[(i1 + k - 1) % n1]
+    return graph.ccw3(w1[(i1 + k) % n1], w2[(i2 + k) % n2], back)
 
 
 def goldman_bracket(w, v):
@@ -289,18 +302,18 @@ def goldman_bracket(w, v):
     ):
         raise WordError("words live on different surfaces")
     lw, lv = w.letters, v.letters
-    key = (lw, lv)
-    cached = graph._bracket_cache.get(key)
-    if cached is not None:
-        return dict(cached)
     m, n = len(lw), len(lv)
+    # the ray along v backward from position j reads iv forward from n - j
+    iv = tuple(-x for x in reversed(lv))
+    pos, size = graph.pos, graph.size
     acc = {}
     limit = 2 * (m + n) + 4
     for i in range(m):
         fa = lw[i]
         ba = -lw[i - 1]
-        fwd_a = lambda k, i=i: lw[(i + k) % m]
-        back_a = lambda k, i=i: -lw[(i - 1 - k) % m]
+        pa = pos[fa]
+        side = (pos[ba] - pa) % size
+        head = lw[i:] + lw[:i]
         for j in range(n):
             fb = lv[j]
             bb = -lv[j - 1]
@@ -308,24 +321,26 @@ def goldman_bracket(w, v):
             # crossing, if any, is counted where the overlap starts
             if ba == bb or ba == fb:
                 continue
-            fwd_b = lambda k, j=j: lv[(j + k) % n]
-            back_b = lambda k, j=j: -lv[(j - 1 - k) % n]
-            o1 = _orient(graph, fwd_a, fwd_b, back_a, limit)
-            o2 = _orient(graph, fwd_a, back_b, back_a, limit)
+            # orientations of (fa, fb, ba) and (fa, bb, ba): a first letter
+            # distinct from fa is placed by its side of the chord fa-ba, one
+            # equal to fa by where its ray leaves the ray along w
+            if fa == fb:
+                o1 = _pair_order(graph, lw, i, lv, j, limit)
+            else:
+                o1 = 1 if (pos[fb] - pa) % size < side else -1
+            if fa == bb:
+                o2 = _pair_order(graph, lw, i, iv, n - j, limit)
+            else:
+                o2 = 1 if (pos[bb] - pa) % size < side else -1
             if o1 == o2:
                 continue
-            cls = CyclicWord(graph, lw[i:] + lw[:i] + lv[j:] + lv[:j])
+            cls = CyclicWord(graph, head + lv[j:] + lv[:j])
             c = acc.get(cls, 0) + o1
             if c:
                 acc[cls] = c
             else:
                 acc.pop(cls, None)
-    graph._bracket_cache[key] = dict(acc)
     return acc
-
-
-def combo_scale(combo, c):
-    return {k: c * v for k, v in combo.items() if c * v}
 
 
 def combo_sub(a, b):
@@ -367,7 +382,7 @@ def bracket_combo(a, b):
 
 def format_combo(combo):
     """One ``coefficient<TAB>word`` line per class, sorted by word."""
-    items = sorted(combo.items(), key=lambda kv: kv[0].tokens())
+    items = sorted(combo.items(), key=lambda kv: kv[0].rank_key())
     return "".join(f"{c}\t{w}\n" for w, c in items)
 
 
@@ -375,25 +390,17 @@ def random_reduced_cyclic_word(graph, rng, max_len):
     """Uniform-ish random cyclically reduced word of length 1..max_len;
     deterministic for a given rng state."""
     n_gens = len(graph.names)
-    alphabet = sorted(
-        list(range(1, n_gens + 1)) + list(range(-n_gens, 0))
-    )
-    while True:
-        n = rng.randint(1, max_len)
-        letters = []
-        dead = False
-        for k in range(n):
-            cands = list(alphabet)
-            if k > 0:
-                cands = [x for x in cands if x != -letters[-1]]
-            if k == n - 1 and n > 1:
-                cands = [x for x in cands if x != -letters[0]]
-            if not cands:
-                dead = True
-                break
-            letters.append(rng.choice(cands))
-        if not dead:
-            return CyclicWord(graph, tuple(letters))
+    alphabet = list(range(-n_gens, 0)) + list(range(1, n_gens + 1))
+    n = rng.randint(1, max_len)
+    letters = []
+    for k in range(n):
+        cands = list(alphabet)
+        if k > 0:
+            cands = [x for x in cands if x != -letters[-1]]
+        if k == n - 1 and n > 1:
+            cands = [x for x in cands if x != -letters[0]]
+        letters.append(rng.choice(cands))
+    return CyclicWord(graph, tuple(letters))
 
 
 def jacobi_fuzz(graph, trials=200, max_len=6, seed=1):

@@ -95,6 +95,45 @@ def test_jacobi_fuzz_pass(capsys, data_path):
     assert out == "pass\n"
 
 
+def test_jacobi_fuzz_fail_report(capsys, monkeypatch, data_path):
+    # a bracket with one coefficient off must fail the fuzz with a witness
+    from loopspace import goldman
+
+    true_bracket = goldman.goldman_bracket
+
+    def perturbed(w, v):
+        out = true_bracket(w, v)
+        if out:
+            first = min(out, key=lambda cls: cls.tokens())
+            out[first] += 1
+        return out
+
+    monkeypatch.setattr(goldman, "goldman_bracket", perturbed)
+    graph = goldman.load_fat_graph(data_path("torus.fat"))
+    witness = goldman.jacobi_fuzz(graph, trials=40, max_len=5)
+    assert witness is not None and witness["residual"]
+    u, v, w = witness["u"], witness["v"], witness["w"]
+    residual = goldman.combo_sub(
+        goldman.combo_sub(
+            goldman.bracket_combo({u: 1}, perturbed(v, w)),
+            goldman.bracket_combo(perturbed(u, v), {w: 1}),
+        ),
+        goldman.bracket_combo({v: 1}, perturbed(u, w)),
+    )
+    assert residual == witness["residual"]
+
+    code, out, _ = run(
+        capsys,
+        "jacobi-fuzz", "--surface", data_path("torus.fat"),
+        "--trials", "40", "--max-len", "5",
+    )
+    assert code == 1
+    assert out == (
+        f"FAIL trial {witness['trial']}\nu\t{u}\nv\t{v}\nw\t{w}\n"
+        "residual:\n" + goldman.format_combo(residual)
+    )
+
+
 def test_verify_pass_commands(capsys, data_path):
     for what in ("gerstenhaber", "bv"):
         code, out, _ = run(
@@ -180,6 +219,7 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, argv):
     path.write_bytes(b"gen x 2\n\xff\n")
     code, out, err = run(capsys, *(a.replace("{f}", str(path)) for a in argv))
     assert _one_error_line(code, out, err), err
+    assert f"error: {path}: " in err, err
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from loopspace.goldman import (
     WordError,
     bracket_combo,
     combo_sub,
+    cyclic_reduce,
     format_combo,
     goldman_bracket,
     invert_classes,
@@ -217,3 +218,103 @@ def test_random_words_are_reduced(torus, genus2):
                     assert letters[i] != -letters[i - 1]
             # already canonical: reconstruction is a fixed point
             assert CyclicWord(graph, letters) == w
+
+
+# Reference canonical form and report order: free reduction with a stack,
+# the least rotation by comparing token lists, and a sort on token tuples.
+def reference_reduce(letters):
+    stack = []
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    while len(stack) >= 2 and stack[0] == -stack[-1]:
+        stack = stack[1:-1]
+    return tuple(stack)
+
+
+def reference_canonical(graph, letters):
+    reduced = reference_reduce(letters)
+    if not reduced:
+        return ()
+    toks = [graph.token(x) for x in reduced]
+    best = min(range(len(reduced)), key=lambda r: toks[r:] + toks[:r])
+    return reduced[best:] + reduced[:best]
+
+
+def reference_format(combo):
+    def tokens(w):
+        return tuple(w.graph.token(x) for x in w.letters)
+
+    items = sorted(combo.items(), key=lambda kv: tokens(kv[0]))
+    return "".join(f"{c}\t{' '.join(tokens(w)) or '1'}\n" for w, c in items)
+
+
+REFERENCE_SURFACES = {
+    "torus": "generators a b\ncyclic-order a b a^- b^-\n",
+    "genus2": "generators a b c d\ncyclic-order a b a^- b^- c d c^- d^-\n",
+    # letter order differs from token order
+    "torus-ba": "generators b a\ncyclic-order b a b^- a^-\n",
+    "genus2-dcba": "generators d c b a\ncyclic-order d c d^- c^- b a b^- a^-\n",
+    # "a^-" sorts before "ab", and "aB" and "aB^-" sort before "a^-"
+    "torus-a-ab": "generators a ab\ncyclic-order a ab a^- ab^-\n",
+    "torus-a-aB": "generators a aB\ncyclic-order a aB a^- aB^-\n",
+}
+
+
+def reference_inputs(graph, rng):
+    alphabet = [x for k in range(1, len(graph.names) + 1) for x in (k, -k)]
+    words = [
+        tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        for _ in range(150)
+    ]
+    for k in range(1, 9):
+        words += [(1, 2) * k, (1,) * k, (-2,) * k, (2, -1, -1) * k, (1, 2, -1) * k]
+    return words
+
+
+@pytest.mark.parametrize(
+    "text", REFERENCE_SURFACES.values(), ids=REFERENCE_SURFACES.keys()
+)
+def test_canonical_form_and_order_match_reference(text):
+    graph = parse_fat_graph(text)
+    rng = random.Random(23)
+    inputs = reference_inputs(graph, rng)
+    words = [CyclicWord(graph, letters) for letters in inputs]
+    for letters, w in zip(inputs, words):
+        assert w.letters == reference_canonical(graph, letters), letters
+        assert cyclic_reduce(letters) == reference_reduce(letters), letters
+        assert w.tokens() == tuple(graph.token(x) for x in w.letters)
+    combo = {w: k + 1 for k, w in enumerate(words)}
+    assert format_combo(combo) == reference_format(combo)
+    for u, v in zip(words[:40], words[40:80]):
+        got = goldman_bracket(u, v)
+        assert all(w.letters == reference_canonical(graph, w.letters) for w in got)
+        assert format_combo(got) == reference_format(got)
+
+
+def long_word(graph, rng, least=40, most=60):
+    while True:
+        w = random_reduced_cyclic_word(graph, rng, most)
+        if len(w) >= least:
+            return w
+
+
+def test_long_word_bracket_laws(genus2):
+    # words of 40-60 letters: antisymmetry, inverse symmetry, [w, w] = 0
+    rng = random.Random(29)
+    for _ in range(6):
+        u, v = long_word(genus2, rng), long_word(genus2, rng)
+        uv = goldman_bracket(u, v)
+        assert uv, (u, v)
+        assert uv == {k: -c for k, c in goldman_bracket(v, u).items()}, (u, v)
+        assert goldman_bracket(u.inverse(), v.inverse()) == invert_classes(uv)
+        assert goldman_bracket(u.inverse(), v) == invert_classes(
+            goldman_bracket(u, v.inverse())
+        )
+        assert goldman_bracket(u, u) == {}
+
+
+def test_jacobi_fuzz_long_words(genus2):
+    assert jacobi_fuzz(genus2, trials=15, max_len=16, seed=5) is None
