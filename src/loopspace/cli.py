@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 
+from .checks import CheckReport
 from .coderivations import coderivation_relations, jacobi_coderivation_equiv
 from .gca import AlgebraError
 from .goldman import (
@@ -98,16 +99,6 @@ def _emit(text, out_path):
         except OSError:
             pass
         raise
-
-
-def _render_pairs(pairs):
-    out = []
-    for label, witness in pairs:
-        if witness is None:
-            out.append(f"check {label}: pass\n")
-        else:
-            out.append(f"check {label}: FAIL {witness}\n")
-    return "".join(out)
 
 
 def _space_complex(model, space):
@@ -206,8 +197,10 @@ def _cmd_verify(args):
     }
     degrees = tuple(table.string_space.degree(n) for n in names)
     pairs += jacobi_coderivation_equiv(degrees, bracket, args.word_len, names=names)
-    ok = all(w is None for _, w in pairs)
-    return _render_pairs(pairs), 0 if ok else 1
+    rep = CheckReport("coderivations")
+    for label, witness in pairs:
+        rep.add(label, witness)
+    return rep.text(), 0 if rep.ok else 1
 
 
 def _build_parser():

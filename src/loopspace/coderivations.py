@@ -13,8 +13,10 @@ onto the untouched letters.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from fractions import Fraction
+
+from .checks import add_into
 
 __all__ = [
     "wedge_sort",
@@ -82,70 +84,49 @@ class CoderivationRep:
         self.k = k
         self.comps = comps
 
-    def bar(self, args):
-        word, sign = wedge_sort(args, self.sdegs)
-        if word is None:
-            return {}
-        combo = self.comps.get(word)
-        if not combo:
-            return {}
-        if sign == 1:
-            return dict(combo)
-        return {b: -c for b, c in combo.items()}
-
     def apply_word(self, word):
         """Coderivation extension on a single canonical word."""
         n = len(word)
         out = {}
         if n < self.k:
             return out
+        sdegs = self.sdegs
         for positions in itertools.combinations(range(n), self.k):
-            val = self.bar(tuple(word[p] for p in positions))
+            # the letters of a canonical word at increasing positions are
+            # themselves a canonical word, so they index comps directly
+            val = self.comps.get(tuple(word[p] for p in positions))
             if not val:
                 continue
-            sgn = front_sign(word, positions, self.sdegs)
+            sgn = front_sign(word, positions, sdegs)
             chosen = set(positions)
             rest = tuple(word[p] for p in range(n) if p not in chosen)
             for b, c in val.items():
-                w2, s2 = wedge_sort((b,) + rest, self.sdegs)
-                if w2 is None:
-                    continue
-                coeff = out.get(w2, Fraction(0)) + sgn * s2 * c
-                if coeff:
-                    out[w2] = coeff
-                else:
-                    out.pop(w2, None)
-        return out
-
-    def apply_combo(self, combo):
-        out = {}
-        for word, c in combo.items():
-            for w2, v in self.apply_word(word).items():
-                coeff = out.get(w2, Fraction(0)) + c * v
-                if coeff:
-                    out[w2] = coeff
-                else:
-                    out.pop(w2, None)
+                w2, s2 = wedge_sort((b,) + rest, sdegs)
+                if w2 is not None:
+                    add_into(out, {w2: c}, sgn * s2)
         return out
 
 
 def coproduct(word, sdegs):
     """Unshuffle coproduct: sum over splittings of the letter positions
     into a front and a back block, with the unshuffle Koszul sign."""
-    n = len(word)
+    # Splittings of a prefix of the word, extended one letter at a time: a
+    # letter joining the front block passes every letter already in the
+    # back block.
+    splits = [((), (), 1, 0)]  # front, back, sign, parity of back
+    for x in word:
+        odd = sdegs[x] % 2
+        splits = [
+            split
+            for front, back, sign, back_odd in splits
+            for split in (
+                (front + (x,), back, -sign if odd and back_odd else sign, back_odd),
+                (front, back + (x,), sign, back_odd ^ odd),
+            )
+        ]
     out = {}
-    for r in range(n + 1):
-        for positions in itertools.combinations(range(n), r):
-            sgn = front_sign(word, positions, sdegs)
-            chosen = set(positions)
-            left = tuple(word[p] for p in positions)
-            right = tuple(word[p] for p in range(n) if p not in chosen)
-            key = (left, right)
-            coeff = out.get(key, 0) + sgn
-            if coeff:
-                out[key] = coeff
-            else:
-                out.pop(key, None)
+    for front, back, sign, _ in splits:
+        add_into(out, {(front, back): sign})
     return out
 
 
@@ -167,21 +148,31 @@ def _render_combo(combo, names):
     return " + ".join(parts)
 
 
-def _first_nonzero(rep_outer, rep_inner, sdegs, word_len, names, flip=False):
-    n = len(sdegs)
-    for length in range(word_len + 1):
-        for word in wedge_words(n, sdegs, length):
-            acc = rep_outer.apply_combo(rep_inner.apply_word(word))
-            if flip:
-                for w2, v in rep_inner.apply_combo(rep_outer.apply_word(word)).items():
-                    c = acc.get(w2, Fraction(0)) + v
-                    if c:
-                        acc[w2] = c
-                    else:
-                        acc.pop(w2, None)
-            if acc:
-                return (f"word {_render_word(word, names)}: "
-                        f"residue {_render_combo(acc, names)}")
+def _words(sdegs, word_len):
+    """Every canonical word of length up to word_len, shortest first."""
+    return [
+        word
+        for length in range(word_len + 1)
+        for word in wedge_words(len(sdegs), sdegs, length)
+    ]
+
+
+def _extend(image, combo):
+    """Coderivation extension on a combination, from the images of its
+    words."""
+    out = {}
+    for word, c in combo.items():
+        add_into(out, image(word), c)
+    return out
+
+
+def _residue_witness(words, residue, names):
+    """The first word with a nonzero residue, rendered; None if none."""
+    for word in words:
+        acc = residue(word)
+        if acc:
+            return (f"word {_render_word(word, names)}: "
+                    f"residue {_render_combo(acc, names)}")
     return None
 
 
@@ -198,14 +189,30 @@ def coderivation_relations(reps, word_len, names=None, lambda_sets=None):
     for k in ks:
         if reps[k].sdegs != sdegs:
             raise ValueError("components disagree on shifted degrees")
+    words = _words(sdegs, word_len)
+    # Each component's image of each word is computed once; the memos are
+    # bounded by the words up to word_len and are dropped when this call
+    # returns.  Coproducts are recomputed instead of kept: on nine letters
+    # with words up to length 6 a memo of them takes 2.6 MB, six times the
+    # images.
+    image = {k: functools.cache(reps[k].apply_word) for k in ks}
+
+    def composite(outer, inner, flip=False):
+        def residue(word):
+            acc = _extend(image[outer], image[inner](word))
+            if flip:
+                add_into(acc, _extend(image[inner], image[outer](word)))
+            return acc
+        return _residue_witness(words, residue, names)
+
     lines = []
     for k in ks:
-        w = _first_nonzero(reps[k], reps[k], sdegs, word_len, names)
-        lines.append((f"m{k} squares to zero on words up to length {word_len}", w))
+        lines.append((f"m{k} squares to zero on words up to length {word_len}",
+                      composite(k, k)))
     for a, b in itertools.combinations(ks, 2):
-        w = _first_nonzero(reps[a], reps[b], sdegs, word_len, names, flip=True)
         lines.append(
-            (f"m{a} and m{b} anticommute on words up to length {word_len}", w)
+            (f"m{a} and m{b} anticommute on words up to length {word_len}",
+             composite(a, b, flip=True))
         )
     if lambda_sets is None:
         lambda_sets = [{k} for k in ks]
@@ -217,73 +224,49 @@ def coderivation_relations(reps, word_len, names=None, lambda_sets=None):
                  f"{{{','.join(str(k) for k in chosen)}}} squares to zero "
                  f"on words up to length {word_len}")
 
-        def total(combo, chosen=chosen):
+        def total(combo):
             out = {}
             for k in chosen:
-                for w2, v in reps[k].apply_combo(combo).items():
-                    c = out.get(w2, Fraction(0)) + v
-                    if c:
-                        out[w2] = c
-                    else:
-                        out.pop(w2, None)
+                add_into(out, _extend(image[k], combo))
             return out
 
-        witness = None
-        for length in range(word_len + 1):
-            if witness:
-                break
-            for word in wedge_words(len(sdegs), sdegs, length):
-                acc = total(total({word: Fraction(1)}))
-                if acc:
-                    witness = (f"word {_render_word(word, names)}: "
-                               f"residue {_render_combo(acc, names)}")
-                    break
-        lines.append((label, witness))
+        lines.append((label, _residue_witness(
+            words, lambda word: total(total({word: 1})), names)))
     for k in ks:
-        w = _coproduct_witness(reps[k], word_len, names)
         lines.append(
             (f"m{k} is a coderivation for the unshuffle coproduct "
-             f"on words up to length {word_len}", w)
+             f"on words up to length {word_len}",
+             _coproduct_witness(image[k], sdegs, words, names))
         )
     return lines
 
 
-def _tensor_add(acc, key, value):
-    c = acc.get(key, Fraction(0)) + value
-    if c:
-        acc[key] = c
-    else:
-        acc.pop(key, None)
-
-
-def _coproduct_witness(rep, word_len, names):
-    sdegs = rep.sdegs
-    n = len(sdegs)
-    for length in range(word_len + 1):
-        for word in wedge_words(n, sdegs, length):
-            lhs = {}
-            for w2, c in rep.apply_word(word).items():
-                for key, s in coproduct(w2, sdegs).items():
-                    _tensor_add(lhs, key, c * s)
-            rhs = {}
-            for (left, right), s in coproduct(word, sdegs).items():
-                for w2, c in rep.apply_word(left).items():
-                    _tensor_add(rhs, (w2, right), s * c)
+def _coproduct_witness(image, sdegs, words, names):
+    for word in words:
+        lhs = {}
+        for w2, c in image(word).items():
+            add_into(lhs, coproduct(w2, sdegs), c)
+        rhs = {}
+        for (left, right), s in coproduct(word, sdegs).items():
+            img = image(left)
+            if img:
+                add_into(rhs, {(w2, right): c for w2, c in img.items()}, s)
+            img = image(right)
+            if img:
                 # the operation has odd total shifted degree, so passing
                 # the left block costs its shifted-degree parity
                 lsign = -1 if sum(sdegs[i] for i in left) % 2 else 1
-                for w2, c in rep.apply_word(right).items():
-                    _tensor_add(rhs, (left, w2), lsign * s * c)
-            if lhs != rhs:
-                keys = sorted(set(lhs) | set(rhs))
-                for key in keys:
-                    if lhs.get(key, 0) != rhs.get(key, 0):
-                        l, r = key
-                        return (
-                            f"word {_render_word(word, names)} at "
-                            f"({_render_word(l, names)} | {_render_word(r, names)}): "
-                            f"lhs {lhs.get(key, 0)}, rhs {rhs.get(key, 0)}"
-                        )
+                add_into(rhs, {(left, w2): c for w2, c in img.items()}, lsign * s)
+        if lhs != rhs:
+            keys = sorted(set(lhs) | set(rhs))
+            for key in keys:
+                if lhs.get(key, 0) != rhs.get(key, 0):
+                    l, r = key
+                    return (
+                        f"word {_render_word(word, names)} at "
+                        f"({_render_word(l, names)} | {_render_word(r, names)}): "
+                        f"lhs {lhs.get(key, 0)}, rhs {rhs.get(key, 0)}"
+                    )
     return None
 
 
@@ -305,59 +288,45 @@ def jacobi_coderivation_equiv(degrees, bracket, word_len, names=None):
     def b(i, j):
         return bracket.get((i, j), {})
 
-    def b_combo(ca, cb):
-        out = {}
-        for x, cx in ca.items():
-            for y, cy in cb.items():
-                for z, v in b(x, y).items():
-                    c = out.get(z, Fraction(0)) + cx * cy * v
-                    if c:
-                        out[z] = c
-                    else:
-                        out.pop(z, None)
-        return out
-
     def ksign(e):
         return -1 if e % 2 else 1
 
+    def left(i, combo, acc, sign=1):
+        # acc += sign * [i, combo]
+        for y, v in combo.items():
+            add_into(acc, b(i, y), v if sign == 1 else -v)
+        return acc
+
     for i in range(n):
         for j in range(n):
-            lhs = b(j, i)
-            rhs = {z: -ksign(degrees[i] * degrees[j]) * v for z, v in b(i, j).items()}
-            if lhs != rhs:
+            if b(j, i) != add_into({}, b(i, j), -ksign(degrees[i] * degrees[j])):
                 raise ValueError(
                     "bracket is not graded antisymmetric; "
                     "its symmetric shifted form does not exist"
                 )
 
-    jac = None
-    for i in range(n):
-        for j in range(n):
-            ij = b(i, j)
-            s = ksign(degrees[i] * degrees[j])
-            for k in range(n):
-                lhs = b_combo({i: Fraction(1)}, b(j, k))
-                rhs = b_combo(ij, {k: Fraction(1)})
-                for z, v in b_combo({j: Fraction(1)}, b(i, k)).items():
-                    c = rhs.get(z, Fraction(0)) + s * v
-                    if c:
-                        rhs[z] = c
-                    else:
-                        rhs.pop(z, None)
-                if lhs != rhs and jac is None:
-                    ni = names[i] if names else str(i)
-                    nj = names[j] if names else str(j)
-                    nk = names[k] if names else str(k)
-                    jac = (f"a={ni}, b={nj}, c={nk}: "
-                           f"[a,[b,c]] differs from [[a,b],c] + sign*[b,[a,c]]")
+    def jacobi_witness():
+        for i, j, k in itertools.product(range(n), repeat=3):
+            rhs = {}
+            for x, v in b(i, j).items():
+                add_into(rhs, b(x, k), v)
+            left(j, b(i, k), rhs, ksign(degrees[i] * degrees[j]))
+            if left(i, b(j, k), {}) != rhs:
+                ni, nj, nk = (names[x] if names else str(x) for x in (i, j, k))
+                return (f"a={ni}, b={nj}, c={nk}: "
+                        f"[a,[b,c]] differs from [[a,b],c] + sign*[b,[a,c]]")
+        return None
+
+    jac = jacobi_witness()
     comps = {}
     for tup in wedge_words(n, sdegs, 2):
         i, j = tup
-        combo = {z: ksign(degrees[i]) * v for z, v in b(i, j).items()}
+        combo = add_into({}, b(i, j), ksign(degrees[i]))
         if combo:
             comps[tup] = combo
-    rep = CoderivationRep(sdegs, 2, comps)
-    sq = _first_nonzero(rep, rep, sdegs, word_len, names)
+    image = functools.cache(CoderivationRep(sdegs, 2, comps).apply_word)
+    sq = _residue_witness(
+        _words(sdegs, word_len), lambda word: _extend(image, image(word)), names)
 
     agree = None
     if (jac is None) != (sq is None):

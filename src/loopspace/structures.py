@@ -11,10 +11,12 @@ with the first offending tuple spelled out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
 
+from .checks import CheckReport, add_into
 from .coderivations import CoderivationRep
 
 __all__ = [
@@ -53,21 +55,14 @@ def _ksign(e):
     return -1 if e % 2 else 1
 
 
-def combo_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        c = out.get(k, Fraction(0)) + v
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
+def _apply(table, combo):
+    """The linear map with table name -> combo, on a combination."""
+    out = {}
+    for x, cx in combo.items():
+        row = table.get(x)
+        if row:
+            add_into(out, row, cx)
     return out
-
-
-def combo_scale(a, c):
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
 
 
 class BasisSpace:
@@ -116,7 +111,7 @@ class BasisSpace:
         if s == "0":
             return {}
         out = {}
-        sign = Fraction(1)
+        sign = 1
         state = "start"
         for piece in re.split(r"([+-])", s):
             tok = piece.strip()
@@ -125,7 +120,7 @@ class BasisSpace:
             if tok in {"+", "-"}:
                 if state == "after_sign":
                     raise StructureError(f"{where}: consecutive signs")
-                sign = Fraction(1) if tok == "+" else Fraction(-1)
+                sign = 1 if tok == "+" else -1
                 state = "after_sign"
                 continue
             m = _TERM_RE.match(tok)
@@ -135,12 +130,8 @@ class BasisSpace:
             if name not in self._degrees:
                 raise StructureError(f"{where}: unknown basis name {name!r}")
             coeff = Fraction(re.sub(r"\s", "", coeff_text)) if coeff_text else Fraction(1)
-            c = out.get(name, Fraction(0)) + sign * coeff
-            if c:
-                out[name] = c
-            else:
-                out.pop(name, None)
-            sign = Fraction(1)
+            add_into(out, {name: coeff}, sign)
+            sign = 1
             state = "after_term"
         if state == "after_sign":
             raise StructureError(f"{where}: dangling sign")
@@ -174,52 +165,29 @@ class StructureTable:
             self.string_space, self.erase, self.mark,
         )
 
-    def _pair_table(self, table, ca, cb):
-        out = {}
-        for x, cx in ca.items():
-            for y, cy in cb.items():
-                for name, v in table.get((x, y), {}).items():
-                    c = out.get(name, Fraction(0)) + cx * cy * v
-                    if c:
-                        out[name] = c
-                    else:
-                        out.pop(name, None)
-        return out
-
     def mult(self, ca, cb):
         if self.product is None:
             raise StructureError("structure has no product table")
-        return self._pair_table(self.product, ca, cb)
-
-    def bracket_of(self, ca, cb):
-        if self.bracket is None:
-            raise StructureError("structure has no bracket table")
-        return self._pair_table(self.bracket, ca, cb)
-
-    @staticmethod
-    def _apply(table, combo):
         out = {}
-        for x, cx in combo.items():
-            for name, v in table.get(x, {}).items():
-                c = out.get(name, Fraction(0)) + cx * v
-                if c:
-                    out[name] = c
-                else:
-                    out.pop(name, None)
+        for x, cx in ca.items():
+            for y, cy in cb.items():
+                row = self.product.get((x, y))
+                if row:
+                    add_into(out, row, cx * cy)
         return out
 
     def delta_of(self, combo):
-        return self._apply(self.delta or {}, combo)
+        return _apply(self.delta or {}, combo)
 
     def erase_of(self, combo):
         if self.erase is None:
             raise StructureError("structure has no erasing table")
-        return self._apply(self.erase, combo)
+        return _apply(self.erase, combo)
 
     def mark_of(self, combo):
         if self.mark is None:
             raise StructureError("structure has no marking table")
-        return self._apply(self.mark, combo)
+        return _apply(self.mark, combo)
 
 
 def parse_structure_file(text):
@@ -308,34 +276,6 @@ def load_structure_file(path):
         return parse_structure_file(fh.read())
 
 
-class CheckReport:
-    """Ordered check outcomes; text() mirrors the CLI rendering."""
-
-    def __init__(self, title=""):
-        self.title = title
-        self.lines = []
-
-    def add(self, label, witness=None):
-        self.lines.append((label, witness))
-        return witness is None
-
-    @property
-    def ok(self):
-        return all(w is None for _, w in self.lines)
-
-    def failures(self):
-        return [(l, w) for l, w in self.lines if w is not None]
-
-    def text(self):
-        out = []
-        for label, witness in self.lines:
-            if witness is None:
-                out.append(f"check {label}: pass\n")
-            else:
-                out.append(f"check {label}: FAIL {witness}\n")
-        return "".join(out)
-
-
 def _pair_degree_witness(space, table, extra, op):
     for (a, b), combo in sorted(table.items()):
         want = space.degree(a) + space.degree(b) + extra
@@ -360,121 +300,203 @@ def _unary_degree_witness(src, tgt, table, extra, op):
     return None
 
 
+def _left(table, a, combo, acc, sign=1):
+    """acc += sign * (a . combo) for a pair table, a basis name a and a
+    sign of +-1."""
+    for y, v in combo.items():
+        row = table[a, y]
+        if row:
+            add_into(acc, row, v if sign == 1 else -v)
+    return acc
+
+
+def _right(table, combo, c, acc, sign=1):
+    """acc += sign * (combo . c) for a pair table, a basis name c and a
+    sign of +-1."""
+    for x, v in combo.items():
+        row = table[x, c]
+        if row:
+            add_into(acc, row, v if sign == 1 else -v)
+    return acc
+
+
+class _Tabulation:
+    """The structure constants of one check, tabulated once on basis names.
+
+    A pair table holds every basis pair, zero pairs included, so it has n^2
+    entries; the tables derived from delta are built on first use.  The
+    tabulation belongs to one check and is dropped when the check returns.
+    shift is the parity the bracket adds to degrees: 1 for the odd
+    Gerstenhaber bracket, 0 for the even bracket on the marked-point space.
+    """
+
+    def __init__(self, space, product=None, bracket=None, delta=None, shift=1):
+        self.space = space
+        self.shift = shift
+        names = space.names
+        self.deg = {a: space.degree(a) for a in names}
+
+        def pairs(table):
+            if table is None:
+                return None
+            return {(a, b): table.get((a, b), {}) for a in names for b in names}
+
+        self.prod = pairs(product)
+        self.br = pairs(bracket)
+        self.delta = None if delta is None else {a: delta.get(a, {}) for a in names}
+
+    @functools.cached_property
+    def dprod(self):
+        """delta(a*b)."""
+        delta = self.delta
+        return {k: _apply(delta, ab) for k, ab in self.prod.items()}
+
+    @functools.cached_property
+    def dleft(self):
+        """delta(a)*b."""
+        return {(a, b): _right(self.prod, self.delta[a], b, {}) for a, b in self.prod}
+
+    @functools.cached_property
+    def dright(self):
+        """a*delta(b)."""
+        return {(a, b): _left(self.prod, a, self.delta[b], {}) for a, b in self.prod}
+
+    @functools.cached_property
+    def dev(self):
+        """Deviation of delta from being a derivation of the product."""
+        out = {}
+        for a, b in self.prod:
+            s = _ksign(self.deg[a])
+            acc = add_into({}, self.dprod[a, b], s)
+            add_into(acc, self.dleft[a, b], -s)
+            out[a, b] = add_into(acc, self.dright[a, b], -1)
+        return out
+
+    # Each identity below returns its two sides on one basis tuple.
+
+    def commutative(self, a, b):
+        prod = self.prod
+        return prod[b, a], add_into({}, prod[a, b], _ksign(self.deg[a] * self.deg[b]))
+
+    def associative(self, a, b, c):
+        prod = self.prod
+        return _right(prod, prod[a, b], c, {}), _left(prod, a, prod[b, c], {})
+
+    def delta_square(self, a):
+        return _apply(self.delta, self.delta[a]), {}
+
+    def antisymmetric(self, a, b):
+        s, br = self.shift, self.br
+        sign = -_ksign((self.deg[a] + s) * (self.deg[b] + s))
+        return br[b, a], add_into({}, br[a, b], sign)
+
+    def jacobi(self, a, b, c):
+        s, br = self.shift, self.br
+        rhs = _right(br, br[a, b], c, {})
+        _left(br, b, br[a, c], rhs, _ksign((self.deg[a] + s) * (self.deg[b] + s)))
+        return _left(br, a, br[b, c], {}), rhs
+
+    def leibniz(self, a, b, c):
+        prod, br = self.prod, self.br
+        rhs = _right(prod, br[a, b], c, {})
+        _left(prod, b, br[a, c], rhs, _ksign(self.deg[b] * (self.deg[a] + self.shift)))
+        return _left(br, a, prod[b, c], {}), rhs
+
+    def first_arg(self, a, b, c):
+        prod, dev = self.prod, self.dev
+        rhs = _left(prod, a, dev[b, c], {})
+        _right(prod, dev[a, c], b, rhs, _ksign(self.deg[b] * (self.deg[c] + 1)))
+        return _right(dev, prod[a, b], c, {}), rhs
+
+    def second_arg(self, a, b, c):
+        prod, dev = self.prod, self.dev
+        rhs = _right(prod, dev[a, b], c, {})
+        _left(prod, b, dev[a, c], rhs, _ksign(self.deg[b] * (self.deg[a] + 1)))
+        return _left(dev, a, prod[b, c], {}), rhs
+
+    def seven_term(self, a, b, c):
+        """delta(a*b*c) against the six terms of a second-order operator."""
+        prod, dprod, dleft = self.prod, self.dprod, self.dleft
+        da, db = self.deg[a], self.deg[b]
+        sa = _ksign(da)
+        ab = prod[a, b]
+        rhs = _right(prod, dprod[a, b], c, {})
+        _left(prod, a, dprod[b, c], rhs, sa)
+        _left(prod, b, dprod[a, c], rhs, _ksign((da + 1) * db))
+        _left(dleft, a, prod[b, c], rhs, -1)
+        _left(prod, a, dleft[b, c], rhs, -sa)
+        _right(self.dright, ab, c, rhs, -_ksign(da + db))
+        return _right(dprod, ab, c, {}), rhs
+
+    def witness(self, label):
+        """First basis tuple on which the identity's two sides differ,
+        rendered; None when they agree on every tuple."""
+        sides, arity, lhs_text, rhs_text = _IDENTITIES[label]
+        render = self.space.render
+        for tup in itertools.product(self.space.names, repeat=arity):
+            lhs, rhs = sides(self, *tup)
+            if lhs != rhs:
+                where = ", ".join(f"{v}={n}" for v, n in zip("abc", tup))
+                tail = f", {rhs_text} {render(rhs)}" if rhs_text else ""
+                return f"{where}: {lhs_text} = {render(lhs)}{tail}"
+        return None
+
+    def add_laws(self, rep, labels):
+        """One report line per identity, in order; False at the first
+        failure, which ends the run."""
+        return all(rep.add(label, self.witness(label)) for label in labels)
+
+
+# label -> (sides, arity, left side as printed, right side as printed)
+_IDENTITIES = {
+    "product is graded commutative": (_Tabulation.commutative, 2, "b*a", "expected"),
+    "product is associative": (_Tabulation.associative, 3, "(a*b)*c", "a*(b*c) ="),
+    "delta squares to zero": (_Tabulation.delta_square, 1, "delta(delta(a))", None),
+    "bracket is graded antisymmetric": (_Tabulation.antisymmetric, 2, "[b,a]", "expected"),
+    "bracket satisfies the graded Jacobi identity":
+        (_Tabulation.jacobi, 3, "[a,[b,c]]", "expected"),
+    "bracket is a graded derivation of the product":
+        (_Tabulation.leibniz, 3, "[a,b*c]", "expected"),
+    "deviation is a derivation in its first argument":
+        (_Tabulation.first_arg, 3, "dev(a*b, c)", "expected"),
+    "deviation is a derivation in its second argument":
+        (_Tabulation.second_arg, 3, "dev(a, b*c)", "expected"),
+    "seven-term identity holds": (_Tabulation.seven_term, 3, "delta(a*b*c)", "expected"),
+}
+_PRODUCT_LAWS = ("product is graded commutative", "product is associative")
+_BRACKET_LAWS = (
+    "bracket is graded antisymmetric",
+    "bracket satisfies the graded Jacobi identity",
+)
+_DEVIATION_LAWS = (
+    "deviation is a derivation in its first argument",
+    "deviation is a derivation in its second argument",
+    "seven-term identity holds",
+)
+
+
 def check_gerstenhaber(t):
     """Odd-bracket compatibility checks, first failure wins.
 
     The bracket shifts degree by one; its own grading is the shift of the
-    product grading, which is where the extra signs below come from.
+    product grading, which is where the extra signs come from.
     """
     if t.product is None or t.bracket is None:
         raise StructureError("gerstenhaber check needs product and bracket tables")
     sp = t.space
-    deg = sp.degree
     rep = CheckReport("gerstenhaber")
-
-    if not rep.add("product respects degrees",
-                   _pair_degree_witness(sp, t.product, 0, "product")):
-        return rep
-    if not rep.add("bracket respects degrees",
-                   _pair_degree_witness(sp, t.bracket, 1, "bracket")):
-        return rep
-
-    def one(n):
-        return {n: Fraction(1)}
-
-    def comm_witness():
-        for a in sp.names:
-            for b in sp.names:
-                lhs = t.mult(one(b), one(a))
-                rhs = combo_scale(t.mult(one(a), one(b)), _ksign(deg(a) * deg(b)))
-                if lhs != rhs:
-                    return (f"a={a}, b={b}: b*a = {sp.render(lhs)}, "
-                            f"expected {sp.render(rhs)}")
-        return None
-
-    if not rep.add("product is graded commutative", comm_witness()):
-        return rep
-
-    def assoc_witness():
-        for a in sp.names:
-            for b in sp.names:
-                ab = t.mult(one(a), one(b))
-                for c in sp.names:
-                    lhs = t.mult(ab, one(c))
-                    rhs = t.mult(one(a), t.mult(one(b), one(c)))
-                    if lhs != rhs:
-                        return (f"a={a}, b={b}, c={c}: (a*b)*c = {sp.render(lhs)}, "
-                                f"a*(b*c) = {sp.render(rhs)}")
-        return None
-
-    if not rep.add("product is associative", assoc_witness()):
-        return rep
-
-    def antisym_witness():
-        for a in sp.names:
-            for b in sp.names:
-                lhs = t.bracket_of(one(b), one(a))
-                rhs = combo_scale(
-                    t.bracket_of(one(a), one(b)),
-                    -_ksign((deg(a) + 1) * (deg(b) + 1)),
-                )
-                if lhs != rhs:
-                    return (f"a={a}, b={b}: [b,a] = {sp.render(lhs)}, "
-                            f"expected {sp.render(rhs)}")
-        return None
-
-    if not rep.add("bracket is graded antisymmetric", antisym_witness()):
-        return rep
-
-    def jacobi_witness():
-        for a in sp.names:
-            for b in sp.names:
-                ab = t.bracket_of(one(a), one(b))
-                s = _ksign((deg(a) + 1) * (deg(b) + 1))
-                for c in sp.names:
-                    lhs = t.bracket_of(one(a), t.bracket_of(one(b), one(c)))
-                    rhs = combo_add(
-                        t.bracket_of(ab, one(c)),
-                        combo_scale(t.bracket_of(one(b), t.bracket_of(one(a), one(c))), s),
-                    )
-                    if lhs != rhs:
-                        return (f"a={a}, b={b}, c={c}: [a,[b,c]] = {sp.render(lhs)}, "
-                                f"expected {sp.render(rhs)}")
-        return None
-
-    if not rep.add("bracket satisfies the graded Jacobi identity", jacobi_witness()):
-        return rep
-
-    def leibniz_witness():
-        for a in sp.names:
-            for b in sp.names:
-                ab = t.bracket_of(one(a), one(b))
-                s = _ksign(deg(b) * (deg(a) + 1))
-                for c in sp.names:
-                    lhs = t.bracket_of(one(a), t.mult(one(b), one(c)))
-                    rhs = combo_add(
-                        t.mult(ab, one(c)),
-                        combo_scale(t.mult(one(b), t.bracket_of(one(a), one(c))), s),
-                    )
-                    if lhs != rhs:
-                        return (f"a={a}, b={b}, c={c}: [a,b*c] = {sp.render(lhs)}, "
-                                f"expected {sp.render(rhs)}")
-        return None
-
-    rep.add("bracket is a graded derivation of the product", leibniz_witness())
+    if (
+        rep.add("product respects degrees",
+                _pair_degree_witness(sp, t.product, 0, "product"))
+        and rep.add("bracket respects degrees",
+                    _pair_degree_witness(sp, t.bracket, 1, "bracket"))
+    ):
+        _Tabulation(sp, product=t.product, bracket=t.bracket).add_laws(
+            rep,
+            _PRODUCT_LAWS + _BRACKET_LAWS
+            + ("bracket is a graded derivation of the product",),
+        )
     return rep
-
-
-def _dev(t, a, b):
-    """Deviation of delta from being a derivation, on basis names."""
-    da = t.space.degree(a)
-    one_a = {a: Fraction(1)}
-    one_b = {b: Fraction(1)}
-    s = _ksign(da)
-    out = combo_scale(t.delta_of(t.mult(one_a, one_b)), s)
-    out = combo_add(out, combo_scale(t.mult(t.delta_of(one_a), one_b), -s))
-    out = combo_add(out, combo_scale(t.mult(one_a, t.delta_of(one_b)), -1))
-    return out
 
 
 def check_bv(t):
@@ -487,129 +509,20 @@ def check_bv(t):
     if t.product is None or t.delta is None:
         raise StructureError("bv check needs product and delta tables")
     sp = t.space
-    deg = sp.degree
     rep = CheckReport("bv")
-
-    if not rep.add("product respects degrees",
-                   _pair_degree_witness(sp, t.product, 0, "product")):
+    if not (
+        rep.add("product respects degrees",
+                _pair_degree_witness(sp, t.product, 0, "product"))
+        and rep.add("delta respects degrees",
+                    _unary_degree_witness(sp, sp, t.delta, 1, "delta"))
+    ):
         return rep
-    if not rep.add("delta respects degrees",
-                   _unary_degree_witness(sp, sp, t.delta, 1, "delta")):
+    tab = _Tabulation(sp, product=t.product, delta=t.delta)
+    if not tab.add_laws(rep, _PRODUCT_LAWS + ("delta squares to zero",)):
         return rep
-
-    def one(n):
-        return {n: Fraction(1)}
-
-    def comm_witness():
-        for a in sp.names:
-            for b in sp.names:
-                lhs = t.mult(one(b), one(a))
-                rhs = combo_scale(t.mult(one(a), one(b)), _ksign(deg(a) * deg(b)))
-                if lhs != rhs:
-                    return (f"a={a}, b={b}: b*a = {sp.render(lhs)}, "
-                            f"expected {sp.render(rhs)}")
-        return None
-
-    if not rep.add("product is graded commutative", comm_witness()):
-        return rep
-
-    def assoc_witness():
-        for a in sp.names:
-            for b in sp.names:
-                ab = t.mult(one(a), one(b))
-                for c in sp.names:
-                    lhs = t.mult(ab, one(c))
-                    rhs = t.mult(one(a), t.mult(one(b), one(c)))
-                    if lhs != rhs:
-                        return (f"a={a}, b={b}, c={c}: (a*b)*c = {sp.render(lhs)}, "
-                                f"a*(b*c) = {sp.render(rhs)}")
-        return None
-
-    if not rep.add("product is associative", assoc_witness()):
-        return rep
-
-    def square_witness():
-        for a in sp.names:
-            dd = t.delta_of(t.delta_of(one(a)))
-            if dd:
-                return f"a={a}: delta(delta(a)) = {sp.render(dd)}"
-        return None
-
-    if not rep.add("delta squares to zero", square_witness()):
-        return rep
-
-    def first_arg_witness():
-        for a in sp.names:
-            for b in sp.names:
-                for c in sp.names:
-                    ab = t.mult(one(a), one(b))
-                    lhs = {}
-                    for x, cx in ab.items():
-                        lhs = combo_add(lhs, combo_scale(_dev(t, x, c), cx))
-                    rhs = combo_add(
-                        t.mult(one(a), _bilinear_dev(t, one(b), one(c))),
-                        combo_scale(
-                            t.mult(_dev(t, a, c), one(b)),
-                            _ksign(deg(b) * (deg(c) + 1)),
-                        ),
-                    )
-                    if lhs != rhs:
-                        return (f"a={a}, b={b}, c={c}: dev(a*b, c) = {sp.render(lhs)}, "
-                                f"expected {sp.render(rhs)}")
-        return None
-
-    def second_arg_witness():
-        for a in sp.names:
-            for b in sp.names:
-                for c in sp.names:
-                    bc = t.mult(one(b), one(c))
-                    lhs = {}
-                    for x, cx in bc.items():
-                        lhs = combo_add(lhs, combo_scale(_dev(t, a, x), cx))
-                    rhs = combo_add(
-                        t.mult(_dev(t, a, b), one(c)),
-                        combo_scale(
-                            t.mult(one(b), _dev(t, a, c)),
-                            _ksign(deg(b) * (deg(a) + 1)),
-                        ),
-                    )
-                    if lhs != rhs:
-                        return (f"a={a}, b={b}, c={c}: dev(a, b*c) = {sp.render(lhs)}, "
-                                f"expected {sp.render(rhs)}")
-        return None
-
-    def seven_term_witness():
-        for a in sp.names:
-            sa = _ksign(deg(a))
-            for b in sp.names:
-                ab = t.mult(one(a), one(b))
-                for c in sp.names:
-                    abc = t.mult(ab, one(c))
-                    lhs = t.delta_of(abc)
-                    rhs = t.mult(t.delta_of(ab), one(c))
-                    rhs = combo_add(rhs, combo_scale(
-                        t.mult(one(a), t.delta_of(t.mult(one(b), one(c)))), sa))
-                    rhs = combo_add(rhs, combo_scale(
-                        t.mult(one(b), t.delta_of(t.mult(one(a), one(c)))),
-                        _ksign((deg(a) + 1) * deg(b))))
-                    rhs = combo_add(rhs, combo_scale(
-                        t.mult(t.delta_of(one(a)), t.mult(one(b), one(c))), -1))
-                    rhs = combo_add(rhs, combo_scale(
-                        t.mult(one(a), t.mult(t.delta_of(one(b)), one(c))), -sa))
-                    rhs = combo_add(rhs, combo_scale(
-                        t.mult(ab, t.delta_of(one(c))),
-                        -_ksign(deg(a) + deg(b))))
-                    if lhs != rhs:
-                        return (f"a={a}, b={b}, c={c}: delta(a*b*c) = {sp.render(lhs)}, "
-                                f"expected {sp.render(rhs)}")
-        return None
-
-    w_first = first_arg_witness()
-    w_second = second_arg_witness()
-    w_seven = seven_term_witness()
-    rep.add("deviation is a derivation in its first argument", w_first)
-    rep.add("deviation is a derivation in its second argument", w_second)
-    rep.add("seven-term identity holds", w_seven)
+    w_first, w_second, w_seven = (tab.witness(label) for label in _DEVIATION_LAWS)
+    for label, w in zip(_DEVIATION_LAWS, (w_first, w_second, w_seven)):
+        rep.add(label, w)
     derivation_ok = w_first is None and w_second is None
     seven_ok = w_seven is None
     agree = None if derivation_ok == seven_ok else (
@@ -620,26 +533,13 @@ def check_bv(t):
     return rep
 
 
-def _bilinear_dev(t, ca, cb):
-    out = {}
-    for a, va in ca.items():
-        for b, vb in cb.items():
-            out = combo_add(out, combo_scale(_dev(t, a, b), va * vb))
-    return out
-
-
 def derived_bracket(t):
     """Table with the bracket replaced by the deviation of delta from
     being a derivation of the product."""
     if t.product is None or t.delta is None:
         raise StructureError("derived bracket needs product and delta tables")
-    bracket = {}
-    for a in t.space.names:
-        for b in t.space.names:
-            combo = _dev(t, a, b)
-            if combo:
-                bracket[(a, b)] = combo
-    return t.with_bracket(bracket)
+    dev = _Tabulation(t.space, product=t.product, delta=t.delta).dev
+    return t.with_bracket({k: combo for k, combo in dev.items() if combo})
 
 
 class StringBracketReport:
@@ -694,12 +594,9 @@ def string_brackets(t, max_arity=3):
     if not rep.add("structure constants respect degrees", degree_witness()):
         return StringBracketReport(rep, {}, {}, [], [])
 
-    def one(n):
-        return {n: Fraction(1)}
-
     def em_witness():
         for s in ss.names:
-            combo = t.erase_of(t.mark_of(one(s)))
+            combo = t.erase_of(t.mark.get(s, {}))
             if combo:
                 return f"s={s}: E(M(s)) = {ss.render(combo)}"
         return None
@@ -709,8 +606,8 @@ def string_brackets(t, max_arity=3):
 
     def me_witness():
         for a in sp.names:
-            lhs = t.mark_of(t.erase_of(one(a)))
-            rhs = t.delta_of(one(a))
+            lhs = t.mark_of(t.erase.get(a, {}))
+            rhs = t.delta_of({a: 1})
             if lhs != rhs:
                 return (f"a={a}: M(E(a)) = {sp.render(lhs)}, "
                         f"delta a = {sp.render(rhs)}")
@@ -719,57 +616,21 @@ def string_brackets(t, max_arity=3):
     if not rep.add("erase then mark equals delta", me_witness()):
         return StringBracketReport(rep, {}, {}, [], [])
 
-    marked = {s: t.mark_of(one(s)) for s in ss.names}
+    marked = {s: t.mark.get(s, {}) for s in ss.names}
     deg = ss.degree
 
     bracket = {}
     bracket_lines = []
     for s1 in ss.names:
         for s2 in ss.names:
-            combo = combo_scale(
-                t.erase_of(t.mult(marked[s1], marked[s2])), _ksign(deg(s1))
+            combo = add_into(
+                {}, t.erase_of(t.mult(marked[s1], marked[s2])), _ksign(deg(s1))
             )
             if combo:
                 bracket[(s1, s2)] = combo
                 bracket_lines.append(f"bracket {s1} {s2} = {ss.render(combo)}\n")
 
-    def b_of(ca, cb):
-        out = {}
-        for x, cx in ca.items():
-            for y, cy in cb.items():
-                out = combo_add(out, combo_scale(bracket.get((x, y), {}), cx * cy))
-        return out
-
-    def antisym_witness():
-        for a in ss.names:
-            for b in ss.names:
-                lhs = bracket.get((b, a), {})
-                rhs = combo_scale(bracket.get((a, b), {}), -_ksign(deg(a) * deg(b)))
-                if lhs != rhs:
-                    return (f"a={a}, b={b}: [b,a] = {ss.render(lhs)}, "
-                            f"expected {ss.render(rhs)}")
-        return None
-
-    if not rep.add("bracket is graded antisymmetric", antisym_witness()):
-        return StringBracketReport(rep, bracket, {}, bracket_lines, [])
-
-    def jacobi_witness():
-        for a in ss.names:
-            for b in ss.names:
-                ab = bracket.get((a, b), {})
-                s = _ksign(deg(a) * deg(b))
-                for c in ss.names:
-                    lhs = b_of(one(a), bracket.get((b, c), {}))
-                    rhs = combo_add(
-                        b_of(ab, one(c)),
-                        combo_scale(b_of(one(b), bracket.get((a, c), {})), s),
-                    )
-                    if lhs != rhs:
-                        return (f"a={a}, b={b}, c={c}: [a,[b,c]] = {ss.render(lhs)}, "
-                                f"expected {ss.render(rhs)}")
-        return None
-
-    if not rep.add("bracket satisfies the graded Jacobi identity", jacobi_witness()):
+    if not _Tabulation(ss, bracket=bracket, shift=0).add_laws(rep, _BRACKET_LAWS):
         return StringBracketReport(rep, bracket, {}, bracket_lines, [])
 
     def op_value(names):
@@ -788,7 +649,7 @@ def string_brackets(t, max_arity=3):
                     swapped = tup[:p] + (tup[p + 1], tup[p]) + tup[p + 2:]
                     sign = _ksign((deg(tup[p]) + 1) * (deg(tup[p + 1]) + 1))
                     lhs = op_value(swapped)
-                    rhs = combo_scale(op_value(tup), sign)
+                    rhs = add_into({}, op_value(tup), sign)
                     if lhs != rhs:
                         args = " ".join(swapped)
                         return (f"op({args}) = {ss.render(lhs)}, "

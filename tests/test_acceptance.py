@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, circle_structure
 
 from loopspace.cli import main
 from loopspace.coderivations import (
@@ -199,6 +199,23 @@ def test_bv_and_gerstenhaber_suite():
         "both formulations agree, violations report exact witnesses",
         ok, started, 10.0,
     )
+
+
+def test_identity_checks_scale_to_forty_elements(tmp_path, capsys):
+    path = tmp_path / "circle19.struct"
+    path.write_text(circle_structure(19), encoding="utf-8")
+    # (check, report lines, budget in seconds)
+    for what, count, budget in (("bv", 9, 5.0), ("gerstenhaber", 7, 3.0)):
+        started = time.monotonic()
+        code = main(["verify", what, "--structure", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        ok = code == 0 and len(lines) == count
+        ok = ok and all(l.startswith("check ") and l.endswith(": pass") for l in lines)
+        with capsys.disabled():
+            _verdict(
+                f"verify {what} passes on the 40-element circle table (windings 0..19)",
+                ok, started, budget,
+            )
 
 
 def test_coderivation_suite():

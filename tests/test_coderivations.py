@@ -255,3 +255,70 @@ def test_jacobi_equiv_input_errors():
     b = CoderivationRep((1,), 1, {})
     with pytest.raises(ValueError, match="disagree on shifted degrees"):
         coderivation_relations({1: a, 2: b}, 3)
+
+
+def _m3_mutant(out):
+    # one component of the (vanishing) arity-3 operation made nonzero:
+    # m3(S_0_0, S_0_1, S_0_2) = S_1_1
+    reps = dict(out.reps)
+    comps = dict(reps[3].comps)
+    comps[(0, 1, 2)] = {4: Fraction(1)}
+    reps[3] = CoderivationRep(reps[3].sdegs, 3, comps)
+    return reps
+
+
+# The full relation report for this mutant, every line and witness pinned.
+M3_MUTANT_LINES = [
+    ("m2 squares to zero on words up to length 4", None),
+    ("m3 squares to zero on words up to length 4", None),
+    ("m2 and m3 anticommute on words up to length 4",
+     "word S_0_0 S_0_1 S_0_2 S_1_0: residue -1*(S_2_1)"),
+    ("total coderivation for arities {2} squares to zero on words up to length 4", None),
+    ("total coderivation for arities {3} squares to zero on words up to length 4", None),
+    ("total coderivation for arities {2,3} squares to zero on words up to length 4",
+     "word S_0_0 S_0_1 S_0_2 S_1_0: residue -1*(S_2_1)"),
+    ("m2 is a coderivation for the unshuffle coproduct on words up to length 4", None),
+    ("m3 is a coderivation for the unshuffle coproduct on words up to length 4",
+     "word S_0_0 S_0_1 S_0_2 S_1_0 at (S_1_0 | S_1_1): lhs -1, rhs 1"),
+]
+
+
+def test_m3_mutant_relation_witnesses(torus_reps):
+    t, out = torus_reps
+    lines = coderivation_relations(_m3_mutant(out), 4, names=t.string_space.names)
+    assert lines == M3_MUTANT_LINES
+
+
+@pytest.mark.parametrize("mutant_first", [False, True])
+def test_clean_and_mutated_reps_back_to_back(torus_reps, mutant_first):
+    t, out = torus_reps
+    names = t.string_space.names
+    clean = [(label, None) for label, _ in M3_MUTANT_LINES]
+    runs = [(out.reps, clean), (_m3_mutant(out), M3_MUTANT_LINES)]
+    if mutant_first:
+        runs.reverse()
+    for reps, want in runs + runs:
+        assert coderivation_relations(reps, 4, names=names) == want
+
+
+def test_perturbed_bracket_witnesses(torus_reps):
+    # the Jacobi line names the first failing triple in (a, b, c) order
+    t, out = torus_reps
+    degrees, bracket = index_bracket(t, out)
+    names = list(t.string_space.names)
+    i, j, z = names.index("S_1_0"), names.index("S_0_1"), names.index("S_0_2")
+    bracket[(i, j)] = {**bracket.get((i, j), {}), z: Fraction(1)}
+    bracket[(j, i)] = {**bracket.get((j, i), {}), z: Fraction(-1)}
+    assert jacobi_coderivation_equiv(degrees, bracket, 4, names=names) == [
+        ("bracket satisfies the graded Jacobi identity",
+         "a=S_0_1, b=S_1_0, c=S_2_0: [a,[b,c]] differs from [[a,b],c] + sign*[b,[a,c]]"),
+        ("arity-2 coderivation squares to zero on words up to length 4",
+         "word S_0_1 S_1_0 S_2_0: residue 4*(S_2_2)"),
+        ("formulations agree", None),
+    ]
+    assert jacobi_coderivation_equiv(degrees, bracket, 3)[:2] == [
+        ("bracket satisfies the graded Jacobi identity",
+         "a=1, b=3, c=6: [a,[b,c]] differs from [[a,b],c] + sign*[b,[a,c]]"),
+        ("arity-2 coderivation squares to zero on words up to length 3",
+         "word 1 3 6: residue 4*(8)"),
+    ]

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import circle_structure
 
 from loopspace.structures import (
     BasisSpace,
@@ -37,6 +38,7 @@ def test_parse_combo_roundtrip():
     # same term twice accumulates
     assert space.parse_combo("T_1 + T_1") == {"T_1": Fraction(2)}
     assert space.parse_combo("T_1 - T_1") == {}
+    assert space.parse_combo("0*T_1") == {}  # a zero term is not stored
 
 
 def test_parse_combo_errors():
@@ -60,6 +62,7 @@ def test_structure_file_presence_semantics():
     assert t.delta is None
     t2 = parse_structure_file("basis T 0\nbracket T T = 0\n")
     assert t2.bracket == {}  # declared and identically zero
+    assert parse_structure_file("basis T 0\nproduct T T = 0*T\n").product == {}
     assert t2.product is None
 
 
@@ -212,3 +215,160 @@ def test_string_brackets_requirements(circle):
         check_gerstenhaber(plain.with_bracket(None))
     with pytest.raises(StructureError, match="needs product and delta"):
         derived_bracket(plain)
+
+
+def _tables(t):
+    return (
+        t.space.names, [t.space.degree(n) for n in t.space.names],
+        t.string_space.names, [t.string_space.degree(n) for n in t.string_space.names],
+        t.product, t.bracket, t.delta, t.erase, t.mark,
+    )
+
+
+def test_circle_generator_matches_fixture(circle):
+    assert _tables(parse_structure_file(circle_structure(4))) == _tables(circle)
+
+
+# Mutants of the windings 0..6 circle table and the full reports the
+# checkers give for them, pinned as text: each FAIL names the first failing
+# tuple in (a, b, c) order.
+CIRCLE6 = circle_structure(6)
+PASSES = {
+    "bv": [
+        "product respects degrees",
+        "delta respects degrees",
+        "product is graded commutative",
+        "product is associative",
+        "delta squares to zero",
+        "deviation is a derivation in its first argument",
+        "deviation is a derivation in its second argument",
+        "seven-term identity holds",
+        "formulations agree",
+    ],
+    "gerstenhaber": [
+        "product respects degrees",
+        "bracket respects degrees",
+        "product is graded commutative",
+        "product is associative",
+        "bracket is graded antisymmetric",
+        "bracket satisfies the graded Jacobi identity",
+        "bracket is a graded derivation of the product",
+    ],
+}
+# Each mutant is a list of (line, replacement) edits; an empty line
+# appends its replacement.
+MUTANTS = {
+    "delta": ([("delta A_3 = 3*T_3", "delta A_3 = 4*T_3")], {
+        "bv": PASSES["bv"][:5] + [
+            ("deviation is a derivation in its first argument",
+             "a=T_1, b=T_1, c=A_1: dev(a*b, c) = 3*T_3, expected 2*T_3"),
+            ("deviation is a derivation in its second argument",
+             "a=T_1, b=T_1, c=A_1: dev(a, b*c) = 2*T_3, expected T_3"),
+            ("seven-term identity holds",
+             "a=T_1, b=T_1, c=A_1: delta(a*b*c) = 4*T_3, expected 3*T_3"),
+            "formulations agree",
+        ],
+        "gerstenhaber": PASSES["gerstenhaber"],
+    }),
+    "product": ([("product T_1 T_1 = T_2", "product T_1 T_1 = 3*T_2")], {
+        what: PASSES[what][:3] + [
+            ("product is associative",
+             "a=T_1, b=T_1, c=T_2: (a*b)*c = 3*T_4, a*(b*c) = T_4"),
+        ]
+        for what in ("bv", "gerstenhaber")
+    }),
+    "product order": ([("product T_1 T_2 = T_3", "product T_1 T_2 = 2*T_3")], {
+        what: PASSES[what][:2] + [
+            ("product is graded commutative",
+             "a=T_1, b=T_2: b*a = T_3, expected 2*T_3"),
+        ]
+        for what in ("bv", "gerstenhaber")
+    }),
+    "bracket": ([("bracket T_1 A_2 = 1*T_3", "bracket T_1 A_2 = 2*T_3")], {
+        "bv": PASSES["bv"],
+        "gerstenhaber": PASSES["gerstenhaber"][:4] + [
+            ("bracket is graded antisymmetric",
+             "a=T_1, b=A_2: [b,a] = -T_3, expected -2*T_3"),
+        ],
+    }),
+    "bracket pair": ([
+        ("bracket T_1 A_2 = 1*T_3", "bracket T_1 A_2 = 2*T_3"),
+        ("bracket A_2 T_1 = -1*T_3", "bracket A_2 T_1 = -2*T_3"),
+    ], {
+        "bv": PASSES["bv"],
+        "gerstenhaber": PASSES["gerstenhaber"][:5] + [
+            ("bracket satisfies the graded Jacobi identity",
+             "a=T_1, b=A_1, c=A_2: [a,[b,c]] = -T_4, expected -4*T_4"),
+        ],
+    }),
+    "bracket at winding 0": ([
+        ("", "bracket T_0 A_0 = 5*T_0"),
+        ("", "bracket A_0 T_0 = -5*T_0"),
+    ], {
+        "bv": PASSES["bv"],
+        "gerstenhaber": PASSES["gerstenhaber"][:6] + [
+            ("bracket is a graded derivation of the product",
+             "a=T_0, b=T_1, c=A_0: [a,b*c] = 0, expected 5*T_1"),
+        ],
+    }),
+}
+CHECKERS = {"bv": check_bv, "gerstenhaber": check_gerstenhaber}
+
+
+def _report(lines):
+    return "".join(
+        f"check {l}: pass\n" if isinstance(l, str) else f"check {l[0]}: FAIL {l[1]}\n"
+        for l in lines
+    )
+
+
+def _edited(text, edits):
+    for old, new in edits:
+        if old:
+            assert old + "\n" in text
+            text = text.replace(old + "\n", new + "\n")
+        else:
+            text += new + "\n"
+    return parse_structure_file(text)
+
+
+def _mutant(name):
+    return _edited(CIRCLE6, MUTANTS[name][0])
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+@pytest.mark.parametrize("what", sorted(CHECKERS))
+def test_mutated_circle_witnesses(name, what):
+    rep = CHECKERS[what](_mutant(name))
+    want = MUTANTS[name][1][what]
+    assert rep.text() == _report(want)
+    assert rep.ok == (want == PASSES[what])
+
+
+@pytest.mark.parametrize("edits, want", [
+    ([("product X_1_0 X_0_1 = Y_1_1", "product X_1_0 X_0_1 = 2*Y_1_1")],
+     ("bracket is graded antisymmetric",
+      "a=S_0_1, b=S_1_0: [b,a] = 2*S_1_1, expected S_1_1")),
+    ([("product X_1_0 X_1_1 = Y_2_1", "product X_1_0 X_1_1 = 2*Y_2_1"),
+      ("product X_1_1 X_1_0 = -Y_2_1", "product X_1_1 X_1_0 = -2*Y_2_1")],
+     ("bracket satisfies the graded Jacobi identity",
+      "a=S_0_1, b=S_1_0, c=S_1_1: [a,[b,c]] = -4*S_2_2, expected -2*S_2_2")),
+])
+def test_mutated_torus_string_bracket_witnesses(data_path, edits, want):
+    with open(data_path("torus_bracket.struct"), encoding="utf-8") as fh:
+        out = string_brackets(_edited(fh.read(), edits), max_arity=3)
+    assert out.checks.failures() == [want]
+    assert out.checks.lines[-1] == want
+
+
+@pytest.mark.parametrize("what", sorted(CHECKERS))
+@pytest.mark.parametrize("mutant_first", [False, True])
+def test_good_and_mutated_tables_back_to_back(what, mutant_first):
+    # each verdict comes from its own table: nothing tabulated for one
+    # check may be read by the next
+    runs = [(parse_structure_file(CIRCLE6), PASSES[what])]
+    runs += [(_mutant(name), MUTANTS[name][1][what]) for name in ("delta", "product")]
+    if mutant_first:
+        runs.reverse()
+    for table, want in runs + runs:
+        assert CHECKERS[what](table).text() == _report(want)
