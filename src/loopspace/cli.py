@@ -116,18 +116,12 @@ def _cmd_betti(args):
     return format_betti_table(table), 0
 
 
-def _cmd_loop_model(args):
-    lm = loop_model(load_model(args.model))
-    checks = validate_model(lm)
-    text = format_model_report(lm, checks)
-    return text, 0 if all(ok for _, ok, _ in checks) else 1
-
-
-def _cmd_string_model(args):
-    em = equivariant_model(loop_model(load_model(args.model)))
-    checks = validate_model(em)
-    text = format_model_report(em, checks)
-    return text, 0 if all(ok for _, ok, _ in checks) else 1
+def _cmd_model(args):
+    model = loop_model(load_model(args.model))
+    if args.command == "string-model":
+        model = equivariant_model(model)
+    rep = validate_model(model)
+    return format_model_report(model, rep), 0 if rep.ok else 1
 
 
 def _cmd_gysin(args):
@@ -188,15 +182,9 @@ def _cmd_verify(args):
     if not sb.ok:
         return sb.checks.text(), 1
     reps = {k: sb.reps[k] for k in arities}
-    names = table.string_space.names
-    pairs = coderivation_relations(reps, args.word_len, names=names)
-    index = {n: i for i, n in enumerate(names)}
-    bracket = {
-        (index[a], index[b]): {index[x]: c for x, c in combo.items()}
-        for (a, b), combo in sb.bracket.items()
-    }
-    degrees = tuple(table.string_space.degree(n) for n in names)
-    pairs += jacobi_coderivation_equiv(degrees, bracket, args.word_len, names=names)
+    ss = table.string_space
+    pairs = coderivation_relations(reps, args.word_len, names=ss.names)
+    pairs += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len)
     rep = CheckReport("coderivations")
     for label, witness in pairs:
         rep.add(label, witness)
@@ -220,12 +208,12 @@ def _build_parser():
     p = sub.add_parser("loop-model", help="list the free-loop model and check it")
     p.add_argument("--model", required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_loop_model)
+    p.set_defaults(handler=_cmd_model)
 
     p = sub.add_parser("string-model", help="list the equivariant model and check it")
     p.add_argument("--model", required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_string_model)
+    p.set_defaults(handler=_cmd_model)
 
     p = sub.add_parser("gysin", help="exactness table of the connecting sequence")
     p.add_argument("--model", required=True)

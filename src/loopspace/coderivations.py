@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .checks import add_into
+from .checks import BRACKET_LAWS, Tabulation, add_into, ksign
 
 __all__ = [
     "wedge_sort",
@@ -242,6 +242,7 @@ def coderivation_relations(reps, word_len, names=None, lambda_sets=None):
 
 
 def _coproduct_witness(image, sdegs, words, names):
+    deg = sdegs.__getitem__
     for word in words:
         lhs = {}
         for w2, c in image(word).items():
@@ -253,10 +254,14 @@ def _coproduct_witness(image, sdegs, words, names):
                 add_into(rhs, {(w2, right): c for w2, c in img.items()}, s)
             img = image(right)
             if img:
-                # the operation has odd total shifted degree, so passing
-                # the left block costs its shifted-degree parity
-                lsign = -1 if sum(sdegs[i] for i in left) % 2 else 1
-                add_into(rhs, {(left, w2): c for w2, c in img.items()}, lsign * s)
+                # the operation passes the left block: a term costs the
+                # left parity times the degree it adds to right
+                lodd = sum(map(deg, left)) % 2
+                rdeg = sum(map(deg, right))
+                add_into(rhs, {
+                    (left, w2): -c if lodd and (sum(map(deg, w2)) - rdeg) % 2 else c
+                    for w2, c in img.items()
+                }, s)
         if lhs != rhs:
             keys = sorted(set(lhs) | set(rhs))
             for key in keys:
@@ -270,60 +275,36 @@ def _coproduct_witness(image, sdegs, words, names):
     return None
 
 
-def jacobi_coderivation_equiv(degrees, bracket, word_len, names=None):
+def jacobi_coderivation_equiv(space, bracket, word_len):
     """Two renderings of the same condition: the bracket satisfies the
     graded Jacobi identity iff its shifted symmetric form, extended as a
     coderivation, squares to zero.  Returns ordered (label, witness) pairs
     including an agreement line for the two verdicts.
 
-    degrees are unshifted; bracket maps an index pair to a combo dict and
-    must already be graded antisymmetric, else the symmetric form does not
-    exist and a ValueError is raised.
+    space is the graded basis with unshifted degrees; bracket maps a name
+    pair to a name-keyed combination.  The bracket must already be graded
+    antisymmetric, else the symmetric form does not exist and a ValueError
+    is raised.
     """
     if word_len < 3:
         raise ValueError("need words of length at least 3 to see the Jacobi identity")
-    n = len(degrees)
-    sdegs = tuple(d + 1 for d in degrees)
-
-    def b(i, j):
-        return bracket.get((i, j), {})
-
-    def ksign(e):
-        return -1 if e % 2 else 1
-
-    def left(i, combo, acc, sign=1):
-        # acc += sign * [i, combo]
-        for y, v in combo.items():
-            add_into(acc, b(i, y), v if sign == 1 else -v)
-        return acc
-
-    for i in range(n):
-        for j in range(n):
-            if b(j, i) != add_into({}, b(i, j), -ksign(degrees[i] * degrees[j])):
-                raise ValueError(
-                    "bracket is not graded antisymmetric; "
-                    "its symmetric shifted form does not exist"
-                )
-
-    def jacobi_witness():
-        for i, j, k in itertools.product(range(n), repeat=3):
-            rhs = {}
-            for x, v in b(i, j).items():
-                add_into(rhs, b(x, k), v)
-            left(j, b(i, k), rhs, ksign(degrees[i] * degrees[j]))
-            if left(i, b(j, k), {}) != rhs:
-                ni, nj, nk = (names[x] if names else str(x) for x in (i, j, k))
-                return (f"a={ni}, b={nj}, c={nk}: "
-                        f"[a,[b,c]] differs from [[a,b],c] + sign*[b,[a,c]]")
-        return None
-
-    jac = jacobi_witness()
+    antisymmetry, jacobi = BRACKET_LAWS
+    tab = Tabulation(space, bracket=bracket, shift=0)
+    if tab.witness(antisymmetry) is not None:
+        raise ValueError(
+            "bracket is not graded antisymmetric; "
+            "its symmetric shifted form does not exist"
+        )
+    jac = tab.witness(jacobi)
+    names = space.names
+    sdegs = tuple(tab.deg[a] + 1 for a in names)
+    index = {a: i for i, a in enumerate(names)}
     comps = {}
-    for tup in wedge_words(n, sdegs, 2):
-        i, j = tup
-        combo = add_into({}, b(i, j), ksign(degrees[i]))
+    for i, j in wedge_words(len(names), sdegs, 2):
+        sign = ksign(tab.deg[names[i]])
+        combo = {index[x]: sign * c for x, c in tab.br[names[i], names[j]].items()}
         if combo:
-            comps[tup] = combo
+            comps[i, j] = combo
     image = functools.cache(CoderivationRep(sdegs, 2, comps).apply_word)
     sq = _residue_witness(
         _words(sdegs, word_len), lambda word: _extend(image, image(word)), names)
@@ -333,7 +314,7 @@ def jacobi_coderivation_equiv(degrees, bracket, word_len, names=None):
         agree = (f"direct form {'holds' if jac is None else 'fails'}, "
                  f"coderivation form {'holds' if sq is None else 'fails'}")
     return [
-        ("bracket satisfies the graded Jacobi identity", jac),
+        (jacobi, jac),
         ("arity-2 coderivation squares to zero "
          f"on words up to length {word_len}", sq),
         ("formulations agree", agree),

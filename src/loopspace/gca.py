@@ -97,6 +97,15 @@ class GradedAlgebra:
     def is_odd(self, i):
         return self.degrees[i] % 2 == 1
 
+    def first_nonzero(self, op):
+        """First generator g, in generator order, with op(g) nonzero, as
+        (name, op(g)); None when op vanishes on every generator."""
+        for name in self.names:
+            v = op(self.gen(name))
+            if v:
+                return name, v
+        return None
+
     # -- element constructors --------------------------------------------
 
     def zero(self):
@@ -342,9 +351,6 @@ class GradedElement:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -359,9 +365,6 @@ class GradedElement:
         if len(ds) > 1:
             raise AlgebraError(f"element is not homogeneous: degrees {ds}")
         return ds[0]
-
-    def coefficient(self, mono):
-        return self.terms.get(mono, Fraction(0))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -488,9 +491,6 @@ class Derivation:
             if got != [want]:
                 return (alg.names[i], want, got)
         return None
-
-    def is_zero(self):
-        return not self._values
 
     def _apply_monomial(self, mono):
         alg = self.algebra

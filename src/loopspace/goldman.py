@@ -25,6 +25,8 @@ import random
 import re
 from operator import eq, neg
 
+from .checks import add_into
+
 __all__ = [
     "FatGraphError",
     "WordError",
@@ -344,26 +346,11 @@ def goldman_bracket(w, v):
 
 
 def combo_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        c = out.get(k, 0) - v
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
-    return out
+    return add_into(dict(a), b, -1)
 
 
 def invert_classes(combo):
-    out = {}
-    for k, v in combo.items():
-        kk = k.inverse()
-        c = out.get(kk, 0) + v
-        if c:
-            out[kk] = c
-        else:
-            out.pop(kk, None)
-    return out
+    return add_into({}, {k.inverse(): v for k, v in combo.items()})
 
 
 def bracket_combo(a, b):
@@ -371,12 +358,7 @@ def bracket_combo(a, b):
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            for cls, c in goldman_bracket(wa, wb).items():
-                val = out.get(cls, 0) + ca * cb * c
-                if val:
-                    out[cls] = val
-                else:
-                    out.pop(cls, None)
+            add_into(out, goldman_bracket(wa, wb), ca * cb)
     return out
 
 

@@ -56,12 +56,9 @@ class CochainComplex:
         self._reps = {}
 
     def check_differential(self):
-        """First generator on which d(d(g)) is nonzero, or None."""
-        for gname in self.algebra.names:
-            v = self.diff(self.diff(self.algebra.gen(gname)))
-            if v:
-                return (gname, v)
-        return None
+        """First generator on which d(d(g)) is nonzero, as (name, d(d(g))),
+        or None."""
+        return self.algebra.first_nonzero(lambda g: self.diff(self.diff(g)))
 
     def dim(self, n):
         if n < 0:
@@ -288,15 +285,14 @@ def verify_chain_map(f, cutoff):
 class MapDegreeReport:
     """Induced map on cohomology in one source degree."""
 
-    __slots__ = ("degree", "src_betti", "tgt_betti", "rank", "matrix", "representatives")
+    __slots__ = ("degree", "src_betti", "tgt_betti", "rank", "matrix")
 
-    def __init__(self, degree, src_betti, tgt_betti, rank, matrix, representatives):
+    def __init__(self, degree, src_betti, tgt_betti, rank, matrix):
         self.degree = degree
         self.src_betti = src_betti
         self.tgt_betti = tgt_betti
         self.rank = rank
         self.matrix = matrix
-        self.representatives = representatives
 
     def __repr__(self):
         return (
@@ -331,10 +327,7 @@ def induced_map(f, n):
         for i in range(len(tgt_reps)):
             mat[i][j] = coords[i]
     rank = matrix_rank(mat) if mat and mat[0] else 0
-    return MapDegreeReport(
-        n, len(src_reps), len(tgt_reps), rank, mat,
-        [src.element(n, v) for v in src_reps],
-    )
+    return MapDegreeReport(n, len(src_reps), len(tgt_reps), rank, mat)
 
 
 def format_betti_table(table):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .checks import CheckReport
 from .gca import AlgebraError, Derivation, GradedAlgebra, GradedElement
 from .homology import (
     ChainMap,
@@ -75,13 +76,13 @@ class MinimalModel:
         self.algebra = GradedAlgebra(generators)
         self.d = Derivation(self.algebra, 1, differentials or {}, check=check)
         if check:
-            for name in self.algebra.names:
-                v = self.d(self.d(self.algebra.gen(name)))
-                if v:
-                    raise ModelError(
-                        f"differential does not square to zero at {name!r}: "
-                        f"d(d({name})) = {v}"
-                    )
+            bad = self.complex.check_differential()
+            if bad is not None:
+                name, v = bad
+                raise ModelError(
+                    f"differential does not square to zero at {name!r}: "
+                    f"d(d({name})) = {v}"
+                )
 
     @property
     def complex(self):
@@ -233,46 +234,44 @@ def equivariant_model(loop):
     return EquivariantModel(algebra, d, loop)
 
 
+def _at(witness):
+    """A generator-level witness (name, detail...) as report text."""
+    if witness is None:
+        return None
+    name, *detail = witness
+    return f"at {name} -> {'; '.join(str(x) for x in detail)}"
+
+
 def validate_model(obj):
     """Run the structural checks on a model-like object (anything with
     ``algebra`` and ``d``; ``delta`` is checked when present).
 
-    Returns a list of (label, ok, witness) triples; witness is None on pass.
+    Returns a CheckReport whose witnesses read ``at <generator> -> <detail>``.
     Checks are complete: on a free algebra an operator identity holds
     everywhere once it holds on every generator.
     """
-    checks = []
+    rep = CheckReport("model")
     d = obj.d
     delta = getattr(obj, "delta", None)
 
-    bad = d.check_degrees()
-    checks.append(("differential respects degrees", bad is None, bad))
+    rep.add("differential respects degrees", _at(d.check_degrees()))
     if delta is not None:
-        bad = delta.check_degrees()
-        checks.append(("rotation respects degrees", bad is None, bad))
-    if not all(ok for _, ok, _ in checks):
-        return checks
+        rep.add("rotation respects degrees", _at(delta.check_degrees()))
+    if not rep.ok:
+        return rep
 
-    def first_violation(op):
-        for name in obj.algebra.names:
-            v = op(obj.algebra.gen(name))
-            if v:
-                return (name, v)
-        return None
-
-    w = first_violation(lambda g: d(d(g)))
-    checks.append(("d squares to zero", w is None, w))
+    walk = obj.algebra.first_nonzero
+    rep.add("d squares to zero", _at(walk(lambda g: d(d(g)))))
     if delta is not None:
-        w = first_violation(lambda g: delta(delta(g)))
-        checks.append(("rotation squares to zero", w is None, w))
-        w = first_violation(lambda g: d(delta(g)) + delta(d(g)))
-        checks.append(("d anticommutes with rotation", w is None, w))
-    return checks
+        rep.add("rotation squares to zero", _at(walk(lambda g: delta(delta(g)))))
+        rep.add("d anticommutes with rotation",
+                _at(walk(lambda g: d(delta(g)) + delta(d(g)))))
+    return rep
 
 
-def format_model_report(obj, checks):
+def format_model_report(obj, rep):
     """Deterministic listing: generators, nonzero differentials, nonzero
-    rotation values, then one line per validation check."""
+    rotation values, then the validation report."""
     alg = obj.algebra
     lines = [f"gen {n} {deg}" for n, deg in zip(alg.names, alg.degrees)]
     for n in alg.names:
@@ -285,13 +284,7 @@ def format_model_report(obj, checks):
             v = delta(alg.gen(n))
             if v:
                 lines.append(f"delta {n} = {v}")
-    for label, ok, witness in checks:
-        if ok:
-            lines.append(f"check {label}: pass")
-        else:
-            detail = "; ".join(str(x) for x in witness[1:])
-            lines.append(f"check {label}: FAIL at {witness[0]} -> {detail}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in lines) + rep.text()
 
 
 class GysinReport:
@@ -359,9 +352,9 @@ def gysin_report(string, cutoff):
     """
     loop = string.loop
     for obj, tag in ((loop, "loop model"), (string, "string model")):
-        for label, ok, witness in validate_model(obj):
-            if not ok:
-                raise ModelError(f"{tag}: {label} fails at {witness[0]}")
+        for label, witness in validate_model(obj).failures():
+            where = witness.partition(" -> ")[0]
+            raise ModelError(f"{tag}: {label} fails {where}")
 
     S = string.complex
     L = loop.complex

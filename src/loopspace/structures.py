@@ -11,13 +11,21 @@ with the first offending tuple spelled out.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from fractions import Fraction
 
-from .checks import CheckReport, add_into
-from .coderivations import CoderivationRep
+from .checks import (
+    BRACKET_LAWS,
+    DEVIATION_LAWS,
+    PRODUCT_LAWS,
+    CheckReport,
+    Tabulation,
+    add_into,
+    apply_map,
+    ksign,
+)
+from .coderivations import CoderivationRep, wedge_words
 
 __all__ = [
     "StructureError",
@@ -49,20 +57,6 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TERM_RE = re.compile(
     r"^(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?([A-Za-z_][A-Za-z0-9_]*)$"
 )
-
-
-def _ksign(e):
-    return -1 if e % 2 else 1
-
-
-def _apply(table, combo):
-    """The linear map with table name -> combo, on a combination."""
-    out = {}
-    for x, cx in combo.items():
-        row = table.get(x)
-        if row:
-            add_into(out, row, cx)
-    return out
 
 
 class BasisSpace:
@@ -177,17 +171,17 @@ class StructureTable:
         return out
 
     def delta_of(self, combo):
-        return _apply(self.delta or {}, combo)
+        return apply_map(self.delta or {}, combo)
 
     def erase_of(self, combo):
         if self.erase is None:
             raise StructureError("structure has no erasing table")
-        return _apply(self.erase, combo)
+        return apply_map(self.erase, combo)
 
     def mark_of(self, combo):
         if self.mark is None:
             raise StructureError("structure has no marking table")
-        return _apply(self.mark, combo)
+        return apply_map(self.mark, combo)
 
 
 def parse_structure_file(text):
@@ -300,181 +294,6 @@ def _unary_degree_witness(src, tgt, table, extra, op):
     return None
 
 
-def _left(table, a, combo, acc, sign=1):
-    """acc += sign * (a . combo) for a pair table, a basis name a and a
-    sign of +-1."""
-    for y, v in combo.items():
-        row = table[a, y]
-        if row:
-            add_into(acc, row, v if sign == 1 else -v)
-    return acc
-
-
-def _right(table, combo, c, acc, sign=1):
-    """acc += sign * (combo . c) for a pair table, a basis name c and a
-    sign of +-1."""
-    for x, v in combo.items():
-        row = table[x, c]
-        if row:
-            add_into(acc, row, v if sign == 1 else -v)
-    return acc
-
-
-class _Tabulation:
-    """The structure constants of one check, tabulated once on basis names.
-
-    A pair table holds every basis pair, zero pairs included, so it has n^2
-    entries; the tables derived from delta are built on first use.  The
-    tabulation belongs to one check and is dropped when the check returns.
-    shift is the parity the bracket adds to degrees: 1 for the odd
-    Gerstenhaber bracket, 0 for the even bracket on the marked-point space.
-    """
-
-    def __init__(self, space, product=None, bracket=None, delta=None, shift=1):
-        self.space = space
-        self.shift = shift
-        names = space.names
-        self.deg = {a: space.degree(a) for a in names}
-
-        def pairs(table):
-            if table is None:
-                return None
-            return {(a, b): table.get((a, b), {}) for a in names for b in names}
-
-        self.prod = pairs(product)
-        self.br = pairs(bracket)
-        self.delta = None if delta is None else {a: delta.get(a, {}) for a in names}
-
-    @functools.cached_property
-    def dprod(self):
-        """delta(a*b)."""
-        delta = self.delta
-        return {k: _apply(delta, ab) for k, ab in self.prod.items()}
-
-    @functools.cached_property
-    def dleft(self):
-        """delta(a)*b."""
-        return {(a, b): _right(self.prod, self.delta[a], b, {}) for a, b in self.prod}
-
-    @functools.cached_property
-    def dright(self):
-        """a*delta(b)."""
-        return {(a, b): _left(self.prod, a, self.delta[b], {}) for a, b in self.prod}
-
-    @functools.cached_property
-    def dev(self):
-        """Deviation of delta from being a derivation of the product."""
-        out = {}
-        for a, b in self.prod:
-            s = _ksign(self.deg[a])
-            acc = add_into({}, self.dprod[a, b], s)
-            add_into(acc, self.dleft[a, b], -s)
-            out[a, b] = add_into(acc, self.dright[a, b], -1)
-        return out
-
-    # Each identity below returns its two sides on one basis tuple.
-
-    def commutative(self, a, b):
-        prod = self.prod
-        return prod[b, a], add_into({}, prod[a, b], _ksign(self.deg[a] * self.deg[b]))
-
-    def associative(self, a, b, c):
-        prod = self.prod
-        return _right(prod, prod[a, b], c, {}), _left(prod, a, prod[b, c], {})
-
-    def delta_square(self, a):
-        return _apply(self.delta, self.delta[a]), {}
-
-    def antisymmetric(self, a, b):
-        s, br = self.shift, self.br
-        sign = -_ksign((self.deg[a] + s) * (self.deg[b] + s))
-        return br[b, a], add_into({}, br[a, b], sign)
-
-    def jacobi(self, a, b, c):
-        s, br = self.shift, self.br
-        rhs = _right(br, br[a, b], c, {})
-        _left(br, b, br[a, c], rhs, _ksign((self.deg[a] + s) * (self.deg[b] + s)))
-        return _left(br, a, br[b, c], {}), rhs
-
-    def leibniz(self, a, b, c):
-        prod, br = self.prod, self.br
-        rhs = _right(prod, br[a, b], c, {})
-        _left(prod, b, br[a, c], rhs, _ksign(self.deg[b] * (self.deg[a] + self.shift)))
-        return _left(br, a, prod[b, c], {}), rhs
-
-    def first_arg(self, a, b, c):
-        prod, dev = self.prod, self.dev
-        rhs = _left(prod, a, dev[b, c], {})
-        _right(prod, dev[a, c], b, rhs, _ksign(self.deg[b] * (self.deg[c] + 1)))
-        return _right(dev, prod[a, b], c, {}), rhs
-
-    def second_arg(self, a, b, c):
-        prod, dev = self.prod, self.dev
-        rhs = _right(prod, dev[a, b], c, {})
-        _left(prod, b, dev[a, c], rhs, _ksign(self.deg[b] * (self.deg[a] + 1)))
-        return _left(dev, a, prod[b, c], {}), rhs
-
-    def seven_term(self, a, b, c):
-        """delta(a*b*c) against the six terms of a second-order operator."""
-        prod, dprod, dleft = self.prod, self.dprod, self.dleft
-        da, db = self.deg[a], self.deg[b]
-        sa = _ksign(da)
-        ab = prod[a, b]
-        rhs = _right(prod, dprod[a, b], c, {})
-        _left(prod, a, dprod[b, c], rhs, sa)
-        _left(prod, b, dprod[a, c], rhs, _ksign((da + 1) * db))
-        _left(dleft, a, prod[b, c], rhs, -1)
-        _left(prod, a, dleft[b, c], rhs, -sa)
-        _right(self.dright, ab, c, rhs, -_ksign(da + db))
-        return _right(dprod, ab, c, {}), rhs
-
-    def witness(self, label):
-        """First basis tuple on which the identity's two sides differ,
-        rendered; None when they agree on every tuple."""
-        sides, arity, lhs_text, rhs_text = _IDENTITIES[label]
-        render = self.space.render
-        for tup in itertools.product(self.space.names, repeat=arity):
-            lhs, rhs = sides(self, *tup)
-            if lhs != rhs:
-                where = ", ".join(f"{v}={n}" for v, n in zip("abc", tup))
-                tail = f", {rhs_text} {render(rhs)}" if rhs_text else ""
-                return f"{where}: {lhs_text} = {render(lhs)}{tail}"
-        return None
-
-    def add_laws(self, rep, labels):
-        """One report line per identity, in order; False at the first
-        failure, which ends the run."""
-        return all(rep.add(label, self.witness(label)) for label in labels)
-
-
-# label -> (sides, arity, left side as printed, right side as printed)
-_IDENTITIES = {
-    "product is graded commutative": (_Tabulation.commutative, 2, "b*a", "expected"),
-    "product is associative": (_Tabulation.associative, 3, "(a*b)*c", "a*(b*c) ="),
-    "delta squares to zero": (_Tabulation.delta_square, 1, "delta(delta(a))", None),
-    "bracket is graded antisymmetric": (_Tabulation.antisymmetric, 2, "[b,a]", "expected"),
-    "bracket satisfies the graded Jacobi identity":
-        (_Tabulation.jacobi, 3, "[a,[b,c]]", "expected"),
-    "bracket is a graded derivation of the product":
-        (_Tabulation.leibniz, 3, "[a,b*c]", "expected"),
-    "deviation is a derivation in its first argument":
-        (_Tabulation.first_arg, 3, "dev(a*b, c)", "expected"),
-    "deviation is a derivation in its second argument":
-        (_Tabulation.second_arg, 3, "dev(a, b*c)", "expected"),
-    "seven-term identity holds": (_Tabulation.seven_term, 3, "delta(a*b*c)", "expected"),
-}
-_PRODUCT_LAWS = ("product is graded commutative", "product is associative")
-_BRACKET_LAWS = (
-    "bracket is graded antisymmetric",
-    "bracket satisfies the graded Jacobi identity",
-)
-_DEVIATION_LAWS = (
-    "deviation is a derivation in its first argument",
-    "deviation is a derivation in its second argument",
-    "seven-term identity holds",
-)
-
-
 def check_gerstenhaber(t):
     """Odd-bracket compatibility checks, first failure wins.
 
@@ -491,9 +310,9 @@ def check_gerstenhaber(t):
         and rep.add("bracket respects degrees",
                     _pair_degree_witness(sp, t.bracket, 1, "bracket"))
     ):
-        _Tabulation(sp, product=t.product, bracket=t.bracket).add_laws(
+        Tabulation(sp, product=t.product, bracket=t.bracket).add_laws(
             rep,
-            _PRODUCT_LAWS + _BRACKET_LAWS
+            PRODUCT_LAWS + BRACKET_LAWS
             + ("bracket is a graded derivation of the product",),
         )
     return rep
@@ -517,11 +336,11 @@ def check_bv(t):
                     _unary_degree_witness(sp, sp, t.delta, 1, "delta"))
     ):
         return rep
-    tab = _Tabulation(sp, product=t.product, delta=t.delta)
-    if not tab.add_laws(rep, _PRODUCT_LAWS + ("delta squares to zero",)):
+    tab = Tabulation(sp, product=t.product, delta=t.delta)
+    if not tab.add_laws(rep, PRODUCT_LAWS + ("delta squares to zero",)):
         return rep
-    w_first, w_second, w_seven = (tab.witness(label) for label in _DEVIATION_LAWS)
-    for label, w in zip(_DEVIATION_LAWS, (w_first, w_second, w_seven)):
+    w_first, w_second, w_seven = (tab.witness(label) for label in DEVIATION_LAWS)
+    for label, w in zip(DEVIATION_LAWS, (w_first, w_second, w_seven)):
         rep.add(label, w)
     derivation_ok = w_first is None and w_second is None
     seven_ok = w_seven is None
@@ -538,7 +357,7 @@ def derived_bracket(t):
     being a derivation of the product."""
     if t.product is None or t.delta is None:
         raise StructureError("derived bracket needs product and delta tables")
-    dev = _Tabulation(t.space, product=t.product, delta=t.delta).dev
+    dev = Tabulation(t.space, product=t.product, delta=t.delta).dev
     return t.with_bracket({k: combo for k, combo in dev.items() if combo})
 
 
@@ -624,13 +443,13 @@ def string_brackets(t, max_arity=3):
     for s1 in ss.names:
         for s2 in ss.names:
             combo = add_into(
-                {}, t.erase_of(t.mult(marked[s1], marked[s2])), _ksign(deg(s1))
+                {}, t.erase_of(t.mult(marked[s1], marked[s2])), ksign(deg(s1))
             )
             if combo:
                 bracket[(s1, s2)] = combo
                 bracket_lines.append(f"bracket {s1} {s2} = {ss.render(combo)}\n")
 
-    if not _Tabulation(ss, bracket=bracket, shift=0).add_laws(rep, _BRACKET_LAWS):
+    if not Tabulation(ss, bracket=bracket, shift=0).add_laws(rep, BRACKET_LAWS):
         return StringBracketReport(rep, bracket, {}, bracket_lines, [])
 
     def op_value(names):
@@ -647,7 +466,7 @@ def string_brackets(t, max_arity=3):
             for tup in itertools.product(ss.names, repeat=k):
                 for p in range(k - 1):
                     swapped = tup[:p] + (tup[p + 1], tup[p]) + tup[p + 2:]
-                    sign = _ksign((deg(tup[p]) + 1) * (deg(tup[p + 1]) + 1))
+                    sign = ksign((deg(tup[p]) + 1) * (deg(tup[p + 1]) + 1))
                     lhs = op_value(swapped)
                     rhs = add_into({}, op_value(tup), sign)
                     if lhs != rhs:
@@ -666,12 +485,7 @@ def string_brackets(t, max_arity=3):
 
     for k in range(2, max_arity + 1):
         comps = {}
-        for tup in itertools.combinations_with_replacement(range(len(ss.names)), k):
-            if any(
-                tup[i] == tup[i + 1] and sdegs[tup[i]] % 2
-                for i in range(k - 1)
-            ):
-                continue
+        for tup in wedge_words(len(ss.names), sdegs, k):
             combo = op_value(tuple(ss.names[i] for i in tup))
             if combo:
                 comps[tup] = {index[n]: c for n, c in combo.items()}

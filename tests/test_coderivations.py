@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopspace import coderivations
+from loopspace.checks import add_into
 from loopspace.coderivations import (
     CoderivationRep,
     coderivation_relations,
@@ -19,7 +21,12 @@ from loopspace.coderivations import (
     wedge_words,
 )
 from loopspace.goldman import goldman_bracket, load_fat_graph
-from loopspace.structures import load_structure_file, string_brackets
+from loopspace.structures import (
+    BasisSpace,
+    load_structure_file,
+    parse_structure_file,
+    string_brackets,
+)
 
 
 def sort_oracle(seq, sdegs):
@@ -181,20 +188,19 @@ def test_explicit_lambda_sets(torus_reps):
     assert all(w is None for l, w in lines if l.startswith("total"))
 
 
-def index_bracket(t, out):
-    ss = t.string_space
-    idx = {n: i for i, n in enumerate(ss.names)}
-    degrees = [ss.degree(n) for n in ss.names]
-    bracket = {}
-    for (a, b), combo in out.bracket.items():
-        bracket[(idx[a], idx[b])] = {idx[z]: c for z, c in combo.items()}
-    return degrees, bracket
+def perturbed_bracket(out):
+    """The torus bracket with one extra structure constant on
+    [S_1_0, S_0_1] and its mirror: still antisymmetric (all degrees are
+    even here), no longer Jacobi."""
+    bracket = dict(out.bracket)
+    for pair, c in ((("S_1_0", "S_0_1"), 1), (("S_0_1", "S_1_0"), -1)):
+        bracket[pair] = add_into(dict(bracket.get(pair, {})), {"S_0_2": Fraction(c)})
+    return bracket
 
 
 def test_torus_jacobi_equivalence(torus_reps):
     t, out = torus_reps
-    degrees, bracket = index_bracket(t, out)
-    lines = jacobi_coderivation_equiv(degrees, bracket, 3, names=t.string_space.names)
+    lines = jacobi_coderivation_equiv(t.string_space, out.bracket, 3)
     assert [l for l, _ in lines] == [
         "bracket satisfies the graded Jacobi identity",
         "arity-2 coderivation squares to zero on words up to length 3",
@@ -205,18 +211,7 @@ def test_torus_jacobi_equivalence(torus_reps):
 
 def test_perturbed_bracket_fails_both_ways(torus_reps):
     t, out = torus_reps
-    degrees, bracket = index_bracket(t, out)
-    # keep antisymmetry (all degrees even here) but break the Jacobi
-    # identity with one extra structure constant on [S_1_0, S_0_1]
-    names = list(t.string_space.names)
-    i, j, z = names.index("S_1_0"), names.index("S_0_1"), names.index("S_0_2")
-    bracket.setdefault((i, j), {})[z] = (
-        bracket.get((i, j), {}).get(z, Fraction(0)) + 1
-    )
-    bracket.setdefault((j, i), {})[z] = (
-        bracket.get((j, i), {}).get(z, Fraction(0)) - 1
-    )
-    lines = jacobi_coderivation_equiv(degrees, bracket, 3)
+    lines = jacobi_coderivation_equiv(t.string_space, perturbed_bracket(out), 3)
     jac, sq, agree = (w for _, w in lines)
     assert jac is not None
     assert sq is not None
@@ -228,27 +223,54 @@ def test_jacobi_equiv_on_truncated_surface_bracket(data_path):
     # not satisfy the Jacobi identity, but the two renderings must agree
     g = load_fat_graph(data_path("torus.fat"))
     classes = [g.word(s) for s in ("", "a", "b", "a b", "a a b")]
-    idx = {w: i for i, w in enumerate(classes)}
+    name = {w: f"c{i}" for i, w in enumerate(classes)}
     bracket = {}
-    for i, u in enumerate(classes):
-        for j, v in enumerate(classes):
+    for u in classes:
+        for v in classes:
             combo = {}
             for w, c in goldman_bracket(u, v).items():
-                if w in idx:
-                    combo[idx[w]] = Fraction(c)
+                if w in name:
+                    combo[name[w]] = Fraction(c)
             if combo:
-                bracket[(i, j)] = combo
-    degrees = [0] * len(classes)
-    lines = jacobi_coderivation_equiv(degrees, bracket, 3)
+                bracket[(name[u], name[v])] = combo
+    space = BasisSpace((n, 0) for n in name.values())
+    lines = jacobi_coderivation_equiv(space, bracket, 3)
     assert lines[2][0] == "formulations agree"
     assert lines[2][1] is None
 
 
+def test_jacobi_equiv_on_gl21():
+    # gl(2|1) under the supercommutator, Z-graded by E_ij -> d_i - d_j with
+    # d = (0, 2, 1): the units touching the last index are odd, the rest
+    # even, so the symmetric form carries both signs.  The Jacobi identity
+    # holds, and the arity-2 coderivation must square to zero with it.
+    d = (0, 2, 1)
+    units = {f"E{i}{j}": (i, j) for i in range(3) for j in range(3)}
+    deg = {n: d[i] - d[j] for n, (i, j) in units.items()}
+    name = {ij: n for n, ij in units.items()}
+
+    def mul(a, b):
+        (i, j), (k, l) = units[a], units[b]
+        return {name[i, l]: Fraction(1)} if j == k else {}
+
+    bracket = {}
+    for a in units:
+        for b in units:
+            sign = -1 if deg[a] * deg[b] % 2 else 1
+            combo = add_into(mul(a, b), mul(b, a), -sign)
+            if combo:
+                bracket[a, b] = combo
+    assert bracket["E02", "E20"] == {"E00": 1, "E22": 1}
+    lines = jacobi_coderivation_equiv(BasisSpace(deg.items()), bracket, 3)
+    assert all(w is None for _, w in lines), lines
+
+
 def test_jacobi_equiv_input_errors():
+    space = BasisSpace([("x", 0)])
     with pytest.raises(ValueError, match="length at least 3"):
-        jacobi_coderivation_equiv([0], {}, 2)
+        jacobi_coderivation_equiv(space, {}, 2)
     with pytest.raises(ValueError, match="not graded antisymmetric"):
-        jacobi_coderivation_equiv([0], {(0, 0): {0: Fraction(1)}}, 3)
+        jacobi_coderivation_equiv(space, {("x", "x"): {"x": Fraction(1)}}, 3)
     with pytest.raises(ValueError, match="no coderivation components"):
         coderivation_relations({}, 3)
     a = CoderivationRep((0,), 1, {})
@@ -268,6 +290,8 @@ def _m3_mutant(out):
 
 
 # The full relation report for this mutant, every line and witness pinned.
+# The mutated component has even total shifted degree 2; its extension is
+# still a coderivation.
 M3_MUTANT_LINES = [
     ("m2 squares to zero on words up to length 4", None),
     ("m3 squares to zero on words up to length 4", None),
@@ -278,8 +302,7 @@ M3_MUTANT_LINES = [
     ("total coderivation for arities {2,3} squares to zero on words up to length 4",
      "word S_0_0 S_0_1 S_0_2 S_1_0: residue -1*(S_2_1)"),
     ("m2 is a coderivation for the unshuffle coproduct on words up to length 4", None),
-    ("m3 is a coderivation for the unshuffle coproduct on words up to length 4",
-     "word S_0_0 S_0_1 S_0_2 S_1_0 at (S_1_0 | S_1_1): lhs -1, rhs 1"),
+    ("m3 is a coderivation for the unshuffle coproduct on words up to length 4", None),
 ]
 
 
@@ -304,21 +327,59 @@ def test_clean_and_mutated_reps_back_to_back(torus_reps, mutant_first):
 def test_perturbed_bracket_witnesses(torus_reps):
     # the Jacobi line names the first failing triple in (a, b, c) order
     t, out = torus_reps
-    degrees, bracket = index_bracket(t, out)
-    names = list(t.string_space.names)
-    i, j, z = names.index("S_1_0"), names.index("S_0_1"), names.index("S_0_2")
-    bracket[(i, j)] = {**bracket.get((i, j), {}), z: Fraction(1)}
-    bracket[(j, i)] = {**bracket.get((j, i), {}), z: Fraction(-1)}
-    assert jacobi_coderivation_equiv(degrees, bracket, 4, names=names) == [
+    bracket = perturbed_bracket(out)
+    assert jacobi_coderivation_equiv(t.string_space, bracket, 4) == [
         ("bracket satisfies the graded Jacobi identity",
-         "a=S_0_1, b=S_1_0, c=S_2_0: [a,[b,c]] differs from [[a,b],c] + sign*[b,[a,c]]"),
+         "a=S_0_1, b=S_1_0, c=S_2_0: [a,[b,c]] = 0, expected 4*S_2_2"),
         ("arity-2 coderivation squares to zero on words up to length 4",
          "word S_0_1 S_1_0 S_2_0: residue 4*(S_2_2)"),
         ("formulations agree", None),
     ]
-    assert jacobi_coderivation_equiv(degrees, bracket, 3)[:2] == [
-        ("bracket satisfies the graded Jacobi identity",
-         "a=1, b=3, c=6: [a,[b,c]] differs from [[a,b],c] + sign*[b,[a,c]]"),
-        ("arity-2 coderivation squares to zero on words up to length 3",
-         "word 1 3 6: residue 4*(8)"),
-    ]
+    assert jacobi_coderivation_equiv(t.string_space, bracket, 3)[1] == (
+        "arity-2 coderivation squares to zero on words up to length 3",
+        "word S_0_1 S_1_0 S_2_0: residue 4*(S_2_2)",
+    )
+
+
+def test_jacobi_witness_is_the_string_bracket_line(data_path, torus_reps):
+    # the same perturbation made in the table itself: string_brackets and
+    # jacobi_coderivation_equiv state the Jacobi identity once, so they
+    # print the same witness for the same bracket
+    t, out = torus_reps
+    with open(data_path("torus_bracket.struct"), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (
+        ("product X_1_0 X_0_1 = Y_1_1", "product X_1_0 X_0_1 = Y_1_1 + Y_0_2"),
+        ("product X_0_1 X_1_0 = -Y_1_1", "product X_0_1 X_1_0 = -Y_1_1 - Y_0_2"),
+    ):
+        assert old + "\n" in text
+        text = text.replace(old + "\n", new + "\n")
+    mutated = string_brackets(parse_structure_file(text), max_arity=3)
+    assert mutated.bracket == perturbed_bracket(out)
+    [line] = mutated.checks.failures()
+    assert line[1].startswith("a=S_0_1, b=S_1_0, c=S_2_0: ")
+    equiv = jacobi_coderivation_equiv(t.string_space, mutated.bracket, 4)
+    assert equiv[0] == line
+
+
+def test_random_reps_are_coderivations():
+    # every family of operations extends to a coderivation, whatever its
+    # degree: these components are random, so most are not homogeneous
+    rng = random.Random(31)
+    for trial in range(6):
+        reps = {k: random_rep(rng, k) for k in (1, 2, 3)}
+        for label, witness in coderivation_relations(reps, 4):
+            if "unshuffle coproduct" in label:
+                assert witness is None, (trial, label, witness)
+
+
+def test_broken_extension_is_not_a_coderivation(torus_reps, monkeypatch):
+    # without the unshuffle sign the extension of m2 is no coderivation:
+    # the coproduct line must fail rather than pass by default
+    t, out = torus_reps
+    monkeypatch.setattr(coderivations, "front_sign", lambda *args: 1)
+    lines = coderivation_relations({2: out.reps[2]}, 4, names=t.string_space.names)
+    assert lines[-1] == (
+        "m2 is a coderivation for the unshuffle coproduct on words up to length 4",
+        "word S_0_1 S_0_2 S_1_0 at (S_0_2 | S_1_1): lhs 1, rhs -1",
+    )
