@@ -69,8 +69,7 @@ def apply_map(table, combo):
 class CheckReport:
     """Ordered check outcomes; text() is the CLI rendering."""
 
-    def __init__(self, title=""):
-        self.title = title
+    def __init__(self):
         self.lines = []
 
     def add(self, label, witness=None):

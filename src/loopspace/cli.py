@@ -185,7 +185,7 @@ def _cmd_verify(args):
     ss = table.string_space
     pairs = coderivation_relations(reps, args.word_len, names=ss.names)
     pairs += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len)
-    rep = CheckReport("coderivations")
+    rep = CheckReport()
     for label, witness in pairs:
         rep.add(label, witness)
     return rep.text(), 0 if rep.ok else 1

@@ -5,6 +5,14 @@ derivation.  Everything downstream is exact rational linear algebra on the
 finite graded slices: Betti numbers, deterministic cocycle representatives,
 and the matrices that chain maps induce on cohomology.
 
+Derivations and chain maps enter as sparse image functions: a monomial goes
+to a {monomial: coefficient} dict (``Derivation.image``, ``ChainMap.image``).
+Slices, the chain condition and induced maps are built from those dicts,
+accumulated through ``checks.add_into``.  Each image is computed when it is
+needed and none is stored, for the peak-memory reason given in ``gca``.  The
+slices themselves are cached per degree, and the elimination pass that finds
+the cocycles of a degree also records its rank.
+
 Representative convention: the cohomology basis in degree n consists of the
 first kernel vectors (in kernel_basis order) that enlarge the span of the
 coboundaries.  The choice is deterministic, so report files are stable.
@@ -14,8 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .checks import add_into
 from .gca import AlgebraError, GradedElement
-from .linalg import MatrixSlice, SpanTracker, column_solver, kernel_basis, matrix_rank
+from .linalg import MatrixSlice, SpanTracker, column_solver, matrix_rank
 
 __all__ = [
     "ComplexError",
@@ -65,20 +74,17 @@ class CochainComplex:
             return 0
         return len(self.algebra.basis(n))
 
-    def element(self, n, vec):
-        basis = self.algebra.basis(n)
-        return self.algebra.element(
-            {m: c for m, c in zip(basis, vec) if c}
-        )
-
-    def coords(self, elt, n):
+    def coords(self, terms, n):
+        """Coordinate vector over basis(n) of a sparse {monomial:
+        coefficient} dict."""
         basis = self.algebra.basis(n)
         index = {m: k for k, m in enumerate(basis)}
         vec = [Fraction(0)] * len(basis)
-        for mono, c in elt.terms.items():
+        for mono, c in terms.items():
             if self.algebra.monomial_degree(mono) != n:
                 raise AlgebraError(
-                    f"element has a term outside degree {n}: {elt}"
+                    f"element has a term outside degree {n}: "
+                    f"{GradedElement(self.algebra, terms)}"
                 )
             vec[index[mono]] = c
         return vec
@@ -91,8 +97,7 @@ class CochainComplex:
             index = {m: k for k, m in enumerate(tgt)}
             entries = {}
             for j, mono in enumerate(src):
-                img = self.diff(GradedElement(self.algebra, {mono: Fraction(1)}))
-                for m, c in img.terms.items():
+                for m, c in self.diff.image(mono).items():
                     entries[(index[m], j)] = c
             self._slices[n] = MatrixSlice(len(tgt), len(src), entries)
         return self._slices[n]
@@ -108,9 +113,13 @@ class CochainComplex:
         return self.dim(n) - self.rank(n) - (self.rank(n - 1) if n > 0 else 0)
 
     def cocycles(self, n):
+        """Kernel basis of d in degree n; the same elimination pass records
+        rank(n)."""
         if self.dim(n) == 0:
             return []
-        return kernel_basis(self.slice(n).row_vectors(), self.dim(n))
+        ech = self.slice(n).echelon()
+        self._ranks[n] = ech.rank()
+        return ech.kernel_basis()
 
     def boundary_columns(self, n):
         """Images of the degree n-1 basis under d, nonzero columns only,
@@ -178,107 +187,46 @@ def euler_check(cx, cutoff):
 
 
 class ChainMap:
-    """A linear map between complexes, defined monomial by monomial.
+    """A linear map between complexes, given by its sparse image function.
 
+    ``image(mono)`` returns f(mono) as a {monomial: coefficient} dict over
+    the target algebra, computed on each call and never stored.
     ``degree`` is the shift: a monomial of degree n maps into degree
     n + degree of the target.  The chain condition is
     d_target(f(m)) = (-1)^degree f(d_source(m)); verify_chain_map checks it.
     """
 
-    def __init__(self, src, tgt, degree, fn, name=""):
+    def __init__(self, src, tgt, degree, image, name=""):
         self.src = src
         self.tgt = tgt
         self.degree = int(degree)
-        self._fn = fn
+        self.image = image
         self.name = name
-
-    def __call__(self, elt):
-        if elt.algebra != self.src.algebra:
-            raise ChainMapError(f"{self.name or 'map'}: element not in the source algebra")
-        out = self.tgt.algebra.zero()
-        for mono, c in elt.terms.items():
-            out = out + c * self._fn(mono)
-        return out
-
-    def compose(self, inner):
-        """self after inner."""
-        if inner.tgt is not self.src and inner.tgt.algebra != self.src.algebra:
-            raise ChainMapError("composition: inner target does not match outer source")
-        outer = self
-
-        def fn(mono):
-            mid = inner._fn(mono)
-            return outer(mid)
-
-        return ChainMap(
-            inner.src, outer.tgt, inner.degree + outer.degree, fn,
-            name=f"{outer.name or 'map'} after {inner.name or 'map'}",
-        )
-
-    @classmethod
-    def identity(cls, cx):
-        def fn(mono):
-            return GradedElement(cx.algebra, {mono: Fraction(1)})
-
-        return cls(cx, cx, 0, fn, name="identity")
 
     @classmethod
     def from_derivation(cls, src, tgt, deriv, name=""):
         if deriv.algebra != src.algebra or deriv.algebra != tgt.algebra:
             raise ChainMapError("derivation map: algebra mismatch")
-
-        def fn(mono):
-            return deriv(GradedElement(src.algebra, {mono: Fraction(1)}))
-
-        return cls(src, tgt, deriv.degree, fn, name=name)
-
-    @classmethod
-    def from_generator_images(cls, src, tgt, images, name=""):
-        """The degree-0 algebra map sending each generator to the given
-        target element; generators not listed map to their namesakes."""
-        src_alg, tgt_alg = src.algebra, tgt.algebra
-        table = {}
-        for i, gname in enumerate(src_alg.names):
-            if gname in images:
-                v = images[gname]
-                if isinstance(v, str):
-                    v = tgt_alg.parse(v)
-            else:
-                v = tgt_alg.gen(gname)
-            if v and v.degrees() != [src_alg.degrees[i]]:
-                raise ChainMapError(
-                    f"image of {gname!r} must be homogeneous of degree {src_alg.degrees[i]}"
-                )
-            table[i] = v
-        cache = {}
-
-        def fn(mono):
-            out = tgt_alg.one()
-            for g, e in mono:
-                base = table[g]
-                key = (g, e)
-                if key not in cache:
-                    p = tgt_alg.one()
-                    for _ in range(e):
-                        p = p * base
-                    cache[key] = p
-                out = out * cache[key]
-            return out
-
-        return cls(src, tgt, 0, fn, name=name)
+        return cls(src, tgt, deriv.degree, deriv.image, name=name)
 
 
 def verify_chain_map(f, cutoff):
     """First monomial (degree <= cutoff) where the chain condition fails,
-    as (degree, monomial, lhs, rhs); None when the map is a chain map."""
+    as (degree, monomial, lhs, rhs) with both sides as elements of the
+    target algebra; None when the map is a chain map."""
     sign = -1 if f.degree % 2 else 1
+    image, d_src, d_tgt = f.image, f.src.diff.image, f.tgt.diff.image
     for n in range(cutoff + 1):
         for mono in f.src.algebra.basis(n):
-            m = GradedElement(f.src.algebra, {mono: Fraction(1)})
-            lhs = f.tgt.diff(f(m))
-            rhs = sign * f(f.src.diff(m))
+            lhs = {}
+            for m, c in image(mono).items():
+                add_into(lhs, d_tgt(m), c)
+            rhs = {}
+            for m, c in d_src(mono).items():
+                add_into(rhs, image(m), sign * c)
             if lhs != rhs:
-                return (n, mono, lhs, rhs)
+                alg = f.tgt.algebra
+                return (n, mono, GradedElement(alg, lhs), GradedElement(alg, rhs))
     return None
 
 
@@ -311,8 +259,12 @@ def induced_map(f, n):
     tgt_reps = tgt.cohomology(t) if t >= 0 else []
     solve = column_solver(tgt_reps + tgt.boundary_columns(t), tgt.dim(t))
     mat = [[Fraction(0)] * len(src_reps) for _ in range(len(tgt_reps))]
+    basis = src.algebra.basis(n)
     for j, vec in enumerate(src_reps):
-        img = f(src.element(n, vec))
+        img = {}
+        for mono, c in zip(basis, vec):
+            if c:
+                add_into(img, f.image(mono), c)
         if t < 0:
             if img:
                 raise ChainMapError(

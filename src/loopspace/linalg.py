@@ -70,8 +70,12 @@ class MatrixSlice:
             cols[j][i] = v
         return cols
 
+    def echelon(self):
+        """A SpanTracker over the rows: one elimination pass."""
+        return _echelon(self.ncols, self.row_vectors())
+
     def rank(self):
-        return _echelon(self.ncols, self.row_vectors()).rank()
+        return self.echelon().rank()
 
     def __repr__(self):
         return f"MatrixSlice({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
@@ -123,9 +127,6 @@ class SpanTracker:
                         del v[k]
         return v
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def add(self, vec):
         v = self.reduce(vec)
         if not v:
@@ -158,6 +159,21 @@ class SpanTracker:
                             row.pop(k, None)
         return rows
 
+    def kernel_basis(self):
+        """kernel_basis of the rows added so far, over columns 0..dim-1."""
+        ech = self.reduced_rows()
+        basis = {}
+        for free in range(self.dim):
+            if free not in ech:
+                vec = [_ZERO] * self.dim
+                vec[free] = _ONE
+                basis[free] = vec
+        for lead, row in ech.items():
+            for c, x in row.items():
+                if c != lead:
+                    basis[c][lead] = -x
+        return list(basis.values())
+
 
 def _echelon(dim, vectors):
     tracker = SpanTracker(dim)
@@ -179,18 +195,7 @@ def kernel_basis(rows, ncols):
     in the other free columns, which pins the representative choice for
     every caller.
     """
-    ech = _echelon(ncols, rows).reduced_rows()
-    basis = {}
-    for free in range(ncols):
-        if free not in ech:
-            vec = [_ZERO] * ncols
-            vec[free] = _ONE
-            basis[free] = vec
-    for lead, row in ech.items():
-        for c, x in row.items():
-            if c != lead:
-                basis[c][lead] = -x
-    return list(basis.values())
+    return _echelon(ncols, rows).kernel_basis()
 
 
 def column_solver(columns, dim):

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .checks import CheckReport
-from .gca import AlgebraError, Derivation, GradedAlgebra, GradedElement
+from .gca import AlgebraError, Derivation, GradedAlgebra
 from .homology import (
     ChainMap,
     ChainMapError,
@@ -43,6 +43,7 @@ __all__ = [
     "validate_model",
     "format_model_report",
     "GysinReport",
+    "gysin_maps",
     "gysin_report",
 ]
 
@@ -250,7 +251,7 @@ def validate_model(obj):
     Checks are complete: on a free algebra an operator identity holds
     everywhere once it holds on every generator.
     """
-    rep = CheckReport("model")
+    rep = CheckReport()
     d = obj.d
     delta = getattr(obj, "delta", None)
 
@@ -341,14 +342,71 @@ class GysinReport:
         return "".join(line + "\n" for line in out)
 
 
+def gysin_maps(string):
+    """The chain maps of the sequence, as sparse images: restriction
+    (string -> loop), multiplication by the degree-2 class (string ->
+    string), the connecting map (loop -> string) and the rotation (loop ->
+    loop).  Both algebras order their shared generators by the same
+    (degree, name) key, so moving a monomial between them re-indexes its
+    generators and needs no sign."""
+    loop = string.loop
+    S, L = string.complex, loop.complex
+    ui = S.algebra.index(CIRCLE_CLASS)
+    to_l = {i: L.algebra.index(n) for i, n in enumerate(S.algebra.names) if i != ui}
+    to_s = {j: S.algebra.index(n) for j, n in enumerate(L.algebra.names)}
+    u = ((ui, 1),)
+
+    def restrict(mono):
+        if any(g == ui for g, _ in mono):
+            return {}
+        return {tuple((to_l[g], e) for g, e in mono): 1}
+
+    def times_u(mono):
+        prod, sign = S.algebra.mono_mul(u, mono)
+        return {prod: sign}
+
+    def connect(mono):
+        return {
+            tuple((to_s[g], e) for g, e in m): c
+            for m, c in loop.delta.image(mono).items()
+        }
+
+    return (
+        ChainMap(S, L, 0, restrict, name="restriction"),
+        ChainMap(S, S, 2, times_u, name="multiplication by the degree-2 class"),
+        ChainMap(L, S, -1, connect, name="connecting map"),
+        ChainMap.from_derivation(L, L, loop.delta, name="rotation"),
+    )
+
+
+def _after(outer, inner):
+    """Matrix of the composite outer after inner of two induced maps.
+    Shapes come from the Betti counts, so empty middle spaces still give
+    a zero matrix of the right size."""
+    if inner.tgt_betti != outer.src_betti:
+        raise ChainMapError("induced-map composition: dimension mismatch")
+    return [
+        [sum((a * inner.matrix[k][j] for k, a in enumerate(row)), Fraction(0))
+         for j in range(inner.src_betti)]
+        for row in outer.matrix
+    ]
+
+
+def _vanishes(outer, inner):
+    return not any(any(row) for row in _after(outer, inner))
+
+
 def gysin_report(string, cutoff):
     """Exactness and factorization report for the sequence
 
         ... -> H^{i-2}(string) -> H^i(string) -> H^i(loop) -> H^{i-1}(string) -> ...
 
     built from multiplication by the degree-2 class, restriction, and the
-    connecting map.  Models are validated through generator checks first;
-    chain-map conditions are verified through cutoff + 2.
+    connecting map.  Row i is exact when the sequence is exact at H^i(string),
+    H^i(loop) and H^{i-1}(string): the rank counts add up at all three, and
+    the three composites through them vanish.  Models are validated through
+    generator checks first; chain-map conditions are verified through
+    cutoff + 2.
     """
     loop = string.loop
     for obj, tag in ((loop, "loop model"), (string, "string model")):
@@ -358,25 +416,7 @@ def gysin_report(string, cutoff):
 
     S = string.complex
     L = loop.complex
-    u = string.algebra.gen(CIRCLE_CLASS)
-
-    restr = ChainMap.from_generator_images(
-        S, L, {CIRCLE_CLASS: L.algebra.zero()}, name="restriction"
-    )
-    mult_u = ChainMap(
-        S, S, 2,
-        lambda mono: u * GradedElement(S.algebra, {mono: Fraction(1)}),
-        name="multiplication by the degree-2 class",
-    )
-    conn = ChainMap(
-        L, S, -1,
-        lambda mono: loop.algebra.transfer(
-            loop.delta(GradedElement(L.algebra, {mono: Fraction(1)})), S.algebra
-        ),
-        name="connecting map",
-    )
-    rot = ChainMap.from_derivation(L, L, loop.delta, name="rotation")
-
+    restr, mult_u, conn, rot = gysin_maps(string)
     for f in (restr, mult_u, conn, rot):
         w = verify_chain_map(f, cutoff + 2)
         if w is not None:
@@ -387,44 +427,32 @@ def gysin_report(string, cutoff):
 
     restr_at = {i: induced_map(restr, i) for i in range(cutoff + 2)}
     conn_at = {i: induced_map(conn, i) for i in range(cutoff + 1)}
-    mult_at = {i: induced_map(mult_u, i) for i in range(cutoff - 1)}
+    mult_at = {i: induced_map(mult_u, i) for i in range(cutoff)}
     rot_at = {i: induced_map(rot, i) for i in range(cutoff + 1)}
 
     rows = []
-    for i in range(cutoff + 1):
-        h_s = S.betti(i)
-        h_l = L.betti(i)
-        rank_u = mult_at[i - 2].rank if i >= 2 else 0
-        rank_restr = restr_at[i].rank
-        rank_conn = conn_at[i].rank
-        exact = (rank_u + rank_restr == h_s) and (rank_restr + rank_conn == h_l)
-        rows.append((i, h_s, h_l, rank_u, rank_restr, rank_conn, exact))
-
-    def compose(outer, inner):
-        # explicit dimensions survive empty middle spaces
-        p, q, r = outer.tgt_betti, outer.src_betti, inner.src_betti
-        if inner.tgt_betti != q:
-            raise ChainMapError("induced-map composition: dimension mismatch")
-        return [
-            [
-                sum(
-                    (outer.matrix[i][k] * inner.matrix[k][j] for k in range(q)),
-                    Fraction(0),
-                )
-                for j in range(r)
-            ]
-            for i in range(p)
-        ]
-
     factor_rotation = []
     factor_zero = []
     for i in range(cutoff + 1):
+        h_s = S.betti(i)
+        h_l = L.betti(i)
+        u_in, u_out = mult_at.get(i - 2), mult_at.get(i - 1)
+        rank_u = u_in.rank if u_in is not None else 0
+        rank_restr = restr_at[i].rank
+        rank_conn = conn_at[i].rank
+        factor_zero.append(_vanishes(conn_at[i], restr_at[i]))
+        exact = (
+            rank_u + rank_restr == h_s
+            and rank_restr + rank_conn == h_l
+            and rank_conn + (u_out.rank if u_out is not None else 0) == S.betti(i - 1)
+            and factor_zero[-1]
+            and (u_in is None or _vanishes(restr_at[i], u_in))
+            and (u_out is None or _vanishes(u_out, conn_at[i]))
+        )
+        rows.append((i, h_s, h_l, rank_u, rank_restr, rank_conn, exact))
         if i >= 1:
-            prod = compose(restr_at[i - 1], conn_at[i])
-            factor_rotation.append(prod == rot_at[i].matrix)
+            factor_rotation.append(_after(restr_at[i - 1], conn_at[i]) == rot_at[i].matrix)
         else:
             factor_rotation.append(rot_at[i].rank == 0)
-        back = compose(conn_at[i], restr_at[i])
-        factor_zero.append(all(all(c == 0 for c in row) for row in back))
 
     return GysinReport(cutoff, rows, factor_rotation, factor_zero)

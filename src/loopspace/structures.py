@@ -303,7 +303,7 @@ def check_gerstenhaber(t):
     if t.product is None or t.bracket is None:
         raise StructureError("gerstenhaber check needs product and bracket tables")
     sp = t.space
-    rep = CheckReport("gerstenhaber")
+    rep = CheckReport()
     if (
         rep.add("product respects degrees",
                 _pair_degree_witness(sp, t.product, 0, "product"))
@@ -328,7 +328,7 @@ def check_bv(t):
     if t.product is None or t.delta is None:
         raise StructureError("bv check needs product and delta tables")
     sp = t.space
-    rep = CheckReport("bv")
+    rep = CheckReport()
     if not (
         rep.add("product respects degrees",
                 _pair_degree_witness(sp, t.product, 0, "product"))
@@ -398,7 +398,7 @@ def string_brackets(t, max_arity=3):
         raise StructureError("max arity must be at least 2")
     sp = t.space
     ss = t.string_space
-    rep = CheckReport("string brackets")
+    rep = CheckReport()
 
     def degree_witness():
         w = _pair_degree_witness(sp, t.product, 0, "product")

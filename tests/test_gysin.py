@@ -2,8 +2,11 @@
 
 import pytest
 
-from loopspace.homology import ChainMap, verify_chain_map
+from loopspace import models
+from loopspace.homology import verify_chain_map
 from loopspace.models import equivariant_model, gysin_report, load_model, loop_model
+
+from reference import generator_images_map
 
 
 def _report(data_path, name, cutoff):
@@ -55,6 +58,10 @@ def test_rank_identities_row_by_row(data_path):
     for i, h_s, h_l, rank_u, rank_restr, rank_conn, exact in rep.rows:
         assert rank_u + rank_restr == h_s
         assert rank_restr + rank_conn == h_l
+        if 1 <= i < rep.cutoff:
+            # at H^{i-1}(string): the image of conn is the kernel of u,
+            # whose rank is row i+1's rank_u
+            assert rank_conn + rep.rows[i + 1][3] == rep.rows[i - 1][1]
         assert exact
 
 
@@ -75,7 +82,43 @@ def test_broken_chain_map_is_detected(data_path):
     lm = loop_model(load_model(data_path("s2.min")))
     # forgetting that y restricts to y breaks the chain condition:
     # d(f(y)) = 0 but f(d y) = x^2 + 0
-    f = ChainMap.from_generator_images(em.complex, lm.complex, {"u": 0, "y": 0})
-    bad = verify_chain_map(f, 6)
-    assert bad is not None
-    assert bad[0] == 3
+    f = generator_images_map(em.complex, lm.complex, {"u": 0, "y": 0})
+    degree, mono, lhs, rhs = verify_chain_map(f, 6)
+    assert (degree, mono, em.algebra.monomial_str(mono)) == (3, ((4, 1),), "y")
+    assert lhs.algebra == rhs.algebra == lm.algebra
+    assert (str(lhs), str(rhs)) == ("0", "x^2")
+
+
+U = "multiplication by the degree-2 class"
+
+
+@pytest.mark.parametrize("outer, inner", [
+    (("restriction", 4), U),
+    ((U, 3), "connecting map"),
+    (("connecting map", 4), "restriction"),
+])
+def test_nonzero_composite_breaks_exactness(outer, inner, data_path, monkeypatch):
+    # the rank counts alone cannot see a composite that fails to vanish:
+    # force one of the three composites through row 4 of the sphere to be
+    # nonzero (every space involved is one-dimensional there)
+    made = {}
+    real_induced, real_after = models.induced_map, models._after
+
+    def induced(f, n):
+        rep = real_induced(f, n)
+        made[id(rep)] = (f.name, n)
+        return rep
+
+    def after(o, i):
+        prod = real_after(o, i)
+        if (made[id(o)], made[id(i)][0]) == (outer, inner):
+            prod[0][0] += 1
+        return prod
+
+    monkeypatch.setattr(models, "induced_map", induced)
+    monkeypatch.setattr(models, "_after", after)
+    rep = _report(data_path, "s2.min", 6)
+    assert [r[6] for r in rep.rows] == [True] * 4 + [False] + [True] * 2
+    assert rep.rows[4][:6] == (4, 1, 1, 1, 0, 1)
+    assert not rep.ok
+    assert "4\t1\t1\t1\t0\t1\tfalse\n" in rep.text()
