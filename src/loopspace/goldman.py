@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 import re
-from operator import eq, neg
 
 from .checks import add_into
 
@@ -62,9 +61,12 @@ class FatGraph:
     cyclic order of the 2n half-edges around the vertex.
 
     Letters are nonzero ints: generator k (0-based) is k+1, its inverse
-    -(k+1).  ``tok`` maps each letter to its token string; ``rank`` maps it
-    to the one-character string whose code point is the position of that
-    token in sorted order, so joined ranks compare like token sequences.
+    -(k+1).  ``rank`` maps each letter to the one-character string whose
+    code point is the position of its token in sorted order, so joined
+    ranks compare like token sequences; words are stored so.  A rank's
+    token is ``tok``, its letter ``letter_of``, its inverse's rank ``inv``
+    (``inv_table`` for ``str.translate``), and the position of its
+    half-edge in the cyclic order ``at``.
     """
 
     def __init__(self, names, order):
@@ -78,8 +80,7 @@ class FatGraph:
             raise FatGraphError("duplicate generator name")
         self.names = names
         order = tuple(order)
-        expected = {k for k in range(1, len(names) + 1)}
-        expected |= {-k for k in expected}
+        expected = {s * k for k in range(1, len(names) + 1) for s in (1, -1)}
         seen = set()
         for letter in order:
             if letter not in expected:
@@ -94,10 +95,13 @@ class FatGraph:
             toks = ", ".join(self.token(x) for x in missing)
             raise FatGraphError(f"cyclic order is missing half-edges: {toks}")
         self.order = order
-        self.pos = {letter: k for k, letter in enumerate(order)}
         self.size = len(order)
-        self.tok = {x: self.token(x) for x in order}
-        self.rank = {x: chr(k) for k, x in enumerate(sorted(order, key=self.tok.get))}
+        self.rank = {x: chr(k) for k, x in enumerate(sorted(order, key=self.token))}
+        self.tok = {r: self.token(x) for x, r in self.rank.items()}
+        self.letter_of = {r: x for x, r in self.rank.items()}
+        self.inv = {r: self.rank[-x] for x, r in self.rank.items()}
+        self.inv_table = str.maketrans(self.inv)
+        self.at = {self.rank[x]: k for k, x in enumerate(order)}
 
     def token(self, letter):
         name = self.names[abs(letter) - 1]
@@ -112,24 +116,13 @@ class FatGraph:
             raise WordError(f"unknown generator {name!r}") from None
         return -k if inv else k
 
-    def parse_letters(self, text):
-        return tuple(self.letter(tok) for tok in text.split())
-
     def word(self, text):
-        return CyclicWord(self, self.parse_letters(text))
-
-    def ccw3(self, a, b, c):
-        """+1 when reading counterclockwise from half-edge a meets b before
-        c, else -1.  The three half-edges must be distinct."""
-        pa = self.pos[a]
-        ra = (self.pos[b] - pa) % self.size
-        rb = (self.pos[c] - pa) % self.size
-        return 1 if ra < rb else -1
+        return CyclicWord(self, tuple(map(self.letter, text.split())))
 
     def boundary_components(self):
         """Boundary cycles of the thickened surface, as letter lists; the
         count feeds the genus bookkeeping."""
-        succ = {x: self.order[(self.pos[x] + 1) % self.size] for x in self.order}
+        succ = dict(zip(self.order, self.order[1:] + self.order[:1]))
         seen = set()
         out = []
         for start in self.order:
@@ -190,11 +183,6 @@ def load_fat_graph(path):
 
 def cyclic_reduce(letters):
     """Free reduction followed by reduction across the wraparound."""
-    letters = tuple(letters)
-    if not letters or (
-        letters[0] != -letters[-1] and not any(map(eq, letters, map(neg, letters[1:])))
-    ):
-        return letters
     stack = []
     for x in letters:
         if stack and stack[-1] == -x:
@@ -209,116 +197,127 @@ def cyclic_reduce(letters):
 class CyclicWord:
     """Cyclically reduced cyclic word in canonical rotation.
 
-    Canonical means the rotation whose token sequence is lexicographically
-    least; equality and hashing use that normal form.
+    ``key`` is the word's rank string (FatGraph.rank) in the rotation that
+    is lexicographically least, which is the rotation whose token sequence
+    is least.  Equality compares keys and then surfaces; the hash is the
+    key's, which the str caches.
     """
 
-    __slots__ = ("graph", "letters")
+    __slots__ = ("graph", "key")
 
     def __init__(self, graph, letters):
-        reduced = cyclic_reduce(letters)
-        if reduced:
-            best = _least_rotation("".join(map(graph.rank.__getitem__, reduced)))
-            reduced = reduced[best:] + reduced[:best]
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "letters", reduced)
+        self.graph = graph
+        self.key = _canonical(graph, letters)
 
-    def __setattr__(self, *_):
-        raise AttributeError("CyclicWord is immutable")
+    @property
+    def letters(self):
+        return tuple(map(self.graph.letter_of.__getitem__, self.key))
 
     def inverse(self):
-        return CyclicWord(self.graph, tuple(-x for x in reversed(self.letters)))
+        graph = self.graph
+        return _wrap(graph, _least_rotation(self.key[::-1].translate(graph.inv_table)))
 
     def tokens(self):
-        return tuple(map(self.graph.tok.__getitem__, self.letters))
-
-    def rank_key(self):
-        """The joined ranks of the letters; orders words as tokens() does."""
-        return "".join(map(self.graph.rank.__getitem__, self.letters))
+        return tuple(map(self.graph.tok.__getitem__, self.key))
 
     def __len__(self):
-        return len(self.letters)
-
-    def __bool__(self):
-        return bool(self.letters)
+        return len(self.key)
 
     def __eq__(self, other):
         return (
             isinstance(other, CyclicWord)
-            and self.letters == other.letters
-            and self.graph.order == other.graph.order
-            and self.graph.names == other.graph.names
+            and self.key == other.key
+            and _same_surface(self.graph, other.graph)
         )
 
     def __hash__(self):
-        return hash(self.letters)
+        return hash(self.key)
 
     def __str__(self):
-        if not self.letters:
-            return "1"
-        return " ".join(self.tokens())
+        return " ".join(self.tokens()) or "1"
 
     def __repr__(self):
         return f"CyclicWord({str(self)!r})"
 
 
+def _wrap(graph, key):
+    """The word with an already canonical key, without reducing it again."""
+    word = object.__new__(CyclicWord)
+    word.graph = graph
+    word.key = key
+    return word
+
+
+def _canonical(graph, letters):
+    """The key of the class of a sequence of letters."""
+    return _least_rotation("".join(map(graph.rank.__getitem__, cyclic_reduce(letters))))
+
+
+def _same_surface(g, h):
+    return g is h or (g.order == h.order and g.names == h.names)
+
+
 def _least_rotation(key):
-    """Start of the least rotation of a nonempty string.  Only positions
-    holding its least character can start it; their rotations are compared
-    as slices of the doubled string, in C: quadratic for a power of one
-    letter, yet faster than Booth's or Duval's linear loop in Python on
-    words of a few hundred letters."""
+    """The least rotation of a string.  Only positions holding its least
+    character can start it; their rotations are compared as slices of the
+    doubled string, in C: quadratic for a power of one letter, yet faster
+    than Booth's or Duval's linear loop in Python on words of a few
+    hundred letters."""
+    if not key:
+        return key
     n = len(key)
     twice = key + key
     low = min(key)
-    best = r = key.index(low)
-    least = twice[best:best + n]
+    r = key.index(low)
+    least = twice[r:r + n]
     while True:
         r = key.find(low, r + 1)
         if r < 0:
-            return best
+            return least
         rotation = twice[r:r + n]
         if rotation < least:
-            best, least = r, rotation
+            least = rotation
 
 
 def _pair_order(graph, w1, i1, w2, i2, limit):
-    """Counterclockwise order of the rays reading w1 from i1 and w2 from i2,
-    cyclically, which share their first letter: read at the vertex where
-    they diverge against the dart pointing back along the shared path."""
+    """Counterclockwise order of the rays reading rank strings w1 from i1
+    and w2 from i2, cyclically, which share their first letter: read at the
+    vertex where they diverge against the dart pointing back along the
+    shared path.  Returns the sign and k, the number of letters shared."""
     n1, n2 = len(w1), len(w2)
     k = 1
     while w1[(i1 + k) % n1] == w2[(i2 + k) % n2]:
         k += 1
         if k > limit:
             raise FatGraphError("rays fail to diverge; words are not reduced")
-    back = -w1[(i1 + k - 1) % n1]
-    return graph.ccw3(w1[(i1 + k) % n1], w2[(i2 + k) % n2], back)
+    at, size = graph.at, graph.size
+    pa = at[w1[(i1 + k) % n1]]
+    side = (at[graph.inv[w1[(i1 + k - 1) % n1]]] - pa) % size
+    return (1 if (at[w2[(i2 + k) % n2]] - pa) % size < side else -1), k
 
 
 def goldman_bracket(w, v):
     """Bracket of two classes as a mapping class -> integer coefficient."""
     graph = w.graph
-    if v.graph is not graph and (
-        v.graph.order != graph.order or v.graph.names != graph.names
-    ):
+    if not _same_surface(graph, v.graph):
         raise WordError("words live on different surfaces")
-    lw, lv = w.letters, v.letters
-    m, n = len(lw), len(lv)
-    # the ray along v backward from position j reads iv forward from n - j
-    iv = tuple(-x for x in reversed(lv))
-    pos, size = graph.pos, graph.size
+    a, b = w.key, v.key
+    m, n = len(a), len(b)
+    # the ray along v backward from position j reads ib forward from n - j
+    ib = b[::-1].translate(graph.inv_table)
+    inv, at, size = graph.inv, graph.at, graph.size
+    tails = [b[j:] + b[:j] for j in range(n)]
+    backs = [inv[b[j - 1]] for j in range(n)]
     acc = {}
     limit = 2 * (m + n) + 4
+    short = min(m, n)
     for i in range(m):
-        fa = lw[i]
-        ba = -lw[i - 1]
-        pa = pos[fa]
-        side = (pos[ba] - pa) % size
-        head = lw[i:] + lw[:i]
-        for j in range(n):
-            fb = lv[j]
-            bb = -lv[j - 1]
+        fa = a[i]
+        ba = inv[a[i - 1]]
+        pa = at[fa]
+        side = (at[ba] - pa) % size
+        head = a[i:] + a[:i]
+        for j, fb, bb, tail in zip(range(n), b, backs, tails):
             # skip visits where the strand overlap extends backward: the
             # crossing, if any, is counted where the overlap starts
             if ba == bb or ba == fb:
@@ -327,22 +326,29 @@ def goldman_bracket(w, v):
             # distinct from fa is placed by its side of the chord fa-ba, one
             # equal to fa by where its ray leaves the ray along w
             if fa == fb:
-                o1 = _pair_order(graph, lw, i, lv, j, limit)
+                o1 = _pair_order(graph, a, i, b, j, limit)[0]
             else:
-                o1 = 1 if (pos[fb] - pa) % size < side else -1
+                o1 = 1 if (at[fb] - pa) % size < side else -1
             if fa == bb:
-                o2 = _pair_order(graph, lw, i, iv, n - j, limit)
+                o2, k = _pair_order(graph, a, i, ib, n - j, limit)
             else:
-                o2 = 1 if (pos[bb] - pa) % size < side else -1
+                o2 = 1 if (at[bb] - pa) % size < side else -1
+                k = 0
             if o1 == o2:
                 continue
-            cls = CyclicWord(graph, head + lv[j:] + lv[:j])
-            c = acc.get(cls, 0) + o1
-            if c:
-                acc[cls] = c
+            # the ray along v backward runs along w for k letters: they cancel
+            # where v ends and w starts, nothing cancels where w ends (ba !=
+            # fb), so cutting them leaves the term reduced unless k spans a word
+            if k < short:
+                term = _least_rotation(head[k:] + tail[:n - k])
             else:
-                acc.pop(cls, None)
-    return acc
+                term = _canonical(graph, map(graph.letter_of.__getitem__, head + tail))
+            c = acc.get(term, 0) + o1
+            if c:
+                acc[term] = c
+            else:
+                acc.pop(term, None)
+    return {_wrap(graph, term): c for term, c in acc.items()}
 
 
 def combo_sub(a, b):
@@ -364,7 +370,7 @@ def bracket_combo(a, b):
 
 def format_combo(combo):
     """One ``coefficient<TAB>word`` line per class, sorted by word."""
-    items = sorted(combo.items(), key=lambda kv: kv[0].rank_key())
+    items = sorted(combo.items(), key=lambda kv: kv[0].key)
     return "".join(f"{c}\t{w}\n" for w, c in items)
 
 
@@ -402,11 +408,5 @@ def jacobi_fuzz(graph, trials=200, max_len=6, seed=1):
         rhs2 = bracket_combo({v: 1}, goldman_bracket(u, w))
         residual = combo_sub(combo_sub(lhs, rhs1), rhs2)
         if residual:
-            return {
-                "trial": t,
-                "u": u,
-                "v": v,
-                "w": w,
-                "residual": residual,
-            }
+            return {"trial": t, "u": u, "v": v, "w": w, "residual": residual}
     return None

@@ -35,9 +35,10 @@ _ONE = Fraction(1)
 
 
 def _sparse(vec):
-    """{index: Fraction} copy of a dense sequence or a sparse dict, zeros dropped."""
+    """{index: Fraction} copy of a dense sequence or a sparse dict, zeros
+    dropped; values that already are Fractions are kept, not rebuilt."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {j: Fraction(v) for j, v in items if v}
+    return {j: v if isinstance(v, Fraction) else Fraction(v) for j, v in items if v}
 
 
 class MatrixSlice:
@@ -50,7 +51,7 @@ class MatrixSlice:
         self.ncols = ncols
         self.entries = {}
         for (i, j), v in (entries or {}).items():
-            v = Fraction(v)
+            v = v if isinstance(v, Fraction) else Fraction(v)
             if v:
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")

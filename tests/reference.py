@@ -4,12 +4,16 @@ The library applies derivations and chain maps through sparse
 {monomial: coefficient} image functions.  The helpers here build the same
 things the slow, obvious way, through GradedElement arithmetic, so the
 tests can compare the two; they also hold the chain-map combinators that
-only tests use.
+only tests use.  The Goldman bracket is kept here too, on letter tuples:
+the library builds each term from slices of rank strings and cuts the
+letters that cancel where the two words join, while the reference reduces
+every whole concatenation and tries every rotation.
 """
 
 from fractions import Fraction
 
 from loopspace.gca import GradedElement
+from loopspace.goldman import cyclic_reduce
 from loopspace.homology import ChainMap, ChainMapError
 
 
@@ -103,3 +107,66 @@ def element(cx, n, vec):
 def span_contains(tracker, vec):
     """Whether vec lies in the span a SpanTracker holds."""
     return not tracker.reduce(vec)
+
+
+def min_rotation(graph, letters):
+    """The rotation of a word whose token list is least, trying them all."""
+    if not letters:
+        return ()
+    toks = [graph.token(x) for x in letters]
+    best = min(range(len(letters)), key=lambda r: toks[r:] + toks[:r])
+    return letters[best:] + letters[:best]
+
+
+def _ccw3(pos, a, b, c):
+    """+1 when reading counterclockwise from half-edge a meets b before c."""
+    size = len(pos)
+    return 1 if (pos[b] - pos[a]) % size < (pos[c] - pos[a]) % size else -1
+
+
+def _pair_order(pos, w1, i1, w2, i2):
+    """Order of the rays reading w1 from i1 and w2 from i2, cyclically,
+    which share their first letter, read where they diverge against the
+    dart pointing back along the shared path."""
+    n1, n2 = len(w1), len(w2)
+    k = 1
+    while w1[(i1 + k) % n1] == w2[(i2 + k) % n2]:
+        k += 1
+        assert k <= 2 * (n1 + n2) + 4, "rays fail to diverge"
+    back = -w1[(i1 + k - 1) % n1]
+    return _ccw3(pos, w1[(i1 + k) % n1], w2[(i2 + k) % n2], back)
+
+
+def reference_bracket(graph, w, v):
+    """[w, v] for cyclically reduced letter tuples, as {least-rotation
+    letter tuple: coefficient}.  Each basepoint pair whose strands cross
+    contributes the whole concatenation, reduced by cyclic_reduce."""
+    pos = {x: k for k, x in enumerate(graph.order)}
+    m, n = len(w), len(v)
+    iv = tuple(-x for x in reversed(v))
+    out = {}
+    for i in range(m):
+        fa, ba = w[i], -w[i - 1]
+        for j in range(n):
+            fb, bb = v[j], -v[j - 1]
+            if ba == bb or ba == fb:
+                continue
+            if fa == fb:
+                o1 = _pair_order(pos, w, i, v, j)
+            else:
+                o1 = _ccw3(pos, fa, fb, ba)
+            if fa == bb:
+                o2 = _pair_order(pos, w, i, iv, n - j)
+            else:
+                o2 = _ccw3(pos, fa, bb, ba)
+            if o1 != o2:
+                term = min_rotation(graph, cyclic_reduce(w[i:] + w[:i] + v[j:] + v[:j]))
+                out[term] = out.get(term, 0) + o1
+    return {term: c for term, c in out.items() if c}
+
+
+def format_letter_combo(graph, combo):
+    """format_combo's text for {letter tuple: coefficient}: one line per
+    class, ordered by token tuples."""
+    rows = sorted((tuple(map(graph.token, w)), c) for w, c in combo.items())
+    return "".join(f"{c}\t{' '.join(toks) or '1'}\n" for toks, c in rows)

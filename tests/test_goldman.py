@@ -5,7 +5,10 @@ thickened one-vertex graph and counting crossings with signs.  Every entry
 is an independent check on the crossing-orientation logic.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,8 @@ from loopspace.goldman import (
     parse_fat_graph,
     random_reduced_cyclic_word,
 )
+
+from reference import format_letter_combo, min_rotation, reference_bracket
 
 
 @pytest.fixture
@@ -101,6 +106,13 @@ def test_word_errors(torus, genus2):
         torus.word("c")
     with pytest.raises(WordError):
         goldman_bracket(torus.word("a"), genus2.word("a"))
+
+
+def test_equal_keys_on_different_surfaces_differ(torus, genus2):
+    a, b = torus.word("a"), genus2.word("a")
+    assert a.key == b.key
+    assert a != b
+    assert len({a: 1, b: 2}) == 2
 
 
 def test_same_surface_different_instances(torus, data_path):
@@ -235,12 +247,7 @@ def reference_reduce(letters):
 
 
 def reference_canonical(graph, letters):
-    reduced = reference_reduce(letters)
-    if not reduced:
-        return ()
-    toks = [graph.token(x) for x in reduced]
-    best = min(range(len(reduced)), key=lambda r: toks[r:] + toks[:r])
-    return reduced[best:] + reduced[:best]
+    return min_rotation(graph, reference_reduce(letters))
 
 
 def reference_format(combo):
@@ -318,3 +325,60 @@ def test_long_word_bracket_laws(genus2):
 
 def test_jacobi_fuzz_long_words(genus2):
     assert jacobi_fuzz(genus2, trials=15, max_len=16, seed=5) is None
+
+
+def reference_pairs(graph, rng):
+    """Random pairs of 1-40 letters; pairs where v starts with a run of
+    w^-, so the strands cancel where the term joins them; and pairs where v
+    holds all of w^-, so that a whole word can cancel."""
+    pairs = []
+    for _ in range(25):
+        w = random_reduced_cyclic_word(graph, rng, 40).letters
+        v = random_reduced_cyclic_word(graph, rng, 40).letters
+        r = rng.randrange(len(w))
+        inv = tuple(-x for x in reversed(w[r:] + w[:r]))
+        pairs.append((w, v))
+        pairs.append((w, inv[: rng.randint(1, len(inv))] + v[: rng.randint(0, 6)]))
+        pairs.append((w, inv + v[: rng.randint(1, 3)]))
+    return pairs
+
+
+def test_bracket_matches_reference(torus, genus2, annulus):
+    # the library cuts the k letters that cancel where the term joins the
+    # strands, and reduces the whole term only when k reaches a word's length
+    joins = whole = 0
+    for graph in (genus2, torus, annulus):
+        rng = random.Random(31)
+        for w, v in reference_pairs(graph, rng):
+            w, v = reference_canonical(graph, w), reference_canonical(graph, v)
+            if not v:
+                continue
+            want = reference_bracket(graph, w, v)
+            got = goldman_bracket(CyclicWord(graph, w), CyclicWord(graph, v))
+            assert format_combo(got) == format_letter_combo(graph, want), (w, v)
+            lengths = [len(term) for term in want]
+            joins += any(n < len(w) + len(v) for n in lengths)
+            whole += any(n <= abs(len(w) - len(v)) for n in lengths)
+    assert joins >= 100 and whole >= 20, (joins, whole)
+    a, b = torus.word("a"), torus.word("a^- b")
+    assert goldman_bracket(a, b) == {torus.word("b"): 1}
+
+
+def test_traced_commands_read_words(data_path):
+    # bench/tracing.py counts the letters handed to CyclicWord.__init__ and
+    # reads .letters of both bracket arguments; a traced run must not fail
+    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+    torus = data_path("torus.fat")
+    script = (
+        f"import sys; sys.path.insert(0, {bench!r})\n"
+        "import tracing\n"
+        "from loopspace import cli\n"
+        "tracer = tracing.install()\n"
+        f"codes = [cli.main(['goldman', '--surface', {torus!r}, '--a', 'a b', '--b', 'b']),\n"
+        f"         cli.main(['jacobi-fuzz', '--surface', {torus!r}, '--trials', '4'])]\n"
+        "print(codes, tracer.counts['goldman.CyclicWord.calls'])\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "[0, 0] 14"

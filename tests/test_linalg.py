@@ -207,6 +207,18 @@ def test_matrix_slice_roundtrip():
     assert mul(dense, [[2], [0], [4]]) == [[2], [2]]
 
 
+def test_integer_entries_become_fractions():
+    # elimination divides by leading entries, so an int must be wrapped
+    # first; an entry that already is a Fraction is kept as it is
+    half = Fraction(1, 2)
+    sl = MatrixSlice(1, 2, {(0, 0): 3, (0, 1): half})
+    assert type(sl.entries[(0, 0)]) is Fraction
+    assert sl.entries[(0, 1)] is half
+    coords = solve_coords([[3, 0], [0, 7]], [1, 1])
+    assert coords == [Fraction(1, 3), Fraction(1, 7)]
+    assert all(type(c) is Fraction for c in coords)
+
+
 def test_span_tracker_selects_independent_vectors():
     tr = SpanTracker(3)
     assert tr.add([1, 0, 0])
