@@ -1,10 +1,14 @@
 """Golden reports: the sha256 of stdout and the exit code of a fixed slice
-of `betti` and `gysin` commands on the four model fixtures.
+of `betti` and `gysin` commands on the four model fixtures, and of
+`verify string-brackets` and `verify coderivations` on the two
+marked-point structure files and on one mutant of the torus file.
 
-The digests were recorded before the sparse derivation and chain-map
-kernels replaced GradedElement arithmetic on the homology path, so any
-change to the report bytes of these commands fails here.  Regenerate a
-digest only for a deliberate report change, and say why.
+The betti and gysin digests were recorded before the sparse derivation
+and chain-map kernels replaced GradedElement arithmetic on the homology
+path; the verify digests before the marked-point and coderivation checks
+returned one CheckReport and evaluated each operation once.  Any change to
+the report bytes of these commands fails here.  Regenerate a digest only
+for a deliberate report change, and say why.
 """
 
 import hashlib
@@ -48,3 +52,79 @@ def test_golden_report(key, digest, data_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (what, structure file, extra options, exit code, digest)
+VERIFY_GOLDEN = [
+    ("string-brackets", "circle.struct", "", 0,
+     "255c37f4dca0621cb8ae5787e1ccd0ab993b0f03757e5e648f243931998d4085"),
+    ("string-brackets", "circle.struct", "--arities 2,3,4", 0,
+     "255c37f4dca0621cb8ae5787e1ccd0ab993b0f03757e5e648f243931998d4085"),
+    ("string-brackets", "torus_bracket.struct", "", 0,
+     "ddee7b4edc5497546f4a66a401447a5740378331b63a5fedfe07a8e00a63f14d"),
+    ("string-brackets", "torus_bracket.struct", "--arities 2,3,4", 0,
+     "ddee7b4edc5497546f4a66a401447a5740378331b63a5fedfe07a8e00a63f14d"),
+    ("coderivations", "circle.struct", "", 0,
+     "c889fa04a5a4d094f5ffe06a67930a7c98339774b50e266bd63885cc44a2589e"),
+    ("coderivations", "circle.struct", "--arities 2,3,4", 0,
+     "60f38a2e3eda9f5ceaa593579bb571f7a24026bbf4429257d9aaa5047cb1a292"),
+    ("coderivations", "circle.struct", "--arities 3", 0,
+     "abda1ea8940b3b4cf2b96e679586818cebb8480561d8dd267744353197d25e41"),
+    ("coderivations", "circle.struct", "--arities 2", 0,
+     "47365e2fc517892d3ade4fa6cde29215876b7ea88de44e31f5e1ccf868e6bf53"),
+    ("coderivations", "circle.struct", "--word-len 5", 0,
+     "dd276ea5ba5cee4db0a540924091fd961551f2a82da7800521f6e72a84d6080d"),
+    ("coderivations", "torus_bracket.struct", "", 0,
+     "c889fa04a5a4d094f5ffe06a67930a7c98339774b50e266bd63885cc44a2589e"),
+    ("coderivations", "torus_bracket.struct", "--arities 2,3,4", 0,
+     "60f38a2e3eda9f5ceaa593579bb571f7a24026bbf4429257d9aaa5047cb1a292"),
+    ("coderivations", "torus_bracket.struct", "--arities 3", 0,
+     "abda1ea8940b3b4cf2b96e679586818cebb8480561d8dd267744353197d25e41"),
+    ("coderivations", "torus_bracket.struct", "--word-len 5", 0,
+     "dd276ea5ba5cee4db0a540924091fd961551f2a82da7800521f6e72a84d6080d"),
+    ("string-brackets", "symmetry mutant", "", 1,
+     "a492cc15b45868c1c3afbde02e12301b1386aecd17a2d8635e0cc34188e371bf"),
+    ("coderivations", "symmetry mutant", "", 1,
+     "c8dd9207c62f1f00e104d49ca098dc7e12dfa16e2b17cc55c8a9e6f486343899"),
+]
+
+# The torus file with one degree -3 class Z = Y_1_1 * X_0_1 that erases to
+# T: the bracket is unchanged, but the arity-3 operation takes
+# (S_1_0, S_0_1, S_0_1) to T, and an odd input repeated must give zero.
+SYMMETRY_MUTANT = (
+    "basis Z -3\n"
+    "sbasis T -3\n"
+    "product Y_1_1 X_0_1 = Z\n"
+    "E Z = T\n"
+)
+
+
+def _write_mutant(data_path, tmp_path):
+    with open(data_path("torus_bracket.struct"), encoding="utf-8") as fh:
+        text = fh.read() + SYMMETRY_MUTANT
+    path = tmp_path / "mutant.struct"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "what, structure, options, code, digest", VERIFY_GOLDEN,
+    ids=[" ".join(filter(None, row[:3])) for row in VERIFY_GOLDEN],
+)
+def test_golden_verify_report(what, structure, options, code, digest,
+                              data_path, tmp_path, capsys):
+    if structure == "symmetry mutant":
+        path = _write_mutant(data_path, tmp_path)
+    else:
+        path = data_path(structure)
+    assert main(["verify", what, "--structure", str(path), *options.split()]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_symmetry_mutant_witness(data_path, tmp_path, capsys):
+    path = _write_mutant(data_path, tmp_path)
+    assert main(["verify", "string-brackets", "--structure", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5] == ("check inputs are graded symmetric: "
+                        "FAIL op(S_0_1 S_1_0 S_0_1) = -T, expected 0")
