@@ -14,7 +14,6 @@ from .gca import (
     ElementSyntaxError,
     GradedAlgebra,
     GradedElement,
-    graded_commutator,
 )
 from .models import MinimalModel, loop_model, based_complex, equivariant_model
 
@@ -24,7 +23,6 @@ __all__ = [
     "ElementSyntaxError",
     "GradedAlgebra",
     "GradedElement",
-    "graded_commutator",
     "MinimalModel",
     "loop_model",
     "based_complex",

@@ -80,6 +80,15 @@ class CheckReport:
     def ok(self):
         return all(w is None for _, w in self.lines)
 
+    def agree(self, first, first_holds, second, second_holds):
+        """The "formulations agree" line for two forms of one condition,
+        named first and second: a pass when both hold or both fail."""
+        verdict = {True: "holds", False: "fails"}
+        return self.add("formulations agree", None if first_holds == second_holds else (
+            f"{first} form {verdict[first_holds]}, "
+            f"{second} form {verdict[second_holds]}"
+        ))
+
     def failures(self):
         return [(l, w) for l, w in self.lines if w is not None]
 

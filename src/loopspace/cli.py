@@ -20,7 +20,6 @@ import os
 import sys
 import tempfile
 
-from .checks import CheckReport
 from .coderivations import coderivation_relations, jacobi_coderivation_equiv
 from .gca import AlgebraError
 from .goldman import (
@@ -183,11 +182,8 @@ def _cmd_verify(args):
         return sb.checks.text(), 1
     reps = {k: sb.reps[k] for k in arities}
     ss = table.string_space
-    pairs = coderivation_relations(reps, args.word_len, names=ss.names)
-    pairs += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len)
-    rep = CheckReport()
-    for label, witness in pairs:
-        rep.add(label, witness)
+    rep = coderivation_relations(reps, args.word_len, ss.names)
+    rep.lines += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len).lines
     return rep.text(), 0 if rep.ok else 1
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .checks import BRACKET_LAWS, Tabulation, add_into, ksign
+from .checks import BRACKET_LAWS, CheckReport, Tabulation, add_into, ksign
 
 __all__ = [
     "wedge_sort",
@@ -133,8 +133,6 @@ def coproduct(word, sdegs):
 def _render_word(word, names):
     if not word:
         return "1"
-    if names is None:
-        return " ".join(str(i) for i in word)
     return " ".join(names[i] for i in word)
 
 
@@ -176,11 +174,14 @@ def _residue_witness(words, residue, names):
     return None
 
 
-def coderivation_relations(reps, word_len, names=None, lambda_sets=None):
+def coderivation_relations(reps, word_len, names):
     """Quadratic relations between the arity components, on all canonical
-    words up to the given length.  Returns ordered (label, witness) pairs,
-    witness None on a pass; all relations are evaluated even after a
-    failure so the caller sees the full pattern.
+    words up to the given length, as a CheckReport; names renders basis
+    indices.  Every relation is evaluated even after a failure, so the
+    caller sees the full pattern.
+
+    The total coderivation is checked for each arity on its own and, when
+    there are several, for all of them together.
     """
     ks = sorted(reps)
     if not ks:
@@ -190,6 +191,7 @@ def coderivation_relations(reps, word_len, names=None, lambda_sets=None):
         if reps[k].sdegs != sdegs:
             raise ValueError("components disagree on shifted degrees")
     words = _words(sdegs, word_len)
+    upto = f"on words up to length {word_len}"
     # Each component's image of each word is computed once; the memos are
     # bounded by the words up to word_len and are dropped when this call
     # returns.  Coproducts are recomputed instead of kept: on nine letters
@@ -205,40 +207,33 @@ def coderivation_relations(reps, word_len, names=None, lambda_sets=None):
             return acc
         return _residue_witness(words, residue, names)
 
-    lines = []
+    def total(combo):
+        out = {}
+        for k in ks:
+            add_into(out, _extend(image[k], combo))
+        return out
+
+    def total_label(chosen):
+        return (f"total coderivation for arities {{{','.join(map(str, chosen))}}} "
+                f"squares to zero {upto}")
+
+    rep = CheckReport()
+    squares = {k: composite(k, k) for k in ks}
     for k in ks:
-        lines.append((f"m{k} squares to zero on words up to length {word_len}",
-                      composite(k, k)))
+        rep.add(f"m{k} squares to zero {upto}", squares[k])
     for a, b in itertools.combinations(ks, 2):
-        lines.append(
-            (f"m{a} and m{b} anticommute on words up to length {word_len}",
-             composite(a, b, flip=True))
-        )
-    if lambda_sets is None:
-        lambda_sets = [{k} for k in ks]
-        if len(ks) > 1:
-            lambda_sets.append(set(ks))
-    for lam in lambda_sets:
-        chosen = sorted(lam)
-        label = ("total coderivation for arities "
-                 f"{{{','.join(str(k) for k in chosen)}}} squares to zero "
-                 f"on words up to length {word_len}")
-
-        def total(combo):
-            out = {}
-            for k in chosen:
-                add_into(out, _extend(image[k], combo))
-            return out
-
-        lines.append((label, _residue_witness(
-            words, lambda word: total(total({word: 1})), names)))
+        rep.add(f"m{a} and m{b} anticommute {upto}", composite(a, b, flip=True))
+    # the total coderivation of one arity is that component composed with
+    # itself, so its residue is the square's
     for k in ks:
-        lines.append(
-            (f"m{k} is a coderivation for the unshuffle coproduct "
-             f"on words up to length {word_len}",
-             _coproduct_witness(image[k], sdegs, words, names))
-        )
-    return lines
+        rep.add(total_label([k]), squares[k])
+    if len(ks) > 1:
+        rep.add(total_label(ks), _residue_witness(
+            words, lambda word: total(total({word: 1})), names))
+    for k in ks:
+        rep.add(f"m{k} is a coderivation for the unshuffle coproduct {upto}",
+                _coproduct_witness(image[k], sdegs, words, names))
+    return rep
 
 
 def _coproduct_witness(image, sdegs, words, names):
@@ -278,8 +273,8 @@ def _coproduct_witness(image, sdegs, words, names):
 def jacobi_coderivation_equiv(space, bracket, word_len):
     """Two renderings of the same condition: the bracket satisfies the
     graded Jacobi identity iff its shifted symmetric form, extended as a
-    coderivation, squares to zero.  Returns ordered (label, witness) pairs
-    including an agreement line for the two verdicts.
+    coderivation, squares to zero.  Returns a CheckReport with both
+    verdicts and a line recording that they agree.
 
     space is the graded basis with unshifted degrees; bracket maps a name
     pair to a name-keyed combination.  The bracket must already be graded
@@ -295,7 +290,8 @@ def jacobi_coderivation_equiv(space, bracket, word_len):
             "bracket is not graded antisymmetric; "
             "its symmetric shifted form does not exist"
         )
-    jac = tab.witness(jacobi)
+    rep = CheckReport()
+    direct = rep.add(jacobi, tab.witness(jacobi))
     names = space.names
     sdegs = tuple(tab.deg[a] + 1 for a in names)
     index = {a: i for i, a in enumerate(names)}
@@ -306,16 +302,10 @@ def jacobi_coderivation_equiv(space, bracket, word_len):
         if combo:
             comps[i, j] = combo
     image = functools.cache(CoderivationRep(sdegs, 2, comps).apply_word)
-    sq = _residue_witness(
-        _words(sdegs, word_len), lambda word: _extend(image, image(word)), names)
-
-    agree = None
-    if (jac is None) != (sq is None):
-        agree = (f"direct form {'holds' if jac is None else 'fails'}, "
-                 f"coderivation form {'holds' if sq is None else 'fails'}")
-    return [
-        (jacobi, jac),
-        ("arity-2 coderivation squares to zero "
-         f"on words up to length {word_len}", sq),
-        ("formulations agree", agree),
-    ]
+    coderivation = rep.add(
+        f"arity-2 coderivation squares to zero on words up to length {word_len}",
+        _residue_witness(_words(sdegs, word_len),
+                         lambda word: _extend(image, image(word)), names),
+    )
+    rep.agree("direct", direct, "coderivation", coderivation)
+    return rep

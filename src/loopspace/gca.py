@@ -39,7 +39,6 @@ __all__ = [
     "GradedAlgebra",
     "GradedElement",
     "Derivation",
-    "graded_commutator",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -107,9 +106,6 @@ class GradedAlgebra:
         except KeyError:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
-    def is_odd(self, i):
-        return self.degrees[i] % 2 == 1
-
     def first_nonzero(self, op):
         """First generator g, in generator order, with op(g) nonzero, as
         (name, op(g)); None when op vanishes on every generator."""
@@ -130,15 +126,6 @@ class GradedAlgebra:
     def gen(self, name):
         i = self.index(name)
         return GradedElement(self, {((i, 1),): Fraction(1)})
-
-    def element(self, terms):
-        """Build an element from a mapping monomial -> coefficient."""
-        out = {}
-        for mono, c in terms.items():
-            c = Fraction(c)
-            if c:
-                out[mono] = out.get(mono, Fraction(0)) + c
-        return GradedElement(self, {m: c for m, c in out.items() if c})
 
     # -- monomials ---------------------------------------------------------
 
@@ -310,7 +297,7 @@ class GradedAlgebra:
                     p += 1
                 if e:
                     mono = mono * GradedElement(self, {((i, e),): Fraction(1)}) \
-                        if not (self.is_odd(i) and e > 1) else self.zero()
+                        if not (self._odd[i] and e > 1) else self.zero()
                 prev_numeric = False
             else:
                 raise ElementSyntaxError(
@@ -364,15 +351,6 @@ class GradedElement:
 
     def degrees(self):
         return sorted({self.algebra.monomial_degree(m) for m in self.terms})
-
-    def degree(self):
-        """The degree of a homogeneous element; None for zero (every degree)."""
-        ds = self.degrees()
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise AlgebraError(f"element is not homogeneous: degrees {ds}")
-        return ds[0]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -539,24 +517,3 @@ class Derivation:
             f"{self.algebra.names[i]} -> {v}" for i, v in sorted(self._values.items())
         )
         return f"Derivation(deg {self.degree}; {body})"
-
-
-def graded_commutator(d1, d2):
-    """The graded commutator of two derivations, itself a derivation.
-
-    g -> D1(D2(g)) - (-1)^{deg(D1) deg(D2)} D2(D1(g)), of degree
-    deg(D1)+deg(D2).  For two odd-degree derivations this is the
-    anticommutator: graded_commutator(d, delta) computes d∘delta + delta∘d,
-    and graded_commutator(d, d) computes 2·(d∘d).
-    """
-    if d1.algebra != d2.algebra:
-        raise AlgebraError("derivations live in different algebras")
-    alg = d1.algebra
-    sign = -1 if (d1.degree % 2 and d2.degree % 2) else 1
-    values = {}
-    for name in alg.names:
-        g = alg.gen(name)
-        v = d1(d2(g)) - sign * d2(d1(g))
-        if v:
-            values[name] = v
-    return Derivation(alg, d1.degree + d2.degree, values, check=False)

@@ -162,11 +162,10 @@ class LoopModel:
     """Model of the free loop space: original and barred generators, the
     extended differential, and the degree -1 rotation operator."""
 
-    def __init__(self, algebra, d, delta, base):
+    def __init__(self, algebra, d, delta):
         self.algebra = algebra
         self.d = d
         self.delta = delta
-        self.base = base
         self.complex = CochainComplex(algebra, d, name="loop")
 
 
@@ -191,7 +190,7 @@ def loop_model(model):
         d_values[n] = val
         d_values[_bar_name(n)] = -delta(val)
     d = Derivation(algebra, 1, d_values)
-    return LoopModel(algebra, d, delta, model)
+    return LoopModel(algebra, d, delta)
 
 
 def based_complex(model):

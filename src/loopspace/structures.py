@@ -11,6 +11,7 @@ with the first offending tuple spelled out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -123,7 +124,10 @@ class BasisSpace:
             coeff_text, name = m.groups()
             if name not in self._degrees:
                 raise StructureError(f"{where}: unknown basis name {name!r}")
-            coeff = Fraction(re.sub(r"\s", "", coeff_text)) if coeff_text else Fraction(1)
+            try:
+                coeff = Fraction(re.sub(r"\s", "", coeff_text)) if coeff_text else Fraction(1)
+            except ZeroDivisionError:
+                raise StructureError(f"{where}: zero denominator in {tok!r}") from None
             add_into(out, {name: coeff}, sign)
             sign = 1
             state = "after_term"
@@ -173,15 +177,6 @@ class StructureTable:
     def delta_of(self, combo):
         return apply_map(self.delta or {}, combo)
 
-    def erase_of(self, combo):
-        if self.erase is None:
-            raise StructureError("structure has no erasing table")
-        return apply_map(self.erase, combo)
-
-    def mark_of(self, combo):
-        if self.mark is None:
-            raise StructureError("structure has no marking table")
-        return apply_map(self.mark, combo)
 
 
 def parse_structure_file(text):
@@ -339,16 +334,8 @@ def check_bv(t):
     tab = Tabulation(sp, product=t.product, delta=t.delta)
     if not tab.add_laws(rep, PRODUCT_LAWS + ("delta squares to zero",)):
         return rep
-    w_first, w_second, w_seven = (tab.witness(label) for label in DEVIATION_LAWS)
-    for label, w in zip(DEVIATION_LAWS, (w_first, w_second, w_seven)):
-        rep.add(label, w)
-    derivation_ok = w_first is None and w_second is None
-    seven_ok = w_seven is None
-    agree = None if derivation_ok == seven_ok else (
-        f"derivation form {'holds' if derivation_ok else 'fails'}, "
-        f"seven-term form {'holds' if seven_ok else 'fails'}"
-    )
-    rep.add("formulations agree", agree)
+    first, second, seven = (rep.add(label, tab.witness(label)) for label in DEVIATION_LAWS)
+    rep.agree("derivation", first and second, "seven-term", seven)
     return rep
 
 
@@ -364,14 +351,15 @@ def derived_bracket(t):
 class StringBracketReport:
     """Outcome bundle: precondition and identity checks, the bracket table
     on the marked-point space, and the higher operations as coderivation
-    components keyed by basis index."""
+    components keyed by basis index.  Each table is filled in once the
+    checks before it pass."""
 
-    def __init__(self, checks, bracket, reps, bracket_lines, op_lines):
-        self.checks = checks
-        self.bracket = bracket
-        self.reps = reps
-        self.bracket_lines = bracket_lines
-        self.op_lines = op_lines
+    def __init__(self):
+        self.checks = CheckReport()
+        self.bracket = {}
+        self.reps = {}
+        self.bracket_lines = []
+        self.op_lines = []
 
     @property
     def ok(self):
@@ -387,6 +375,11 @@ def string_brackets(t, max_arity=3):
     Preconditions come first: every operator respects degrees, erasing a
     mark after marking gives zero, and marking after erasing is the basis
     rotation.  Only then are the operations themselves formed and tested.
+
+    The arity-k operation takes s1..sk to E(M(s1)...M(sk)).  Each of its
+    values is computed once and kept until this call returns; the memo
+    holds at most the n^2 + ... + n^max_arity input tuples, over the n
+    marked-point basis names, that the symmetry walk visits anyway.
     """
     if t.string_space is None or not t.string_space.names:
         raise StructureError("string bracket check needs an sbasis")
@@ -398,7 +391,8 @@ def string_brackets(t, max_arity=3):
         raise StructureError("max arity must be at least 2")
     sp = t.space
     ss = t.string_space
-    rep = CheckReport()
+    out = StringBracketReport()
+    rep = out.checks
 
     def degree_witness():
         w = _pair_degree_witness(sp, t.product, 0, "product")
@@ -411,21 +405,21 @@ def string_brackets(t, max_arity=3):
         return w
 
     if not rep.add("structure constants respect degrees", degree_witness()):
-        return StringBracketReport(rep, {}, {}, [], [])
+        return out
 
     def em_witness():
         for s in ss.names:
-            combo = t.erase_of(t.mark.get(s, {}))
+            combo = apply_map(t.erase, t.mark.get(s, {}))
             if combo:
                 return f"s={s}: E(M(s)) = {ss.render(combo)}"
         return None
 
     if not rep.add("mark then erase vanishes", em_witness()):
-        return StringBracketReport(rep, {}, {}, [], [])
+        return out
 
     def me_witness():
         for a in sp.names:
-            lhs = t.mark_of(t.erase.get(a, {}))
+            lhs = apply_map(t.mark, t.erase.get(a, {}))
             rhs = t.delta_of({a: 1})
             if lhs != rhs:
                 return (f"a={a}: M(E(a)) = {sp.render(lhs)}, "
@@ -433,30 +427,26 @@ def string_brackets(t, max_arity=3):
         return None
 
     if not rep.add("erase then mark equals delta", me_witness()):
-        return StringBracketReport(rep, {}, {}, [], [])
+        return out
 
     marked = {s: t.mark.get(s, {}) for s in ss.names}
     deg = ss.degree
 
-    bracket = {}
-    bracket_lines = []
-    for s1 in ss.names:
-        for s2 in ss.names:
-            combo = add_into(
-                {}, t.erase_of(t.mult(marked[s1], marked[s2])), ksign(deg(s1))
-            )
-            if combo:
-                bracket[(s1, s2)] = combo
-                bracket_lines.append(f"bracket {s1} {s2} = {ss.render(combo)}\n")
-
-    if not Tabulation(ss, bracket=bracket, shift=0).add_laws(rep, BRACKET_LAWS):
-        return StringBracketReport(rep, bracket, {}, bracket_lines, [])
-
+    @functools.cache
     def op_value(names):
         acc = marked[names[0]]
         for s in names[1:]:
             acc = t.mult(acc, marked[s])
-        return t.erase_of(acc)
+        return apply_map(t.erase, acc)
+
+    for pair in itertools.product(ss.names, repeat=2):
+        combo = add_into({}, op_value(pair), ksign(deg(pair[0])))
+        if combo:
+            out.bracket[pair] = combo
+            out.bracket_lines.append(f"bracket {' '.join(pair)} = {ss.render(combo)}\n")
+
+    if not Tabulation(ss, bracket=out.bracket, shift=0).add_laws(rep, BRACKET_LAWS):
+        return out
 
     def symmetry_witness():
         # inputs carry their marked degree, one more than the file degree;
@@ -476,20 +466,17 @@ def string_brackets(t, max_arity=3):
         return None
 
     if not rep.add("inputs are graded symmetric", symmetry_witness()):
-        return StringBracketReport(rep, bracket, {}, bracket_lines, [])
+        return out
 
     index = {n: i for i, n in enumerate(ss.names)}
     sdegs = tuple(deg(n) + 1 for n in ss.names)
-    reps = {}
-    op_lines = []
-
     for k in range(2, max_arity + 1):
         comps = {}
         for tup in wedge_words(len(ss.names), sdegs, k):
-            combo = op_value(tuple(ss.names[i] for i in tup))
+            names = tuple(ss.names[i] for i in tup)
+            combo = op_value(names)
             if combo:
                 comps[tup] = {index[n]: c for n, c in combo.items()}
-                names = " ".join(ss.names[i] for i in tup)
-                op_lines.append(f"m{k} {names} = {ss.render(combo)}\n")
-        reps[k] = CoderivationRep(sdegs, k, comps)
-    return StringBracketReport(rep, bracket, reps, bracket_lines, op_lines)
+                out.op_lines.append(f"m{k} {' '.join(names)} = {ss.render(combo)}\n")
+        out.reps[k] = CoderivationRep(sdegs, k, comps)
+    return out

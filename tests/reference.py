@@ -3,16 +3,17 @@
 The library applies derivations and chain maps through sparse
 {monomial: coefficient} image functions.  The helpers here build the same
 things the slow, obvious way, through GradedElement arithmetic, so the
-tests can compare the two; they also hold the chain-map combinators that
-only tests use.  The Goldman bracket is kept here too, on letter tuples:
-the library builds each term from slices of rank strings and cuts the
-letters that cancel where the two words join, while the reference reduces
-every whole concatenation and tries every rotation.
+tests can compare the two; they also hold the element constructor, the
+graded commutator and the chain-map combinators that only tests use.  The
+Goldman bracket is kept here too, on letter tuples: the library builds
+each term from slices of rank strings and cuts the letters that cancel
+where the two words join, while the reference reduces every whole
+concatenation and tries every rotation.
 """
 
 from fractions import Fraction
 
-from loopspace.gca import GradedElement
+from loopspace.gca import AlgebraError, Derivation, GradedElement
 from loopspace.goldman import cyclic_reduce
 from loopspace.homology import ChainMap, ChainMapError
 
@@ -97,11 +98,35 @@ def compose(outer, inner):
     )
 
 
+def algebra_element(alg, terms):
+    """The element of alg with the mapping monomial -> coefficient."""
+    return GradedElement(alg, {m: Fraction(c) for m, c in terms.items()})
+
+
 def element(cx, n, vec):
     """The element of cx with coordinate vector vec over basis(n)."""
-    return cx.algebra.element(
-        {m: c for m, c in zip(cx.algebra.basis(n), vec) if c}
-    )
+    return algebra_element(cx.algebra, dict(zip(cx.algebra.basis(n), vec)))
+
+
+def graded_commutator(d1, d2):
+    """The graded commutator of two derivations, itself a derivation.
+
+    g -> D1(D2(g)) - (-1)^{deg(D1) deg(D2)} D2(D1(g)), of degree
+    deg(D1)+deg(D2).  For two odd-degree derivations this is the
+    anticommutator: graded_commutator(d, delta) computes d∘delta + delta∘d,
+    and graded_commutator(d, d) computes 2·(d∘d).
+    """
+    if d1.algebra != d2.algebra:
+        raise AlgebraError("derivations live in different algebras")
+    alg = d1.algebra
+    sign = -1 if (d1.degree % 2 and d2.degree % 2) else 1
+    values = {}
+    for name in alg.names:
+        g = alg.gen(name)
+        v = d1(d2(g)) - sign * d2(d1(g))
+        if v:
+            values[name] = v
+    return Derivation(alg, d1.degree + d2.degree, values, check=False)
 
 
 def span_contains(tracker, vec):

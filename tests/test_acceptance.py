@@ -239,13 +239,8 @@ def test_coderivation_suite():
     torus = load_structure_file(_data("torus_bracket.struct"))
     out = string_brackets(torus, max_arity=3)
     ok = ok and out.ok
-    lines = coderivation_relations(
-        out.reps, 4, names=torus.string_space.names,
-        lambda_sets=[{2}, {2, 3}, {3}],
-    )
-    ok = ok and all(w is None for _, w in lines)
-    equiv = jacobi_coderivation_equiv(torus.string_space, out.bracket, 4)
-    ok = ok and all(w is None for _, w in equiv)
+    ok = ok and coderivation_relations(out.reps, 4, torus.string_space.names).ok
+    ok = ok and jacobi_coderivation_equiv(torus.string_space, out.bracket, 4).ok
     _verdict(
         "higher operations: circle brackets lawful, extension matches "
         "subset-sum oracle to length 4, relation and square-zero reports clean",

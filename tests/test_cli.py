@@ -289,3 +289,13 @@ def test_module_entry_betti(data_path):
     ]
     out = subprocess.run(cmd, capture_output=True, check=True)
     assert out.stdout == b"0\t1\n1\t1\n2\t1\n3\t1\n4\t1\n"
+
+
+@pytest.mark.parametrize("coeff", ["1/0", "0/0", "3 / 0"])
+def test_zero_denominator_exit_2(capsys, tmp_path, coeff):
+    path = tmp_path / "zero.struct"
+    path.write_text(f"basis a 1\nbasis b 2\nproduct a b = {coeff} b\n")
+    code, out, err = run(capsys, "verify", "bv", "--structure", str(path))
+    assert _one_error_line(code, out, err), err
+    assert err.startswith("error: line 3: "), err
+    assert "zero denominator" in err, err

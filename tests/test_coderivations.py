@@ -84,6 +84,7 @@ def extension_oracle(rep, word):
 
 
 SDEGS = (0, 1, 1, 2)  # two even letters, two odd
+SDEG_NAMES = ("0", "1", "2", "3")
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), max_size=7))
@@ -163,9 +164,9 @@ def torus_reps(data_path):
 
 def test_torus_relations_clean(torus_reps):
     t, out = torus_reps
-    lines = coderivation_relations(out.reps, word_len=4, names=t.string_space.names)
-    assert all(w is None for _, w in lines), lines
-    labels = [l for l, _ in lines]
+    rep = coderivation_relations(out.reps, word_len=4, names=t.string_space.names)
+    assert rep.ok, rep.text()
+    labels = [l for l, _ in rep.lines]
     assert "m2 squares to zero on words up to length 4" in labels
     assert "m2 and m3 anticommute on words up to length 4" in labels
     assert (
@@ -178,14 +179,33 @@ def test_torus_relations_clean(torus_reps):
     )
 
 
-def test_explicit_lambda_sets(torus_reps):
+def test_default_total_lines(torus_reps):
+    # one total per arity, then all arities together
     t, out = torus_reps
-    lines = coderivation_relations(
-        out.reps, word_len=3, lambda_sets=[{2}, {3}, {2, 3}]
-    )
-    totals = [l for l, _ in lines if l.startswith("total coderivation")]
-    assert len(totals) == 3
-    assert all(w is None for l, w in lines if l.startswith("total"))
+    rep = coderivation_relations(out.reps, word_len=3, names=t.string_space.names)
+    totals = [line for line in rep.lines if line[0].startswith("total coderivation")]
+    assert totals == [
+        (f"total coderivation for arities {{{arities}}} squares to zero "
+         "on words up to length 3", None)
+        for arities in ("2", "3", "2,3")
+    ]
+
+
+def test_single_arity_total_is_the_square():
+    # the total coderivation of one arity is that component composed with
+    # itself: on random components both lines fail with the same witness
+    rng = random.Random(7)
+    names = ("p", "q", "r", "s")
+    for trial in range(4):
+        rep = coderivation_relations(
+            {k: random_rep(rng, k) for k in (1, 2, 3)}, 3, names)
+        lines = dict(rep.lines)
+        for k in (1, 2, 3):
+            square = lines[f"m{k} squares to zero on words up to length 3"]
+            total = lines[f"total coderivation for arities {{{k}}} squares to zero "
+                          "on words up to length 3"]
+            assert total == square, (trial, k)
+        assert any(w is not None for w in lines.values())
 
 
 def perturbed_bracket(out):
@@ -200,19 +220,19 @@ def perturbed_bracket(out):
 
 def test_torus_jacobi_equivalence(torus_reps):
     t, out = torus_reps
-    lines = jacobi_coderivation_equiv(t.string_space, out.bracket, 3)
-    assert [l for l, _ in lines] == [
+    rep = jacobi_coderivation_equiv(t.string_space, out.bracket, 3)
+    assert [l for l, _ in rep.lines] == [
         "bracket satisfies the graded Jacobi identity",
         "arity-2 coderivation squares to zero on words up to length 3",
         "formulations agree",
     ]
-    assert all(w is None for _, w in lines), lines
+    assert rep.ok, rep.text()
 
 
 def test_perturbed_bracket_fails_both_ways(torus_reps):
     t, out = torus_reps
-    lines = jacobi_coderivation_equiv(t.string_space, perturbed_bracket(out), 3)
-    jac, sq, agree = (w for _, w in lines)
+    rep = jacobi_coderivation_equiv(t.string_space, perturbed_bracket(out), 3)
+    jac, sq, agree = (w for _, w in rep.lines)
     assert jac is not None
     assert sq is not None
     assert agree is None  # both formulations fail together
@@ -234,9 +254,8 @@ def test_jacobi_equiv_on_truncated_surface_bracket(data_path):
             if combo:
                 bracket[(name[u], name[v])] = combo
     space = BasisSpace((n, 0) for n in name.values())
-    lines = jacobi_coderivation_equiv(space, bracket, 3)
-    assert lines[2][0] == "formulations agree"
-    assert lines[2][1] is None
+    rep = jacobi_coderivation_equiv(space, bracket, 3)
+    assert rep.lines[2] == ("formulations agree", None)
 
 
 def test_jacobi_equiv_on_gl21():
@@ -261,8 +280,8 @@ def test_jacobi_equiv_on_gl21():
             if combo:
                 bracket[a, b] = combo
     assert bracket["E02", "E20"] == {"E00": 1, "E22": 1}
-    lines = jacobi_coderivation_equiv(BasisSpace(deg.items()), bracket, 3)
-    assert all(w is None for _, w in lines), lines
+    rep = jacobi_coderivation_equiv(BasisSpace(deg.items()), bracket, 3)
+    assert rep.ok, rep.text()
 
 
 def test_jacobi_equiv_input_errors():
@@ -272,11 +291,11 @@ def test_jacobi_equiv_input_errors():
     with pytest.raises(ValueError, match="not graded antisymmetric"):
         jacobi_coderivation_equiv(space, {("x", "x"): {"x": Fraction(1)}}, 3)
     with pytest.raises(ValueError, match="no coderivation components"):
-        coderivation_relations({}, 3)
+        coderivation_relations({}, 3, ())
     a = CoderivationRep((0,), 1, {})
     b = CoderivationRep((1,), 1, {})
     with pytest.raises(ValueError, match="disagree on shifted degrees"):
-        coderivation_relations({1: a, 2: b}, 3)
+        coderivation_relations({1: a, 2: b}, 3, ("x",))
 
 
 def _m3_mutant(out):
@@ -308,8 +327,8 @@ M3_MUTANT_LINES = [
 
 def test_m3_mutant_relation_witnesses(torus_reps):
     t, out = torus_reps
-    lines = coderivation_relations(_m3_mutant(out), 4, names=t.string_space.names)
-    assert lines == M3_MUTANT_LINES
+    rep = coderivation_relations(_m3_mutant(out), 4, names=t.string_space.names)
+    assert rep.lines == M3_MUTANT_LINES
 
 
 @pytest.mark.parametrize("mutant_first", [False, True])
@@ -321,21 +340,21 @@ def test_clean_and_mutated_reps_back_to_back(torus_reps, mutant_first):
     if mutant_first:
         runs.reverse()
     for reps, want in runs + runs:
-        assert coderivation_relations(reps, 4, names=names) == want
+        assert coderivation_relations(reps, 4, names=names).lines == want
 
 
 def test_perturbed_bracket_witnesses(torus_reps):
     # the Jacobi line names the first failing triple in (a, b, c) order
     t, out = torus_reps
     bracket = perturbed_bracket(out)
-    assert jacobi_coderivation_equiv(t.string_space, bracket, 4) == [
+    assert jacobi_coderivation_equiv(t.string_space, bracket, 4).lines == [
         ("bracket satisfies the graded Jacobi identity",
          "a=S_0_1, b=S_1_0, c=S_2_0: [a,[b,c]] = 0, expected 4*S_2_2"),
         ("arity-2 coderivation squares to zero on words up to length 4",
          "word S_0_1 S_1_0 S_2_0: residue 4*(S_2_2)"),
         ("formulations agree", None),
     ]
-    assert jacobi_coderivation_equiv(t.string_space, bracket, 3)[1] == (
+    assert jacobi_coderivation_equiv(t.string_space, bracket, 3).lines[1] == (
         "arity-2 coderivation squares to zero on words up to length 3",
         "word S_0_1 S_1_0 S_2_0: residue 4*(S_2_2)",
     )
@@ -359,7 +378,7 @@ def test_jacobi_witness_is_the_string_bracket_line(data_path, torus_reps):
     [line] = mutated.checks.failures()
     assert line[1].startswith("a=S_0_1, b=S_1_0, c=S_2_0: ")
     equiv = jacobi_coderivation_equiv(t.string_space, mutated.bracket, 4)
-    assert equiv[0] == line
+    assert equiv.lines[0] == line
 
 
 def test_random_reps_are_coderivations():
@@ -368,7 +387,7 @@ def test_random_reps_are_coderivations():
     rng = random.Random(31)
     for trial in range(6):
         reps = {k: random_rep(rng, k) for k in (1, 2, 3)}
-        for label, witness in coderivation_relations(reps, 4):
+        for label, witness in coderivation_relations(reps, 4, SDEG_NAMES).lines:
             if "unshuffle coproduct" in label:
                 assert witness is None, (trial, label, witness)
 
@@ -378,8 +397,8 @@ def test_broken_extension_is_not_a_coderivation(torus_reps, monkeypatch):
     # the coproduct line must fail rather than pass by default
     t, out = torus_reps
     monkeypatch.setattr(coderivations, "front_sign", lambda *args: 1)
-    lines = coderivation_relations({2: out.reps[2]}, 4, names=t.string_space.names)
-    assert lines[-1] == (
+    rep = coderivation_relations({2: out.reps[2]}, 4, names=t.string_space.names)
+    assert rep.lines[-1] == (
         "m2 is a coderivation for the unshuffle coproduct on words up to length 4",
         "word S_0_1 S_0_2 S_1_0 at (S_0_2 | S_1_1): lhs 1, rhs -1",
     )

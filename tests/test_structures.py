@@ -7,6 +7,7 @@ from conftest import circle_structure
 
 from loopspace.structures import (
     BasisSpace,
+    StructureTable,
     StructureError,
     StructureFileError,
     check_bv,
@@ -53,6 +54,9 @@ def test_parse_combo_errors():
         space.parse_combo("3")  # bare numeral: only 0 stands alone
     with pytest.raises(StructureError, match="empty combination"):
         space.parse_combo("  ")
+    for coeff in ("1/0", "0/0"):
+        with pytest.raises(StructureError, match="zero denominator"):
+            space.parse_combo(f"{coeff} T_1")
 
 
 def test_structure_file_presence_semantics():
@@ -203,6 +207,23 @@ def test_torus_bracket_higher_ops_vanish(torus_bracket):
     # arity 2 carries the bracket, reindexed and shifted
     rep2 = out.reps[2]
     assert any(combo for combo in rep2.comps.values())
+
+
+def test_each_operation_evaluated_once(torus_bracket, monkeypatch):
+    # an arity-2 value costs one product, an arity-3 value one more on top
+    # of its memoised prefix; the walk visits at most n^2 + n^3 tuples
+    calls = []
+    mult = StructureTable.mult
+
+    def counted(self, ca, cb):
+        calls.append(1)
+        return mult(self, ca, cb)
+
+    monkeypatch.setattr(StructureTable, "mult", counted)
+    out = string_brackets(torus_bracket, max_arity=3)
+    assert out.ok
+    n = len(torus_bracket.string_space.names)
+    assert len(calls) <= n ** 2 + 2 * n ** 3, len(calls)
 
 
 def test_string_brackets_requirements(circle):
