@@ -183,7 +183,7 @@ def _cmd_verify(args):
     reps = {k: sb.reps[k] for k in arities}
     ss = table.string_space
     rep = coderivation_relations(reps, args.word_len, ss.names)
-    rep.lines += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len).lines
+    rep.lines += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len, rep).lines
     return rep.text(), 0 if rep.ok else 1
 
 

@@ -164,6 +164,10 @@ def _extend(image, combo):
     return out
 
 
+def _square_label(k, word_len):
+    return f"m{k} squares to zero on words up to length {word_len}"
+
+
 def _residue_witness(words, residue, names):
     """The first word with a nonzero residue, rendered; None if none."""
     for word in words:
@@ -220,7 +224,7 @@ def coderivation_relations(reps, word_len, names):
     rep = CheckReport()
     squares = {k: composite(k, k) for k in ks}
     for k in ks:
-        rep.add(f"m{k} squares to zero {upto}", squares[k])
+        rep.add(_square_label(k, word_len), squares[k])
     for a, b in itertools.combinations(ks, 2):
         rep.add(f"m{a} and m{b} anticommute {upto}", composite(a, b, flip=True))
     # the total coderivation of one arity is that component composed with
@@ -270,7 +274,7 @@ def _coproduct_witness(image, sdegs, words, names):
     return None
 
 
-def jacobi_coderivation_equiv(space, bracket, word_len):
+def jacobi_coderivation_equiv(space, bracket, word_len, relations=None):
     """Two renderings of the same condition: the bracket satisfies the
     graded Jacobi identity iff its shifted symmetric form, extended as a
     coderivation, squares to zero.  Returns a CheckReport with both
@@ -280,6 +284,13 @@ def jacobi_coderivation_equiv(space, bracket, word_len):
     pair to a name-keyed combination.  The bracket must already be graded
     antisymmetric, else the symmetric form does not exist and a ValueError
     is raised.
+
+    relations is the report of coderivation_relations, on the same names
+    and word length, for the operations string_brackets derived with this
+    bracket, when the caller has one.  The symmetric form is then that m2
+    (the bracket is m2 times ksign(deg), and ksign(deg)^2 = 1), so a
+    report with an m2 line lends its witness and the words are not walked
+    again.
     """
     if word_len < 3:
         raise ValueError("need words of length at least 3 to see the Jacobi identity")
@@ -292,20 +303,26 @@ def jacobi_coderivation_equiv(space, bracket, word_len):
         )
     rep = CheckReport()
     direct = rep.add(jacobi, tab.witness(jacobi))
-    names = space.names
-    sdegs = tuple(tab.deg[a] + 1 for a in names)
-    index = {a: i for i, a in enumerate(names)}
-    comps = {}
-    for i, j in wedge_words(len(names), sdegs, 2):
-        sign = ksign(tab.deg[names[i]])
-        combo = {index[x]: sign * c for x, c in tab.br[names[i], names[j]].items()}
-        if combo:
-            comps[i, j] = combo
-    image = functools.cache(CoderivationRep(sdegs, 2, comps).apply_word)
+    known = dict(relations.lines) if relations is not None else {}
+    label = _square_label(2, word_len)
+    if label in known:
+        square = known[label]
+    else:
+        names = space.names
+        sdegs = tuple(tab.deg[a] + 1 for a in names)
+        index = {a: i for i, a in enumerate(names)}
+        comps = {}
+        for i, j in wedge_words(len(names), sdegs, 2):
+            sign = ksign(tab.deg[names[i]])
+            combo = {index[x]: sign * c for x, c in tab.br[names[i], names[j]].items()}
+            if combo:
+                comps[i, j] = combo
+        image = functools.cache(CoderivationRep(sdegs, 2, comps).apply_word)
+        square = _residue_witness(_words(sdegs, word_len),
+                                  lambda word: _extend(image, image(word)), names)
     coderivation = rep.add(
         f"arity-2 coderivation squares to zero on words up to length {word_len}",
-        _residue_witness(_words(sdegs, word_len),
-                         lambda word: _extend(image, image(word)), names),
+        square,
     )
     rep.agree("direct", direct, "coderivation", coderivation)
     return rep

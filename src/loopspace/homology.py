@@ -8,10 +8,13 @@ and the matrices that chain maps induce on cohomology.
 Derivations and chain maps enter as sparse image functions: a monomial goes
 to a {monomial: coefficient} dict (``Derivation.image``, ``ChainMap.image``).
 Slices, the chain condition and induced maps are built from those dicts,
-accumulated through ``checks.add_into``.  Each image is computed when it is
-needed and none is stored, for the peak-memory reason given in ``gca``.  The
-slices themselves are cached per degree, and the elimination pass that finds
-the cocycles of a degree also records its rank.
+accumulated through ``checks.add_into``.  No image is memoised, for the
+peak-memory reason given in ``gca``: the differential's images live on only
+as the slices, which are cached per degree, and the chain condition holds a
+map's columns for two degrees at a time and reads both differentials from
+the slices.  The elimination pass that finds the cocycles of a degree also
+records its rank, and each degree's cohomology keeps its representatives
+and the solver that induced maps read coordinates from.
 
 Representative convention: the cohomology basis in degree n consists of the
 first kernel vectors (in kernel_basis order) that enlarge the span of the
@@ -63,6 +66,7 @@ class CochainComplex:
         self._slices = {}
         self._ranks = {}
         self._reps = {}
+        self._solvers = {}
 
     def check_differential(self):
         """First generator on which d(d(g)) is nonzero, as (name, d(d(g))),
@@ -140,6 +144,17 @@ class CochainComplex:
             self._reps[n] = reps
         return self._reps[n]
 
+    def solver(self, n):
+        """column_solver over the representatives and then the boundaries
+        of degree n, so the leading coordinates of a cocycle are its class.
+        Factored on the first call and kept beside the representatives: a
+        complex holds one solver per degree asked."""
+        if n not in self._solvers:
+            self._solvers[n] = column_solver(
+                self.cohomology(n) + self.boundary_columns(n), self.dim(n)
+            )
+        return self._solvers[n]
+
 
 class BettiTable:
     """Betti numbers of a complex through a degree cutoff."""
@@ -210,23 +225,52 @@ class ChainMap:
         return cls(src, tgt, deriv.degree, deriv.image, name=name)
 
 
+def _columns(f, n):
+    """f on basis(n) of its source, as sparse {index: coefficient} columns
+    over basis(n + degree) of its target."""
+    index = {m: i for i, m in enumerate(f.tgt.algebra.basis(n + f.degree))}
+    cols = []
+    for mono in f.src.algebra.basis(n):
+        img = f.image(mono)
+        if not img.keys() <= index.keys():
+            raise ChainMapError(
+                f"{f.name or 'map'}: image of a degree-{n} monomial has a "
+                f"term outside degree {n + f.degree}"
+            )
+        cols.append({index[m]: c for m, c in img.items()})
+    return cols
+
+
 def verify_chain_map(f, cutoff):
     """First monomial (degree <= cutoff) where the chain condition fails,
     as (degree, monomial, lhs, rhs) with both sides as elements of the
-    target algebra; None when the map is a chain map."""
+    target algebra; None when the map is a chain map.
+
+    f is evaluated once per basis monomial, into the columns F_n of one
+    degree, and only F_n and F_{n+1} are held.  Column by column, in basis
+    order, D_tgt F_n is compared with (-1)^degree F_{n+1} D_src, both
+    differentials read from the cached slices of the two complexes.
+    """
     sign = -1 if f.degree % 2 else 1
-    image, d_src, d_tgt = f.image, f.src.diff.image, f.tgt.diff.image
+    src, tgt = f.src, f.tgt
+    nxt = _columns(f, 0)
     for n in range(cutoff + 1):
-        for mono in f.src.algebra.basis(n):
-            lhs = {}
-            for m, c in image(mono).items():
-                add_into(lhs, d_tgt(m), c)
-            rhs = {}
-            for m, c in d_src(mono).items():
-                add_into(rhs, image(m), sign * c)
+        cur, nxt = nxt, _columns(f, n + 1)
+        d_tgt = tgt.slice(n + f.degree).column_vectors()
+        d_src = src.slice(n).column_vectors()
+        for j, mono in enumerate(src.algebra.basis(n)):
+            lhs, rhs = {}, {}
+            for i, c in cur[j].items():
+                add_into(lhs, d_tgt[i], c)
+            for k, c in d_src[j].items():
+                add_into(rhs, nxt[k], sign * c)
             if lhs != rhs:
-                alg = f.tgt.algebra
-                return (n, mono, GradedElement(alg, lhs), GradedElement(alg, rhs))
+                basis = tgt.algebra.basis(n + f.degree + 1)
+                lhs, rhs = (
+                    GradedElement(tgt.algebra, {basis[i]: c for i, c in side.items()})
+                    for side in (lhs, rhs)
+                )
+                return (n, mono, lhs, rhs)
     return None
 
 
@@ -256,8 +300,7 @@ def induced_map(f, n):
     src, tgt = f.src, f.tgt
     t = n + f.degree
     src_reps = src.cohomology(n)
-    tgt_reps = tgt.cohomology(t) if t >= 0 else []
-    solve = column_solver(tgt_reps + tgt.boundary_columns(t), tgt.dim(t))
+    tgt_reps = tgt.cohomology(t)
     mat = [[Fraction(0)] * len(src_reps) for _ in range(len(tgt_reps))]
     basis = src.algebra.basis(n)
     for j, vec in enumerate(src_reps):
@@ -271,7 +314,7 @@ def induced_map(f, n):
                     f"{f.name or 'map'}: image in negative degree is nonzero"
                 )
             continue
-        coords = solve(tgt.coords(img, t))
+        coords = tgt.solver(t)(tgt.coords(img, t))
         if coords is None:
             raise ChainMapError(
                 f"{f.name or 'map'}: image of a degree-{n} cocycle is not a cocycle"

@@ -4,7 +4,8 @@ The library applies derivations and chain maps through sparse
 {monomial: coefficient} image functions.  The helpers here build the same
 things the slow, obvious way, through GradedElement arithmetic, so the
 tests can compare the two; they also hold the element constructor, the
-graded commutator and the chain-map combinators that only tests use.  The
+graded commutator and the chain-map combinators that only tests use, and
+the chain-map check that evaluates both differentials per monomial.  The
 Goldman bracket is kept here too, on letter tuples: the library builds
 each term from slices of rank strings and cuts the letters that cancel
 where the two words join, while the reference reduces every whole
@@ -13,6 +14,7 @@ concatenation and tries every rotation.
 
 from fractions import Fraction
 
+from loopspace.checks import add_into
 from loopspace.gca import AlgebraError, Derivation, GradedElement
 from loopspace.goldman import cyclic_reduce
 from loopspace.homology import ChainMap, ChainMapError
@@ -96,6 +98,26 @@ def compose(outer, inner):
         inner.src, outer.tgt, inner.degree + outer.degree, image,
         name=f"{outer.name or 'map'} after {inner.name or 'map'}",
     )
+
+
+def reference_verify_chain_map(f, cutoff):
+    """verify_chain_map monomial by monomial: both differentials applied
+    through their image functions, d_tgt on every term of f(m) and f on
+    every term of d_src(m), with no slice or column reused."""
+    sign = -1 if f.degree % 2 else 1
+    image, d_src, d_tgt = f.image, f.src.diff.image, f.tgt.diff.image
+    for n in range(cutoff + 1):
+        for mono in f.src.algebra.basis(n):
+            lhs = {}
+            for m, c in image(mono).items():
+                add_into(lhs, d_tgt(m), c)
+            rhs = {}
+            for m, c in d_src(mono).items():
+                add_into(rhs, image(m), sign * c)
+            if lhs != rhs:
+                alg = f.tgt.algebra
+                return (n, mono, GradedElement(alg, lhs), GradedElement(alg, rhs))
+    return None
 
 
 def algebra_element(alg, terms):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from loopspace import coderivations
 from loopspace.checks import add_into
+from loopspace.cli import main
 from loopspace.coderivations import (
     CoderivationRep,
     coderivation_relations,
@@ -402,3 +403,45 @@ def test_broken_extension_is_not_a_coderivation(torus_reps, monkeypatch):
         "m2 is a coderivation for the unshuffle coproduct on words up to length 4",
         "word S_0_1 S_0_2 S_1_0 at (S_0_2 | S_1_1): lhs 1, rhs -1",
     )
+
+
+@pytest.mark.parametrize("arities", [(2,), (2, 3), (3,)])
+@pytest.mark.parametrize("structure", ["circle.struct", "torus_bracket.struct"])
+def test_jacobi_lines_with_and_without_relations(structure, arities, data_path):
+    # the m2 square lent by coderivation_relations is the arity-2
+    # coderivation line a standalone call computes; without an m2 line the
+    # words are walked as before
+    t = load_structure_file(data_path(structure))
+    out = string_brackets(t, max_arity=max(arities))
+    names = t.string_space.names
+    rel = coderivation_relations({k: out.reps[k] for k in arities}, 4, names)
+    alone = jacobi_coderivation_equiv(t.string_space, out.bracket, 4)
+    assert jacobi_coderivation_equiv(t.string_space, out.bracket, 4, rel).lines == alone.lines
+
+
+def test_relations_without_m2_lend_nothing(torus_reps):
+    # a report without an m2 line leaves the arity-2 square to be walked,
+    # and on the perturbed bracket that walk finds a witness
+    t, out = torus_reps
+    rel = coderivation_relations({3: out.reps[3]}, 3, t.string_space.names)
+    bracket = perturbed_bracket(out)
+    rep = jacobi_coderivation_equiv(t.string_space, bracket, 3, rel)
+    assert rep.lines == jacobi_coderivation_equiv(t.string_space, bracket, 3).lines
+    assert rep.lines[1][1] is not None
+
+
+def test_verify_coderivations_walks_m2_once(data_path, monkeypatch, capsys):
+    # 932 calls in coderivation_relations; rebuilding m2 from the bracket
+    # for the Jacobi equivalence walked the same 466 words again (1398)
+    calls = []
+    apply_word = CoderivationRep.apply_word
+
+    def counted(self, word):
+        calls.append(1)
+        return apply_word(self, word)
+
+    monkeypatch.setattr(CoderivationRep, "apply_word", counted)
+    path = data_path("torus_bracket.struct")
+    assert main(["verify", "coderivations", "--structure", path, "--word-len", "6"]) == 0
+    assert "arity-2 coderivation squares to zero" in capsys.readouterr().out
+    assert len(calls) <= 932, len(calls)

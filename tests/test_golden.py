@@ -5,8 +5,10 @@ marked-point structure files and on one mutant of the torus file.
 
 The betti and gysin digests were recorded before the sparse derivation
 and chain-map kernels replaced GradedElement arithmetic on the homology
-path; the verify digests before the marked-point and coderivation checks
-returned one CheckReport and evaluated each operation once.  Any change to
+path; the three deeper gysin digests before verify_chain_map read the
+cached differential slices; the verify digests before the marked-point
+and coderivation checks returned one CheckReport and evaluated each
+operation once.  Any change to
 the report bytes of these commands fails here.  Regenerate a digest only
 for a deliberate report change, and say why.
 """
@@ -34,6 +36,10 @@ GOLDEN = [
     ("gysin s3.min 8", "98ad4125b191b09235e8fdd2f13cb1aff43117eba88a5dd71b74fe9531572256"),
     ("gysin cp2.min 8", "b577f56ca79ebbe1f570c4c65021db29a25458895fa9abdd31405b4dadefa9d5"),
     ("gysin s2xs3.min 8", "b5ec065c11641eacabdfb2e2d5389d6a0a2b3acc8c2e4340afe5ec0100e6a6eb"),
+    # at the benchmark's depth, where the chain maps read slices past cutoff + 1
+    ("gysin s2.min 16", "dafd2ccb85d225a8d79f3739dededf2e34ddc76f72655149de64a9cd5e35b16b"),
+    ("gysin cp2.min 12", "222f3f1d7bd5f641ac405e6ff19de75cb2b7e76b9977661a4644855f2d37f3e1"),
+    ("gysin s2xs3.min 12", "63e0f9f8eabef983a342198d80461a284b8c07e7fa9a49c7c83a95c2af8f5ba4"),
 ]
 
 

@@ -1,8 +1,20 @@
 """Long exact sequence report: exactness, parity pattern, factorizations."""
 
-import pytest
+import contextlib
+import io
+import os
+import tempfile
+from fractions import Fraction
 
-from loopspace import models
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import DATA_DIR
+
+from loopspace import homology, models
+from loopspace.cli import main
+from loopspace.gca import Derivation, GradedElement
 from loopspace.homology import verify_chain_map
 from loopspace.models import equivariant_model, gysin_report, load_model, loop_model
 
@@ -122,3 +134,75 @@ def test_nonzero_composite_breaks_exactness(outer, inner, data_path, monkeypatch
     assert rep.rows[4][:6] == (4, 1, 1, 1, 0, 1)
     assert not rep.ok
     assert "4\t1\t1\t1\t0\t1\tfalse\n" in rep.text()
+
+
+def test_gysin_reads_cached_slices_and_solvers(data_path, monkeypatch):
+    # verify_chain_map reads both differentials from the cached slices and
+    # evaluates each map once per basis monomial, and induced_map factors
+    # each (complex, degree) once; the per-monomial check made 4098 image
+    # calls here and a solver per induced map made 68
+    calls = {"image": 0, "solver": 0}
+    image, solver = Derivation.image, homology.column_solver
+
+    def counted_image(self, mono):
+        calls["image"] += 1
+        return image(self, mono)
+
+    def counted_solver(columns, dim):
+        calls["solver"] += 1
+        return solver(columns, dim)
+
+    monkeypatch.setattr(Derivation, "image", counted_image)
+    monkeypatch.setattr(homology, "column_solver", counted_solver)
+    rep = _report(data_path, "s2.min", 16)
+    assert rep.ok
+    assert calls["image"] <= 1600, calls
+    assert calls["solver"] <= 40, calls
+
+
+def _scaled_text(path, lam):
+    """The model file with each generator g replaced by lam[g] * g: then
+    d(lam_g g) = lam_g * d(g), with each factor h of d(g) written as
+    (lam_h h) / lam_h."""
+    model = load_model(path)
+    alg = model.algebra
+    lines = [f"gen {n} {deg}" for n, deg in zip(alg.names, alg.degrees)]
+    for g in alg.names:
+        terms = {}
+        for mono, c in model.d(alg.gen(g)).terms.items():
+            for h, e in mono:
+                c /= lam[alg.names[h]] ** e
+            terms[mono] = c * lam[g]
+        if terms:
+            lines.append(f"d {g} = {GradedElement(alg, terms)}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+_FACTOR = st.builds(lambda s, p, q: Fraction(s * p, q), st.sampled_from((-1, 1)),
+                    st.integers(1, 9), st.integers(1, 9))
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["s2.min", "s3.min", "cp2.min", "s2xs3.min"]), data=st.data())
+def test_rescaled_generators_give_the_same_reports(name, data):
+    # rescaling generators is an isomorphism of models, so the reports of
+    # the rational models the benchmark generates must equal the integer
+    # fixtures' byte for byte
+    path = os.path.join(DATA_DIR, name)
+    names = load_model(path).algebra.names
+    lam = {n: data.draw(_FACTOR, label=n) for n in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        scaled = os.path.join(tmp, name)
+        with open(scaled, "w", encoding="utf-8") as fh:
+            fh.write(_scaled_text(path, lam))
+        for argv in (["gysin", "--cutoff", "8"],
+                     ["betti", "--space", "string", "--cutoff", "10"]):
+            want = _stdout(argv + ["--model", path])
+            assert _stdout(argv + ["--model", scaled]) == want

@@ -5,6 +5,7 @@ import pytest
 from loopspace.gca import Derivation, GradedAlgebra
 from loopspace.homology import (
     ChainMap,
+    ChainMapError,
     ComplexError,
     CochainComplex,
     betti_table,
@@ -127,6 +128,16 @@ def test_from_generator_images_is_multiplicative():
     assert verify_chain_map(f, 10) is None
     assert apply_map(f, big.parse("x*z + y")) == small.parse("y")
     assert apply_map(f, big.parse("x^2")) == small.parse("x^2")
+
+
+def test_map_of_the_wrong_degree_is_rejected(data_path):
+    # the rotation lowers degree by one; declared as degree 0, its images
+    # leave the target degree the columns are indexed by
+    lm = loop_model(load_model(data_path("s2.min")))
+    cx = lm.complex
+    f = ChainMap(cx, cx, 0, lm.delta.image, name="rotation")
+    with pytest.raises(ChainMapError, match="rotation: image of a degree-2 monomial"):
+        verify_chain_map(f, 4)
 
 
 def test_format_betti_table_layout(data_path):

@@ -3,7 +3,8 @@ constructions they replace (kept in tests/reference.py)."""
 
 import pytest
 
-from loopspace.gca import GradedElement
+from loopspace.gca import Derivation, GradedElement
+from loopspace.homology import ChainMap, verify_chain_map
 from loopspace.models import (
     CIRCLE_CLASS,
     equivariant_model,
@@ -13,7 +14,11 @@ from loopspace.models import (
     parse_model,
 )
 
-from reference import apply_monomial, generator_images_map
+from reference import (
+    apply_monomial,
+    generator_images_map,
+    reference_verify_chain_map,
+)
 
 FIXTURES = ("s2.min", "s3.min", "cp2.min", "s2xs3.min")
 CUTOFF = 10
@@ -66,3 +71,36 @@ def test_gysin_images_match_element_constructions(name, data_path):
             old_conn = L.transfer(loop.delta(_one(L, mono)), S)
             assert conn.image(mono) == old_conn.terms, (n, mono)
             assert rot.image(mono) == loop.delta(_one(L, mono)).terms, (n, mono)
+
+
+def _negated_rotation(loop, name):
+    """The rotation derivation with the value on one generator negated."""
+    alg = loop.algebra
+    values = {}
+    for g in alg.names:
+        v = loop.delta(alg.gen(g))
+        if v:
+            values[g] = -v if g == name else v
+    deriv = Derivation(alg, -1, values)
+    return ChainMap.from_derivation(loop.complex, loop.complex, deriv)
+
+
+@pytest.mark.parametrize("name", FIXTURES + tuple(INLINE))
+def test_chain_map_check_matches_reference(name, data_path):
+    # the slice-based check against the per-monomial one: the same verdict
+    # and, for a broken map, the same first monomial and the same two sides
+    loop, string = _models(name, data_path)
+    maps = list(gysin_maps(string))
+    for g in string.algebra.names:
+        if g != CIRCLE_CLASS:
+            images = {CIRCLE_CLASS: 0, g: f"2*{g}"}
+            maps.append(generator_images_map(string.complex, loop.complex, images))
+    maps += [_negated_rotation(loop, g) for g in loop.algebra.names
+             if loop.delta(loop.algebra.gen(g))]
+    failures = 0
+    for f in maps:
+        got = verify_chain_map(f, CUTOFF)
+        assert got == reference_verify_chain_map(f, CUTOFF), f.name
+        failures += got is not None
+    # the differential of s3.min is zero, so each of its maps is a chain map
+    assert failures >= 2 or name == "s3.min", failures
