@@ -6,7 +6,9 @@ marked-point structure files and on one mutant of the torus file.
 The betti and gysin digests were recorded before the sparse derivation
 and chain-map kernels replaced GradedElement arithmetic on the homology
 path; the three deeper gysin digests before verify_chain_map read the
-cached differential slices; the verify digests before the marked-point
+cached differential slices; the twelve cutoff 0-2 gysin digests before
+each chain map was verified only through the degrees its induced maps
+read; the verify digests before the marked-point
 and coderivation checks returned one CheckReport and evaluated each
 operation once.  Any change to
 the report bytes of these commands fails here.  Regenerate a digest only
@@ -40,6 +42,19 @@ GOLDEN = [
     ("gysin s2.min 16", "dafd2ccb85d225a8d79f3739dededf2e34ddc76f72655149de64a9cd5e35b16b"),
     ("gysin cp2.min 12", "222f3f1d7bd5f641ac405e6ff19de75cb2b7e76b9977661a4644855f2d37f3e1"),
     ("gysin s2xs3.min 12", "63e0f9f8eabef983a342198d80461a284b8c07e7fa9a49c7c83a95c2af8f5ba4"),
+    # at the smallest cutoffs, where multiplication by u reads nothing
+    ("gysin s2.min 0", "e7bf4a9053f04db78ea15a6f1d88cb1dd1ab1808c4bc6c77bebd410fb305b243"),
+    ("gysin s2.min 1", "45a77ec78e56b95677e4afcc80ff2e3bac5324e412cc12ea9173b4ddad245c60"),
+    ("gysin s2.min 2", "3898370b4274c5a5cac06c9fb19d4b61219d4d5ce9723de3ce0ae777f4349b16"),
+    ("gysin s3.min 0", "e7bf4a9053f04db78ea15a6f1d88cb1dd1ab1808c4bc6c77bebd410fb305b243"),
+    ("gysin s3.min 1", "7c23babe261f3ee2b58524f356769243cfba8d5c2ae0865ba19f3b5beaad7ca0"),
+    ("gysin s3.min 2", "2d230eb089ab5523cf3fdb824611ff9a1137a2db88fdd13bee872b13ba241012"),
+    ("gysin cp2.min 0", "e7bf4a9053f04db78ea15a6f1d88cb1dd1ab1808c4bc6c77bebd410fb305b243"),
+    ("gysin cp2.min 1", "45a77ec78e56b95677e4afcc80ff2e3bac5324e412cc12ea9173b4ddad245c60"),
+    ("gysin cp2.min 2", "3898370b4274c5a5cac06c9fb19d4b61219d4d5ce9723de3ce0ae777f4349b16"),
+    ("gysin s2xs3.min 0", "e7bf4a9053f04db78ea15a6f1d88cb1dd1ab1808c4bc6c77bebd410fb305b243"),
+    ("gysin s2xs3.min 1", "45a77ec78e56b95677e4afcc80ff2e3bac5324e412cc12ea9173b4ddad245c60"),
+    ("gysin s2xs3.min 2", "1a8be62d52518dc958fa5d6af5930cbe22f7a92967d344d58111ed7cf49f50dc"),
 ]
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from conftest import DATA_DIR
 from loopspace import homology, models
 from loopspace.cli import main
 from loopspace.gca import Derivation, GradedElement
-from loopspace.homology import verify_chain_map
+from loopspace.homology import ChainMap, ChainMapError, verify_chain_map
 from loopspace.models import equivariant_model, gysin_report, load_model, loop_model
 
 from reference import generator_images_map
@@ -134,6 +135,44 @@ def test_nonzero_composite_breaks_exactness(outer, inner, data_path, monkeypatch
     assert rep.rows[4][:6] == (4, 1, 1, 1, 0, 1)
     assert not rep.ok
     assert "4\t1\t1\t1\t0\t1\tfalse\n" in rep.text()
+
+
+# the top source degree that gysin_report verifies each map through,
+# relative to the cutoff: the top degree its induced maps read
+TOPS = {"restriction": 1, U: -1, "connecting map": 0, "rotation": 0}
+
+
+@pytest.mark.parametrize("name", list(TOPS))
+def test_each_map_is_verified_through_its_top_degree(name, data_path, monkeypatch):
+    # perturb the map on one monomial of its top degree that no boundary
+    # of the degree below reaches, by a target term that is no cocycle:
+    # only the chain condition at the top degree itself can see it
+    cutoff = 6
+    top = cutoff + TOPS[name]
+    real = models.gysin_maps
+
+    def perturbed(string):
+        maps = real(string)
+        f = next(g for g in maps if g.name == name)
+        reached = {i for i, _ in f.src.slice(top - 1).entries}
+        mono = next(m for k, m in enumerate(f.src.algebra.basis(top)) if k not in reached)
+        t = top + f.degree
+        j = min(j for _, j in f.tgt.slice(t).entries)
+        extra = f.tgt.algebra.basis(t)[j]
+
+        def image(m):
+            img = dict(f.image(m))
+            if m == mono:
+                img[extra] = img.get(extra, 0) + 1
+            return img
+
+        return tuple(
+            ChainMap(g.src, g.tgt, g.degree, image, name=g.name) if g is f else g for g in maps
+        )
+
+    monkeypatch.setattr(models, "gysin_maps", perturbed)
+    with pytest.raises(ChainMapError, match=f"^{re.escape(name)}: chain condition fails in degree {top} "):
+        _report(data_path, "s2.min", cutoff)
 
 
 def test_gysin_reads_cached_slices_and_solvers(data_path, monkeypatch):
