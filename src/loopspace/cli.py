@@ -16,6 +16,7 @@ a half-written report.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import tempfile
@@ -83,21 +84,24 @@ def _check_bounds(args):
 
 
 def _emit(text, out_path):
+    """Write to stdout, or atomically to out_path; errors name out_path."""
     if out_path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".loopspace-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        directory = os.path.dirname(os.path.abspath(out_path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".loopspace-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as e:
+        raise OSError(f"{out_path}: {e.strerror or e}") from None
 
 
 def _space_complex(model, space):

@@ -3,31 +3,30 @@
 A complex pairs a free graded-commutative algebra with a degree +1 square-zero
 derivation.  Everything downstream is exact rational linear algebra on the
 finite graded slices: Betti numbers, deterministic cocycle representatives,
-and the matrices that chain maps induce on cohomology.
+and the maps that chain maps induce on cohomology.
 
 Derivations and chain maps enter as sparse image functions: a monomial goes
 to a {monomial: coefficient} dict (``Derivation.image``, ``ChainMap.image``).
-Slices, the chain condition and induced maps are built from those dicts,
-accumulated through ``checks.add_into``.  No image is memoised, for the
-peak-memory reason given in ``gca``: the differential's images live on only
-as the slices, which are cached per degree, and the chain condition holds a
-map's columns for two degrees at a time and reads both differentials from
-the slices.  The elimination pass that finds the cocycles of a degree also
-records its rank, and each degree's cohomology keeps its representatives
-and the solver that induced maps read coordinates from.
+Every vector is a sparse {index: value} dict over a degree's basis: slice
+columns, kernel vectors, representatives and induced-map columns.  No image
+is memoised, for the peak-memory reason given in ``gca``: the differential's
+images live on only as the slices, which are cached per degree, and the
+chain condition holds a map's columns for two degrees at a time and reads
+both differentials from the slices.
 
 Representative convention: the cohomology basis in degree n consists of the
 first kernel vectors (in kernel_basis order) that enlarge the span of the
-coboundaries.  The choice is deterministic, so report files are stable.
+coboundaries, so report files are stable.  One elimination per degree
+chooses them and gives class coordinates: the coboundaries enter untagged
+and each accepted cocycle j tagged in column dim + j, so reducing a cocycle
+leaves minus its class in the tag columns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .checks import add_into
-from .gca import AlgebraError, GradedElement
-from .linalg import MatrixSlice, SpanTracker, column_solver, matrix_rank
+from .gca import GradedElement
+from .linalg import MatrixSlice, SpanTracker
 
 __all__ = [
     "ComplexError",
@@ -55,18 +54,16 @@ class ChainMapError(ValueError):
 class CochainComplex:
     """A graded algebra with a degree +1 differential derivation."""
 
-    def __init__(self, algebra, diff, name=""):
+    def __init__(self, algebra, diff):
         if diff.algebra != algebra:
             raise ComplexError("differential lives on a different algebra")
         if diff.degree != 1:
             raise ComplexError(f"differential must have degree +1, got {diff.degree}")
         self.algebra = algebra
         self.diff = diff
-        self.name = name
         self._slices = {}
         self._ranks = {}
-        self._reps = {}
-        self._solvers = {}
+        self._cohomology = {}   # n -> (tagged SpanTracker, representatives)
 
     def check_differential(self):
         """First generator on which d(d(g)) is nonzero, as (name, d(d(g))),
@@ -77,21 +74,6 @@ class CochainComplex:
         if n < 0:
             return 0
         return len(self.algebra.basis(n))
-
-    def coords(self, terms, n):
-        """Coordinate vector over basis(n) of a sparse {monomial:
-        coefficient} dict."""
-        basis = self.algebra.basis(n)
-        index = {m: k for k, m in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
-        for mono, c in terms.items():
-            if self.algebra.monomial_degree(mono) != n:
-                raise AlgebraError(
-                    f"element has a term outside degree {n}: "
-                    f"{GradedElement(self.algebra, terms)}"
-                )
-            vec[index[mono]] = c
-        return vec
 
     def slice(self, n):
         """Matrix of the differential from degree n to degree n+1."""
@@ -133,49 +115,38 @@ class CochainComplex:
         return [col for col in self.slice(n - 1).column_vectors() if col]
 
     def cohomology(self, n):
-        """Deterministic cocycle representatives of H^n, as coordinate
-        vectors over basis(n)."""
-        if n not in self._reps:
-            tracker = SpanTracker(self.dim(n))
+        """Deterministic cocycle representatives of H^n, as sparse vectors
+        over basis(n).  The elimination that chose them is kept beside
+        them for class_of: cocycle j entered it tagged at dim(n) + j."""
+        if n not in self._cohomology:
+            dim = self.dim(n)
+            tracker = SpanTracker(dim)
             for col in self.boundary_columns(n):
                 tracker.add(col)
-            reps = [v for v in self.cocycles(n) if tracker.add(v)]
+            reps = []
+            for v in self.cocycles(n):
+                if tracker.add({**v, dim + len(reps): 1}):
+                    reps.append(v)
             assert len(reps) == self.betti(n)
-            self._reps[n] = reps
-        return self._reps[n]
+            self._cohomology[n] = (tracker, reps)
+        return self._cohomology[n][1]
 
-    def solver(self, n):
-        """column_solver over the representatives and then the boundaries
-        of degree n, so the leading coordinates of a cocycle are its class.
-        Factored on the first call and kept beside the representatives: a
-        complex holds one solver per degree asked."""
-        if n not in self._solvers:
-            self._solvers[n] = column_solver(
-                self.cohomology(n) + self.boundary_columns(n), self.dim(n)
-            )
-        return self._solvers[n]
+    def class_of(self, n, vec):
+        """Class of a sparse vector over basis(n), as sparse coordinates
+        over the representatives of H^n; None when vec is no cocycle.
+        Call cohomology(n) first."""
+        tracker = self._cohomology[n][0]
+        rem = tracker.reduce(vec)
+        if any(c < tracker.dim for c in rem):
+            return None
+        return {c - tracker.dim: -x for c, x in rem.items()}
 
 
-class BettiTable:
-    """Betti numbers of a complex through a degree cutoff."""
+class BettiTable(list):
+    """Betti numbers b_0..b_cutoff.  A list; ``values`` is a copy of it,
+    kept for the benchmark input generator's self-test."""
 
-    def __init__(self, cutoff, values):
-        self.cutoff = cutoff
-        self.values = list(values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, BettiTable):
-            return self.cutoff == other.cutoff and self.values == other.values
-        return self.values == list(other)
-
-    def __repr__(self):
-        return f"BettiTable({self.values})"
+    values = property(list)
 
 
 def betti_table(cx, cutoff):
@@ -185,7 +156,7 @@ def betti_table(cx, cutoff):
     if bad is not None:
         name, val = bad
         raise ComplexError(f"differential does not square to zero at {name!r}: d(d({name})) = {val}")
-    return BettiTable(cutoff, [cx.betti(i) for i in range(cutoff + 1)])
+    return BettiTable(cx.betti(i) for i in range(cutoff + 1))
 
 
 def euler_check(cx, cutoff):
@@ -225,20 +196,21 @@ class ChainMap:
         return cls(src, tgt, deriv.degree, deriv.image, name=name)
 
 
+def _indexed(f, n, img, index):
+    """An image of f from degree n, as a sparse column over index's basis."""
+    if not img.keys() <= index.keys():
+        raise ChainMapError(
+            f"{f.name or 'map'}: image of a degree-{n} monomial has a "
+            f"term outside degree {n + f.degree}"
+        )
+    return {index[m]: c for m, c in img.items()}
+
+
 def _columns(f, n):
     """f on basis(n) of its source, as sparse {index: coefficient} columns
     over basis(n + degree) of its target."""
     index = {m: i for i, m in enumerate(f.tgt.algebra.basis(n + f.degree))}
-    cols = []
-    for mono in f.src.algebra.basis(n):
-        img = f.image(mono)
-        if not img.keys() <= index.keys():
-            raise ChainMapError(
-                f"{f.name or 'map'}: image of a degree-{n} monomial has a "
-                f"term outside degree {n + f.degree}"
-            )
-        cols.append({index[m]: c for m, c in img.items()})
-    return cols
+    return [_indexed(f, n, f.image(mono), index) for mono in f.src.algebra.basis(n)]
 
 
 def verify_chain_map(f, cutoff):
@@ -275,16 +247,17 @@ def verify_chain_map(f, cutoff):
 
 
 class MapDegreeReport:
-    """Induced map on cohomology in one source degree."""
+    """Induced map on cohomology in one source degree: one sparse column
+    over the target representatives per source representative."""
 
-    __slots__ = ("degree", "src_betti", "tgt_betti", "rank", "matrix")
+    __slots__ = ("degree", "src_betti", "tgt_betti", "rank", "columns")
 
-    def __init__(self, degree, src_betti, tgt_betti, rank, matrix):
+    def __init__(self, degree, src_betti, tgt_betti, rank, columns):
         self.degree = degree
         self.src_betti = src_betti
         self.tgt_betti = tgt_betti
         self.rank = rank
-        self.matrix = matrix
+        self.columns = columns
 
     def __repr__(self):
         return (
@@ -294,37 +267,31 @@ class MapDegreeReport:
 
 
 def induced_map(f, n):
-    """Matrix of the map induced on cohomology by the chain map f, from
-    source degree n; rows index target representatives, columns source
-    representatives."""
+    """The map induced on cohomology by the chain map f from source degree
+    n: the class of f on each source representative, as a sparse column
+    over the target representatives."""
     src, tgt = f.src, f.tgt
     t = n + f.degree
     src_reps = src.cohomology(n)
     tgt_reps = tgt.cohomology(t)
-    mat = [[Fraction(0)] * len(src_reps) for _ in range(len(tgt_reps))]
     basis = src.algebra.basis(n)
-    for j, vec in enumerate(src_reps):
+    index = {m: i for i, m in enumerate(tgt.algebra.basis(t))}
+    columns = []
+    span = SpanTracker(len(tgt_reps))
+    for vec in src_reps:
         img = {}
-        for mono, c in zip(basis, vec):
-            if c:
-                add_into(img, f.image(mono), c)
-        if t < 0:
-            if img:
-                raise ChainMapError(
-                    f"{f.name or 'map'}: image in negative degree is nonzero"
-                )
-            continue
-        coords = tgt.solver(t)(tgt.coords(img, t))
-        if coords is None:
+        for k, c in vec.items():
+            add_into(img, f.image(basis[k]), c)
+        col = tgt.class_of(t, _indexed(f, n, img, index))
+        if col is None:
             raise ChainMapError(
                 f"{f.name or 'map'}: image of a degree-{n} cocycle is not a cocycle"
             )
-        for i in range(len(tgt_reps)):
-            mat[i][j] = coords[i]
-    rank = matrix_rank(mat) if mat and mat[0] else 0
-    return MapDegreeReport(n, len(src_reps), len(tgt_reps), rank, mat)
+        columns.append(col)
+        span.add(col)
+    return MapDegreeReport(n, len(src_reps), len(tgt_reps), span.rank(), columns)
 
 
 def format_betti_table(table):
-    return "".join(f"{i}\t{b}\n" for i, b in enumerate(table.values))
+    return "".join(f"{i}\t{b}\n" for i, b in enumerate(table))
 

@@ -86,8 +86,8 @@ class SpanTracker:
     """Incrementally maintained echelon basis of a growing span.
 
     Vectors are dense sequences or sparse {index: value} dicts.  Indices at
-    or past dim are carried along but never lead a row; column_solver uses
-    them to record which inputs each row combines.
+    or past dim are carried along but never lead a row; callers tag their
+    inputs there to record which inputs each row combines.
 
     add() reports whether the vector enlarged the span; the answer depends
     only on the span, so feeding candidate vectors in a fixed order always
@@ -161,14 +161,11 @@ class SpanTracker:
         return rows
 
     def kernel_basis(self):
-        """kernel_basis of the rows added so far, over columns 0..dim-1."""
+        """kernel_basis of the rows added so far, over columns 0..dim-1,
+        as sparse vectors {free: 1, lead: -x, ...} read off the reduced
+        row echelon form."""
         ech = self.reduced_rows()
-        basis = {}
-        for free in range(self.dim):
-            if free not in ech:
-                vec = [_ZERO] * self.dim
-                vec[free] = _ONE
-                basis[free] = vec
+        basis = {free: {free: _ONE} for free in range(self.dim) if free not in ech}
         for lead, row in ech.items():
             for c, x in row.items():
                 if c != lead:
@@ -189,7 +186,8 @@ def matrix_rank(rows):
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel, one vector per free column.
+    """Basis of the right kernel, one sparse {index: value} vector per free
+    column.
 
     Rows are dense sequences or sparse dicts.  Free columns are visited in
     ascending order; each basis vector has a 1 in its free column and zeros

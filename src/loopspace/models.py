@@ -17,9 +17,8 @@ class is named "u".  Both names are reserved and collisions are rejected.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .checks import CheckReport
+from .checks import CheckReport, apply_map
 from .gca import AlgebraError, Derivation, GradedAlgebra
 from .homology import (
     ChainMap,
@@ -87,7 +86,7 @@ class MinimalModel:
 
     @property
     def complex(self):
-        return CochainComplex(self.algebra, self.d, name="model")
+        return CochainComplex(self.algebra, self.d)
 
 
 _GEN_LINE = re.compile(r"^gen\s+(\S+)\s+(-?\d+)$")
@@ -166,7 +165,7 @@ class LoopModel:
         self.algebra = algebra
         self.d = d
         self.delta = delta
-        self.complex = CochainComplex(algebra, d, name="loop")
+        self.complex = CochainComplex(algebra, d)
 
 
 def loop_model(model):
@@ -201,7 +200,7 @@ def based_complex(model):
         for n, deg in zip(model.algebra.names, model.algebra.degrees)
     ]
     algebra = GradedAlgebra(gens)
-    return CochainComplex(algebra, Derivation(algebra, 1, {}), name="based")
+    return CochainComplex(algebra, Derivation(algebra, 1, {}))
 
 
 class EquivariantModel:
@@ -212,7 +211,7 @@ class EquivariantModel:
         self.algebra = algebra
         self.d = d
         self.loop = loop
-        self.complex = CochainComplex(algebra, d, name="string")
+        self.complex = CochainComplex(algebra, d)
 
 
 def equivariant_model(loop):
@@ -379,20 +378,16 @@ def gysin_maps(string):
 
 
 def _after(outer, inner):
-    """Matrix of the composite outer after inner of two induced maps.
-    Shapes come from the Betti counts, so empty middle spaces still give
-    a zero matrix of the right size."""
+    """Sparse columns of the composite outer after inner of two induced
+    maps, one per source representative of inner."""
     if inner.tgt_betti != outer.src_betti:
         raise ChainMapError("induced-map composition: dimension mismatch")
-    return [
-        [sum((a * inner.matrix[k][j] for k, a in enumerate(row)), Fraction(0))
-         for j in range(inner.src_betti)]
-        for row in outer.matrix
-    ]
+    table = dict(enumerate(outer.columns))
+    return [apply_map(table, col) for col in inner.columns]
 
 
 def _vanishes(outer, inner):
-    return not any(any(row) for row in _after(outer, inner))
+    return not any(_after(outer, inner))
 
 
 def gysin_report(string, cutoff):
@@ -404,8 +399,12 @@ def gysin_report(string, cutoff):
     connecting map.  Row i is exact when the sequence is exact at H^i(string),
     H^i(loop) and H^{i-1}(string): the rank counts add up at all three, and
     the three composites through them vanish.  Models are validated through
-    generator checks first; chain-map conditions are verified through
-    cutoff + 2.
+    generator checks first.  Each chain map is verified through the top
+    source degree its induced maps read: restriction through cutoff + 1,
+    the connecting map and the rotation through cutoff, multiplication by
+    the degree-2 class through cutoff - 1.  The chain condition in degrees
+    k - 1 and k carries both the cocycles and the coboundaries of degree k
+    to the target, so no slice above cutoff + 1 is built.
     """
     loop = string.loop
     for obj, tag in ((loop, "loop model"), (string, "string model")):
@@ -416,18 +415,20 @@ def gysin_report(string, cutoff):
     S = string.complex
     L = loop.complex
     restr, mult_u, conn, rot = gysin_maps(string)
-    for f in (restr, mult_u, conn, rot):
-        w = verify_chain_map(f, cutoff + 2)
+
+    def induced(f, top):
+        w = verify_chain_map(f, top)
         if w is not None:
             raise ChainMapError(
                 f"{f.name}: chain condition fails in degree {w[0]} "
                 f"on {f.src.algebra.monomial_str(w[1])}"
             )
+        return {i: induced_map(f, i) for i in range(top + 1)}
 
-    restr_at = {i: induced_map(restr, i) for i in range(cutoff + 2)}
-    conn_at = {i: induced_map(conn, i) for i in range(cutoff + 1)}
-    mult_at = {i: induced_map(mult_u, i) for i in range(cutoff)}
-    rot_at = {i: induced_map(rot, i) for i in range(cutoff + 1)}
+    restr_at = induced(restr, cutoff + 1)
+    mult_at = induced(mult_u, cutoff - 1)
+    conn_at = induced(conn, cutoff)
+    rot_at = induced(rot, cutoff)
 
     rows = []
     factor_rotation = []
@@ -450,7 +451,7 @@ def gysin_report(string, cutoff):
         )
         rows.append((i, h_s, h_l, rank_u, rank_restr, rank_conn, exact))
         if i >= 1:
-            factor_rotation.append(_after(restr_at[i - 1], conn_at[i]) == rot_at[i].matrix)
+            factor_rotation.append(_after(restr_at[i - 1], conn_at[i]) == rot_at[i].columns)
         else:
             factor_rotation.append(rot_at[i].rank == 0)
 

@@ -126,8 +126,9 @@ def algebra_element(alg, terms):
 
 
 def element(cx, n, vec):
-    """The element of cx with coordinate vector vec over basis(n)."""
-    return algebra_element(cx.algebra, dict(zip(cx.algebra.basis(n), vec)))
+    """The element of cx with sparse coordinates vec over basis(n)."""
+    basis = cx.algebra.basis(n)
+    return algebra_element(cx.algebra, {basis[k]: c for k, c in vec.items()})
 
 
 def graded_commutator(d1, d2):

@@ -2,12 +2,15 @@
 
 bench/tracing.py wraps (module, attribute) pairs of the package by name;
 a renamed function would make ``--trace 1`` fail.  The file is read as
-source, not imported, since install() rebinds module attributes.
+source, not imported, since install() rebinds module attributes; a traced
+run happens in a subprocess.
 """
 
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +39,28 @@ def test_target_resolves(module, attr):
         assert name in vars(getattr(mod, owner_name))
     else:
         assert callable(getattr(mod, name))
+
+
+def test_traced_homology_commands_count(data_path):
+    # the tracer reads .entries of every slice it sees and wraps
+    # CochainComplex.cohomology; a traced betti and gysin must run and
+    # count both
+    bench = os.path.dirname(TRACING)
+    model = data_path("s2.min")
+    script = (
+        f"import sys; sys.path.insert(0, {bench!r})\n"
+        "import tracing\n"
+        "from loopspace import cli\n"
+        "tracer = tracing.install()\n"
+        f"codes = [cli.main(['betti', '--space', 'string', '--model', {model!r}, '--cutoff', '6']),\n"
+        f"         cli.main(['gysin', '--model', {model!r}, '--cutoff', '6'])]\n"
+        "counts = tracer.counts\n"
+        "print(codes, counts['homology.CochainComplex.slice.nnz'],\n"
+        "      counts['homology.CochainComplex.cohomology.calls'])\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    codes, nnz, calls = run.stdout.splitlines()[-1].rsplit(" ", 2)
+    assert codes == "[0, 0]"
+    assert int(nnz) > 0 and int(calls) > 0

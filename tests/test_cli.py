@@ -206,6 +206,26 @@ def _one_error_line(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x", "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_out_errors_name_the_out_path(where, reason, capsys, data_path, tmp_path):
+    # the temporary file beside the target never shows in the message, and
+    # none is left behind
+    target = tmp_path / "out"
+    target.mkdir()
+    out_path = str(target / where) if where else str(target)
+    argv = ("betti", "--model", data_path("s2.min"), "--out", out_path)
+    errs = []
+    for _ in range(2):
+        code, out, err = run(capsys, *argv)
+        assert _one_error_line(code, out, err), err
+        errs.append(err)
+    assert errs[0] == errs[1] == f"error: {out_path}: {reason}\n"
+    assert not list(tmp_path.rglob(".loopspace-*"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 
-from loopspace import homology, models
+from loopspace import models
 from loopspace.cli import main
 from loopspace.gca import Derivation, GradedElement
-from loopspace.homology import ChainMap, ChainMapError, verify_chain_map
+from loopspace.homology import ChainMap, ChainMapError, CochainComplex, verify_chain_map
+from loopspace.linalg import SpanTracker
 from loopspace.models import equivariant_model, gysin_report, load_model, loop_model
 
 from reference import generator_images_map
@@ -125,7 +126,7 @@ def test_nonzero_composite_breaks_exactness(outer, inner, data_path, monkeypatch
     def after(o, i):
         prod = real_after(o, i)
         if (made[id(o)], made[id(i)][0]) == (outer, inner):
-            prod[0][0] += 1
+            prod[0][0] = prod[0].get(0, 0) + 1
         return prod
 
     monkeypatch.setattr(models, "induced_map", induced)
@@ -177,26 +178,46 @@ def test_each_map_is_verified_through_its_top_degree(name, data_path, monkeypatc
 
 def test_gysin_reads_cached_slices_and_solvers(data_path, monkeypatch):
     # verify_chain_map reads both differentials from the cached slices and
-    # evaluates each map once per basis monomial, and induced_map factors
-    # each (complex, degree) once; the per-monomial check made 4098 image
-    # calls here and a solver per induced map made 68
-    calls = {"image": 0, "solver": 0}
-    image, solver = Derivation.image, homology.column_solver
+    # evaluates each map once per basis monomial, only through the degrees
+    # the induced maps read, and each (complex, degree) is eliminated once;
+    # the per-monomial check made 4098 image calls here, the check through
+    # cutoff + 2 made 1485, and a solver beside each elimination made the
+    # SpanTracker count 176
+    calls = {"image": 0, "tracker": 0}
+    image, init = Derivation.image, SpanTracker.__init__
 
     def counted_image(self, mono):
         calls["image"] += 1
         return image(self, mono)
 
-    def counted_solver(columns, dim):
-        calls["solver"] += 1
-        return solver(columns, dim)
+    def counted_init(self, dim):
+        calls["tracker"] += 1
+        init(self, dim)
 
     monkeypatch.setattr(Derivation, "image", counted_image)
-    monkeypatch.setattr(homology, "column_solver", counted_solver)
+    monkeypatch.setattr(SpanTracker, "__init__", counted_init)
     rep = _report(data_path, "s2.min", 16)
     assert rep.ok
-    assert calls["image"] <= 1600, calls
-    assert calls["solver"] <= 40, calls
+    assert calls["image"] <= 1200, calls
+    assert calls["tracker"] <= 150, calls
+
+
+@pytest.mark.parametrize("name, cutoff", [("s2.min", 16), ("s2xs3.min", 8)])
+def test_gysin_builds_no_slice_above_cutoff_plus_one(name, cutoff, data_path, monkeypatch):
+    # the induced maps read cohomology through cutoff + 1, so neither
+    # complex needs a differential slice past that degree
+    asked = {}
+    real = CochainComplex.slice
+
+    def recorded(self, n):
+        asked[id(self)] = max(asked.get(id(self), n), n)
+        return real(self, n)
+
+    monkeypatch.setattr(CochainComplex, "slice", recorded)
+    em = equivariant_model(loop_model(load_model(data_path(name))))
+    assert gysin_report(em, cutoff).ok
+    assert asked.keys() == {id(em.complex), id(em.loop.complex)}
+    assert max(asked.values()) == cutoff + 1, asked
 
 
 def _scaled_text(path, lam):

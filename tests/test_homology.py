@@ -60,14 +60,25 @@ def test_euler_identity(data_path):
             assert euler_check(cx, cutoff), (name, cutoff)
 
 
-def test_coords_and_element_roundtrip(data_path):
-    cx = _loop_cx(data_path("s2.min"))
-    for n in (0, 2, 5):
-        dim = cx.dim(n)
-        for k in range(dim):
-            vec = [0] * dim
-            vec[k] = 1
-            assert cx.coords(element(cx, n, vec).terms, n) == vec
+def test_class_of_roundtrip(data_path):
+    # a representative's class is its own basis vector, a coboundary's is
+    # zero, and a vector with a nonzero differential has none
+    cx = _loop_cx(data_path("s2xs3.min"))
+    for n in range(1, 9):
+        reps = cx.cohomology(n)
+        for j, vec in enumerate(reps):
+            assert cx.class_of(n, vec) == {j: 1}
+        for col in cx.boundary_columns(n):
+            assert cx.class_of(n, col) == {}
+        for k, col in enumerate(cx.slice(n).column_vectors()):
+            if col:
+                assert cx.class_of(n, {k: 1}) is None
+        if reps and cx.boundary_columns(n):
+            # a class is read modulo boundaries
+            mixed = dict(reps[-1])
+            for k, c in cx.boundary_columns(n)[0].items():
+                mixed[k] = mixed.get(k, 0) + 3 * c
+            assert cx.class_of(n, {k: c for k, c in mixed.items() if c}) == {len(reps) - 1: 1}
 
 
 def test_cohomology_representatives_are_nonbounding_cocycles(data_path):
@@ -88,7 +99,7 @@ def test_identity_chain_map_induces_identity(data_path):
         rep = induced_map(ident, n)
         b = cx.betti(n)
         assert rep.rank == b == rep.src_betti == rep.tgt_betti
-        assert rep.matrix == [[1 if i == j else 0 for j in range(b)] for i in range(b)]
+        assert rep.columns == [{j: 1} for j in range(b)]
 
 
 def test_rotation_is_a_chain_map_and_squares_to_zero(data_path):
@@ -100,12 +111,12 @@ def test_rotation_is_a_chain_map_and_squares_to_zero(data_path):
     for n in range(2, 8):
         step_n = induced_map(rot, n)
         step_prev = induced_map(rot, n - 1)
-        a, b = step_prev.matrix, step_n.matrix
+        a, b = step_prev.columns, step_n.columns
         squared = [
-            [sum(x * b[k][j] for k, x in enumerate(row)) for j in range(step_n.src_betti)]
-            for row in a
+            [sum(x * a[k].get(i, 0) for k, x in col.items()) for i in range(step_prev.tgt_betti)]
+            for col in b
         ]
-        assert all(not v for row in squared for v in row), f"degree {n}"
+        assert all(not v for col in squared for v in col), f"degree {n}"
 
 
 def test_composition_matches_matrix_product(data_path):
@@ -114,7 +125,7 @@ def test_composition_matches_matrix_product(data_path):
     rot = ChainMap.from_derivation(cx, cx, lm.delta, name="rotation")
     left = compose(identity_map(cx), rot)
     for n in range(6):
-        assert induced_map(left, n).matrix == induced_map(rot, n).matrix
+        assert induced_map(left, n).columns == induced_map(rot, n).columns
 
 
 def test_from_generator_images_is_multiplicative():

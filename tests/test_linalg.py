@@ -164,7 +164,7 @@ def test_rref_pivots_and_kernel(rows):
         for other in range(len(ech)):
             if other != r:
                 assert ech[other][pc] == 0
-    kern = kernel_basis(rows, ncols)
+    kern = [_dense(vec, ncols) for vec in kernel_basis(rows, ncols)]
     assert len(kern) == ncols - len(pivots)
     for vec in kern:
         for row in rows:
@@ -264,6 +264,12 @@ def _sparse_rows(rows):
     return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
+def _dense(vec, n):
+    """A sparse kernel vector as a dense list; it holds no zero value."""
+    assert all(vec.values()) and all(0 <= j < n for j in vec)
+    return [vec.get(j, Fraction(0)) for j in range(n)]
+
+
 @settings(deadline=None)
 @given(_sparse_matrices())
 def test_engine_rank_equals_reference(rows):
@@ -278,8 +284,8 @@ def test_engine_rank_equals_reference(rows):
 def test_kernel_basis_equals_reference(rows):
     ncols = len(rows[0])
     want = dense_kernel(rows, ncols)
-    assert kernel_basis(rows, ncols) == want
-    assert kernel_basis(_sparse_rows(rows), ncols) == want
+    for given_rows in (rows, _sparse_rows(rows)):
+        assert [_dense(vec, ncols) for vec in kernel_basis(given_rows, ncols)] == want
 
 
 @settings(deadline=None)
