@@ -64,3 +64,12 @@ def test_traced_homology_commands_count(data_path):
     codes, nnz, calls = run.stdout.splitlines()[-1].rsplit(" ", 2)
     assert codes == "[0, 0]"
     assert int(nnz) > 0 and int(calls) > 0
+
+
+def test_input_generator_self_test():
+    # bench/gen.py builds the benchmark's inputs with parse_model,
+    # loop_model, equivariant_model, betti_table and parse_structure_file;
+    # its self-test checks them against the fixtures
+    gen = os.path.join(os.path.dirname(TRACING), "gen.py")
+    run = subprocess.run([sys.executable, gen], capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "self-test: pass"
