@@ -177,7 +177,11 @@ class GradedAlgebra:
 
         Ordered lexicographically on the exponent vector over the generator
         order, smallest first; the order is what every report and every
-        matrix slice downstream indexes by.
+        matrix slice downstream indexes by.  The walk recurses once per
+        factor of a monomial, not once per generator, so a model with many
+        generators does not exhaust the recursion limit: the next factor is
+        taken from the last generator down to p, since a later first factor
+        leaves a longer run of leading zero exponents.
         """
         if n < 0:
             return []
@@ -190,17 +194,14 @@ class GradedAlgebra:
                 if remaining == 0:
                     out.append(tuple(acc))
                     return
-                if p == k:
-                    return
-                rec(p + 1, remaining, acc)
-                d = degs[p]
-                max_e = 1 if degs[p] % 2 else remaining // d
-                for e in range(1, max_e + 1):
-                    if e * d > remaining:
-                        break
-                    acc.append((p, e))
-                    rec(p + 1, remaining - e * d, acc)
-                    acc.pop()
+                for q in range(k - 1, p - 1, -1):
+                    d = degs[q]
+                    if d > remaining:
+                        continue
+                    for e in range(1, 2 if d % 2 else remaining // d + 1):
+                        acc.append((q, e))
+                        rec(q + 1, remaining - e * d, acc)
+                        acc.pop()
 
             rec(0, n, [])
             self._basis_cache[n] = out

@@ -12,12 +12,24 @@ where the two words join, while the reference reduces every whole
 concatenation and tries every rotation.
 """
 
+import itertools
 from fractions import Fraction
 
 from loopspace.checks import add_into
 from loopspace.gca import AlgebraError, Derivation, GradedElement
 from loopspace.goldman import cyclic_reduce
 from loopspace.homology import ChainMap, ChainMapError
+
+
+def reference_basis(alg, n):
+    """Canonical monomials of degree n by brute force: every exponent vector
+    of degree n (at most 1 on odd generators), sorted lexicographically."""
+    ranges = [range(2 if d % 2 else n // d + 1) for d in alg.degrees]
+    vectors = sorted(
+        v for v in itertools.product(*ranges)
+        if sum(e * d for e, d in zip(v, alg.degrees)) == n
+    )
+    return [tuple((g, e) for g, e in enumerate(v) if e) for v in vectors]
 
 
 def apply_monomial(deriv, mono):

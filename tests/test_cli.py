@@ -36,6 +36,15 @@ def test_betti_based_space(capsys, data_path):
     assert out == "0\t1\n1\t0\n2\t1\n3\t0\n4\t1\n5\t0\n6\t1\n"
 
 
+def test_many_generators(capsys, tmp_path):
+    # the basis walk recurses once per factor of a monomial, not once per
+    # generator, so 2400 loop generators stay within the recursion limit
+    path = tmp_path / "many.min"
+    path.write_text("".join(f"gen g{i} 3\n" for i in range(1200)))
+    argv = ("betti", "--space", "loop", "--model", str(path), "--cutoff", "1")
+    assert run(capsys, *argv) == (0, "0\t1\n1\t0\n", "")
+
+
 def test_loop_model_report(capsys, data_path):
     code, out, _ = run(capsys, "loop-model", "--model", data_path("s2.min"))
     assert code == 0
