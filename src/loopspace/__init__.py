@@ -15,7 +15,7 @@ from .gca import (
     GradedAlgebra,
     GradedElement,
 )
-from .models import MinimalModel, loop_model, based_complex, equivariant_model
+from .models import Model, loop_model, based_complex, equivariant_model
 
 __all__ = [
     "AlgebraError",
@@ -23,7 +23,7 @@ __all__ = [
     "ElementSyntaxError",
     "GradedAlgebra",
     "GradedElement",
-    "MinimalModel",
+    "Model",
     "loop_model",
     "based_complex",
     "equivariant_model",

@@ -56,11 +56,13 @@ def ksign(e):
     return -1 if e % 2 else 1
 
 
-def apply_map(table, combo):
-    """The linear map with table name -> combo, on a combination."""
+def apply_map(f, combo):
+    """The linear map taking each key x to the combination f(x), on a
+    combination; f(x) may be empty or None for zero.  f is a table's get,
+    a list's __getitem__ or an image function."""
     out = {}
     for x, cx in combo.items():
-        row = table.get(x)
+        row = f(x)
         if row:
             add_into(out, row, cx)
     return out
@@ -151,7 +153,7 @@ class Tabulation:
     def dprod(self):
         """delta(a*b)."""
         delta = self.delta
-        return {k: apply_map(delta, ab) for k, ab in self.prod.items()}
+        return {k: apply_map(delta.get, ab) for k, ab in self.prod.items()}
 
     @functools.cached_property
     def dleft(self):
@@ -185,7 +187,7 @@ class Tabulation:
         return _right(prod, prod[a, b], c, {}), _left(prod, a, prod[b, c], {})
 
     def delta_square(self, a):
-        return apply_map(self.delta, self.delta[a]), {}
+        return apply_map(self.delta.get, self.delta[a]), {}
 
     def antisymmetric(self, a, b):
         s, br = self.shift, self.br

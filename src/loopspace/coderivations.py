@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .checks import BRACKET_LAWS, CheckReport, Tabulation, add_into, ksign
+from .checks import BRACKET_LAWS, CheckReport, Tabulation, add_into, apply_map, ksign
 
 __all__ = [
     "wedge_sort",
@@ -155,15 +155,6 @@ def _words(sdegs, word_len):
     ]
 
 
-def _extend(image, combo):
-    """Coderivation extension on a combination, from the images of its
-    words."""
-    out = {}
-    for word, c in combo.items():
-        add_into(out, image(word), c)
-    return out
-
-
 def _square_label(k, word_len):
     return f"m{k} squares to zero on words up to length {word_len}"
 
@@ -205,16 +196,16 @@ def coderivation_relations(reps, word_len, names):
 
     def composite(outer, inner, flip=False):
         def residue(word):
-            acc = _extend(image[outer], image[inner](word))
+            acc = apply_map(image[outer], image[inner](word))
             if flip:
-                add_into(acc, _extend(image[inner], image[outer](word)))
+                add_into(acc, apply_map(image[inner], image[outer](word)))
             return acc
         return _residue_witness(words, residue, names)
 
     def total(combo):
         out = {}
         for k in ks:
-            add_into(out, _extend(image[k], combo))
+            add_into(out, apply_map(image[k], combo))
         return out
 
     def total_label(chosen):
@@ -319,7 +310,7 @@ def jacobi_coderivation_equiv(space, bracket, word_len, relations=None):
                 comps[i, j] = combo
         image = functools.cache(CoderivationRep(sdegs, 2, comps).apply_word)
         square = _residue_witness(_words(sdegs, word_len),
-                                  lambda word: _extend(image, image(word)), names)
+                                  lambda word: apply_map(image, image(word)), names)
     coderivation = rep.add(
         f"arity-2 coderivation squares to zero on words up to length {word_len}",
         square,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .checks import add_into
+from .checks import add_into, apply_map
 
 __all__ = [
     "AlgebraError",
@@ -178,10 +178,9 @@ class GradedAlgebra:
         Ordered lexicographically on the exponent vector over the generator
         order, smallest first; the order is what every report and every
         matrix slice downstream indexes by.  The walk recurses once per
-        factor of a monomial, not once per generator, so a model with many
-        generators does not exhaust the recursion limit: the next factor is
-        taken from the last generator down to p, since a later first factor
-        leaves a longer run of leading zero exponents.
+        factor, not once per generator, so many generators cannot exhaust
+        the stack; a later next factor leaves more leading zero exponents,
+        so factors are tried from the last generator down.
         """
         if n < 0:
             return []
@@ -363,10 +362,7 @@ class GradedElement:
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._check_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return GradedElement(self.algebra, out)
+        return GradedElement(self.algebra, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, GradedElement):
@@ -378,10 +374,7 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return GradedElement(
-                self.algebra, {m: c * v for m, v in self.terms.items()}
-            )
+            return GradedElement(self.algebra, add_into({}, self.terms, Fraction(other)))
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._check_same(other)
@@ -508,10 +501,7 @@ class Derivation:
             raise AlgebraError("derivations apply to elements")
         if elt.algebra != self.algebra:
             raise AlgebraError("element lives in a different algebra")
-        out = {}
-        for mono, c in elt.terms.items():
-            add_into(out, self.image(mono), c)
-        return GradedElement(self.algebra, out)
+        return GradedElement(self.algebra, apply_map(self.image, elt.terms))
 
     def __repr__(self):
         body = ", ".join(

@@ -24,7 +24,7 @@ leaves minus its class in the tag columns.
 
 from __future__ import annotations
 
-from .checks import add_into
+from .checks import add_into, apply_map
 from .gca import GradedElement
 from .linalg import MatrixSlice, SpanTracker
 
@@ -66,9 +66,13 @@ class CochainComplex:
         self._cohomology = {}   # n -> (tagged SpanTracker, representatives)
 
     def check_differential(self):
-        """First generator on which d(d(g)) is nonzero, as (name, d(d(g))),
-        or None."""
-        return self.algebra.first_nonzero(lambda g: self.diff(self.diff(g)))
+        """The error line naming the first generator on which d(d(g)) is
+        nonzero, or None when d squares to zero."""
+        bad = self.algebra.first_nonzero(lambda g: self.diff(self.diff(g)))
+        if bad is None:
+            return None
+        name, val = bad
+        return f"differential does not square to zero at {name!r}: d(d({name})) = {val}"
 
     def dim(self, n):
         if n < 0:
@@ -154,8 +158,7 @@ def betti_table(cx, cutoff):
     zero on some generator."""
     bad = cx.check_differential()
     if bad is not None:
-        name, val = bad
-        raise ComplexError(f"differential does not square to zero at {name!r}: d(d({name})) = {val}")
+        raise ComplexError(bad)
     return BettiTable(cx.betti(i) for i in range(cutoff + 1))
 
 
@@ -279,9 +282,7 @@ def induced_map(f, n):
     columns = []
     span = SpanTracker(len(tgt_reps))
     for vec in src_reps:
-        img = {}
-        for k, c in vec.items():
-            add_into(img, f.image(basis[k]), c)
+        img = apply_map(lambda k: f.image(basis[k]), vec)
         col = tgt.class_of(t, _indexed(f, n, img, index))
         if col is None:
             raise ChainMapError(

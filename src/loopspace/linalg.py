@@ -25,7 +25,6 @@ __all__ = [
     "MatrixSlice",
     "matrix_rank",
     "kernel_basis",
-    "column_solver",
     "solve_coords",
     "SpanTracker",
 ]
@@ -197,33 +196,19 @@ def kernel_basis(rows, ncols):
     return _echelon(ncols, rows).kernel_basis()
 
 
-def column_solver(columns, dim):
-    """Factor the given column vectors of length dim once.
-
-    Returns solve(target): the coordinates of target in their span, as a
-    list with the free coordinates set to zero, or None when target is
-    outside the span.
-    """
-    tracker = SpanTracker(dim)
-    for j, col in enumerate(columns):
-        v = _sparse(col)
-        v[dim + j] = _ONE     # reduction turns this into the row's combination
-        tracker.add(v)
-    k = len(columns)
-
-    def solve(target):
-        rem = tracker.reduce(target)
-        if any(c < dim for c in rem):
-            return None
-        return [-rem.get(dim + j, _ZERO) for j in range(k)]
-
-    return solve
-
-
 def solve_coords(columns, target):
     """Coordinates of target in the span of the given column vectors.
 
     Returns a coefficient list (free coordinates set to zero) or None when
     target is outside the span.
     """
-    return column_solver(columns, len(target))(target)
+    dim = len(target)
+    tracker = SpanTracker(dim)
+    for j, col in enumerate(columns):
+        v = _sparse(col)
+        v[dim + j] = _ONE     # reduction turns this into the row's combination
+        tracker.add(v)
+    rem = tracker.reduce(target)
+    if any(c < dim for c in rem):
+        return None
+    return [-rem.get(dim + j, _ZERO) for j in range(len(columns))]

@@ -10,8 +10,11 @@ at least two with a decomposable degree +1 differential.  From it we build:
 - the circle-equivariant model: the free-loop generators plus one degree-2
   class, differential d + (degree-2 class) * rotation.
 
+The minimal, free-loop and circle-equivariant models are one Model type.
 The barred partner of generator ``z`` is named ``z`` + "b"; the degree-2
 class is named "u".  Both names are reserved and collisions are rejected.
+parse_model checks that d squares to zero; betti_table and validate_model
+check it again on the complex or model they are given.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ from .homology import (
 __all__ = [
     "ModelError",
     "ModelFileError",
-    "MinimalModel",
+    "Model",
     "parse_model",
     "load_model",
-    "LoopModel",
     "loop_model",
     "based_complex",
-    "EquivariantModel",
     "equivariant_model",
     "validate_model",
     "format_model_report",
@@ -62,44 +63,34 @@ class ModelFileError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-class MinimalModel:
-    """Free graded-commutative algebra on generators of degree >= 2 with a
-    square-zero degree +1 differential."""
+class Model:
+    """A free graded-commutative algebra with a degree +1 differential d and
+    its cochain complex, built once.  A free-loop model also carries its
+    degree -1 rotation delta; a circle-equivariant model carries the loop
+    model it extends.  Both are None on a minimal model."""
 
-    def __init__(self, generators, differentials=None, check=True):
-        for name, deg in generators:
-            if deg < 2:
-                raise ModelError(
-                    f"generator {name!r} has degree {deg}; the model must be "
-                    "simply connected (all generators in degree 2 or higher)"
-                )
-        self.algebra = GradedAlgebra(generators)
-        self.d = Derivation(self.algebra, 1, differentials or {}, check=check)
-        if check:
-            bad = self.complex.check_differential()
-            if bad is not None:
-                name, v = bad
-                raise ModelError(
-                    f"differential does not square to zero at {name!r}: "
-                    f"d(d({name})) = {v}"
-                )
-
-    @property
-    def complex(self):
-        return CochainComplex(self.algebra, self.d)
+    def __init__(self, algebra, d, delta=None, loop=None):
+        self.algebra = algebra
+        self.d = d
+        self.delta = delta
+        self.loop = loop
+        self.complex = CochainComplex(algebra, d)
 
 
 _GEN_LINE = re.compile(r"^gen\s+(\S+)\s+(-?\d+)$")
 _D_LINE = re.compile(r"^d\s+(\S+)\s*=\s*(.+)$")
 
 
-def parse_model(text, check=True):
-    """Parse a model file.
+def parse_model(text):
+    """Parse a model file into a minimal Model.
 
     Format: one declaration per line.  ``gen <name> <degree>`` introduces a
     generator; ``d <name> = <element>`` sets its differential (omitted means
     zero).  ``#`` starts a comment.  Differentials may only use generators
-    already declared somewhere in the file.
+    already declared somewhere in the file.  A generator below degree 2 is
+    rejected on its line.  A differential off its degree, or one that does
+    not square to zero on some generator (CochainComplex.check_differential
+    on the model's complex), raises ModelError.
     """
     gens = []
     seen = set()
@@ -143,32 +134,27 @@ def parse_model(text, check=True):
         except (AlgebraError, ValueError) as e:
             raise ModelFileError(lineno, str(e)) from e
     try:
-        return MinimalModel(gens, diffs, check=check)
-    except (ModelError, AlgebraError) as e:
+        model = Model(algebra, Derivation(algebra, 1, diffs))
+    except AlgebraError as e:
         raise ModelError(str(e)) from e
+    bad = model.complex.check_differential()
+    if bad is not None:
+        raise ModelError(bad)
+    return model
 
 
-def load_model(path, check=True):
+def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read(), check=check)
+        return parse_model(fh.read())
 
 
 def _bar_name(name):
     return name + BAR_SUFFIX
 
 
-class LoopModel:
+def loop_model(model):
     """Model of the free loop space: original and barred generators, the
     extended differential, and the degree -1 rotation operator."""
-
-    def __init__(self, algebra, d, delta):
-        self.algebra = algebra
-        self.d = d
-        self.delta = delta
-        self.complex = CochainComplex(algebra, d)
-
-
-def loop_model(model):
     base_alg = model.algebra
     bar_names = [_bar_name(n) for n in base_alg.names]
     clash = set(bar_names) & set(base_alg.names)
@@ -188,8 +174,7 @@ def loop_model(model):
         val = base_alg.transfer(model.d(base_alg.gen(n)), algebra)
         d_values[n] = val
         d_values[_bar_name(n)] = -delta(val)
-    d = Derivation(algebra, 1, d_values)
-    return LoopModel(algebra, d, delta)
+    return Model(algebra, Derivation(algebra, 1, d_values), delta=delta)
 
 
 def based_complex(model):
@@ -203,18 +188,9 @@ def based_complex(model):
     return CochainComplex(algebra, Derivation(algebra, 1, {}))
 
 
-class EquivariantModel:
+def equivariant_model(loop):
     """Circle-equivariant model: loop generators plus the degree-2 class,
     differential d + u * rotation."""
-
-    def __init__(self, algebra, d, loop):
-        self.algebra = algebra
-        self.d = d
-        self.loop = loop
-        self.complex = CochainComplex(algebra, d)
-
-
-def equivariant_model(loop):
     loop_alg = loop.algebra
     if CIRCLE_CLASS in loop_alg.names:
         raise ModelError(
@@ -229,8 +205,7 @@ def equivariant_model(loop):
         dval = loop_alg.transfer(loop.d(g), algebra)
         rval = loop_alg.transfer(loop.delta(g), algebra)
         d_values[n] = dval + rval * u
-    d = Derivation(algebra, 1, d_values)
-    return EquivariantModel(algebra, d, loop)
+    return Model(algebra, Derivation(algebra, 1, d_values), loop=loop)
 
 
 def _at(witness):
@@ -382,8 +357,7 @@ def _after(outer, inner):
     maps, one per source representative of inner."""
     if inner.tgt_betti != outer.src_betti:
         raise ChainMapError("induced-map composition: dimension mismatch")
-    table = dict(enumerate(outer.columns))
-    return [apply_map(table, col) for col in inner.columns]
+    return [apply_map(outer.columns.__getitem__, col) for col in inner.columns]
 
 
 def _vanishes(outer, inner):

@@ -175,7 +175,7 @@ class StructureTable:
         return out
 
     def delta_of(self, combo):
-        return apply_map(self.delta or {}, combo)
+        return apply_map((self.delta or {}).get, combo)
 
 
 
@@ -265,25 +265,17 @@ def load_structure_file(path):
         return parse_structure_file(fh.read())
 
 
-def _pair_degree_witness(space, table, extra, op):
-    for (a, b), combo in sorted(table.items()):
-        want = space.degree(a) + space.degree(b) + extra
-        for name in space.names:
-            if name in combo and space.degree(name) != want:
-                return (
-                    f"{op} {a} {b}: term {name} has degree "
-                    f"{space.degree(name)}, expected {want}"
-                )
-    return None
-
-
-def _unary_degree_witness(src, tgt, table, extra, op):
-    for a, combo in sorted(table.items()):
-        want = src.degree(a) + extra
+def _degree_witness(src, tgt, table, extra, op):
+    """The first entry of table with a term of tgt off the degree of its
+    arguments in src plus extra, rendered; None when there is none.  A key
+    is one basis name or a pair of them."""
+    for key, combo in sorted(table.items()):
+        args = key if isinstance(key, tuple) else (key,)
+        want = sum(map(src.degree, args)) + extra
         for name in tgt.names:
             if name in combo and tgt.degree(name) != want:
                 return (
-                    f"{op} {a}: term {name} has degree "
+                    f"{op} {' '.join(args)}: term {name} has degree "
                     f"{tgt.degree(name)}, expected {want}"
                 )
     return None
@@ -301,9 +293,9 @@ def check_gerstenhaber(t):
     rep = CheckReport()
     if (
         rep.add("product respects degrees",
-                _pair_degree_witness(sp, t.product, 0, "product"))
+                _degree_witness(sp, sp, t.product, 0, "product"))
         and rep.add("bracket respects degrees",
-                    _pair_degree_witness(sp, t.bracket, 1, "bracket"))
+                    _degree_witness(sp, sp, t.bracket, 1, "bracket"))
     ):
         Tabulation(sp, product=t.product, bracket=t.bracket).add_laws(
             rep,
@@ -326,9 +318,9 @@ def check_bv(t):
     rep = CheckReport()
     if not (
         rep.add("product respects degrees",
-                _pair_degree_witness(sp, t.product, 0, "product"))
+                _degree_witness(sp, sp, t.product, 0, "product"))
         and rep.add("delta respects degrees",
-                    _unary_degree_witness(sp, sp, t.delta, 1, "delta"))
+                    _degree_witness(sp, sp, t.delta, 1, "delta"))
     ):
         return rep
     tab = Tabulation(sp, product=t.product, delta=t.delta)
@@ -394,22 +386,15 @@ def string_brackets(t, max_arity=3):
     out = StringBracketReport()
     rep = out.checks
 
-    def degree_witness():
-        w = _pair_degree_witness(sp, t.product, 0, "product")
-        if w is None and t.delta is not None:
-            w = _unary_degree_witness(sp, sp, t.delta, 1, "delta")
-        if w is None:
-            w = _unary_degree_witness(sp, ss, t.erase, 0, "E")
-        if w is None:
-            w = _unary_degree_witness(ss, sp, t.mark, 1, "M")
-        return w
-
-    if not rep.add("structure constants respect degrees", degree_witness()):
+    tables = ((sp, sp, t.product, 0, "product"), (sp, sp, t.delta or {}, 1, "delta"),
+              (sp, ss, t.erase, 0, "E"), (ss, sp, t.mark, 1, "M"))
+    witness = next(filter(None, (_degree_witness(*row) for row in tables)), None)
+    if not rep.add("structure constants respect degrees", witness):
         return out
 
     def em_witness():
         for s in ss.names:
-            combo = apply_map(t.erase, t.mark.get(s, {}))
+            combo = apply_map(t.erase.get, t.mark.get(s, {}))
             if combo:
                 return f"s={s}: E(M(s)) = {ss.render(combo)}"
         return None
@@ -419,7 +404,7 @@ def string_brackets(t, max_arity=3):
 
     def me_witness():
         for a in sp.names:
-            lhs = apply_map(t.mark, t.erase.get(a, {}))
+            lhs = apply_map(t.mark.get, t.erase.get(a, {}))
             rhs = t.delta_of({a: 1})
             if lhs != rhs:
                 return (f"a={a}: M(E(a)) = {sp.render(lhs)}, "
@@ -437,7 +422,7 @@ def string_brackets(t, max_arity=3):
         acc = marked[names[0]]
         for s in names[1:]:
             acc = t.mult(acc, marked[s])
-        return apply_map(t.erase, acc)
+        return apply_map(t.erase.get, acc)
 
     for pair in itertools.product(ss.names, repeat=2):
         combo = add_into({}, op_value(pair), ksign(deg(pair[0])))

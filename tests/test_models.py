@@ -43,13 +43,10 @@ def test_parse_model_errors():
 
 
 def test_square_zero_enforced_at_load():
-    # d(d(x)) = d(y) = z is nonzero, so loading must fail ...
+    # d(d(x)) = d(y) = z is nonzero, so loading must fail
     text = "gen x 2\ngen y 3\ngen z 4\nd x = y\nd y = z\n"
     with pytest.raises(ModelError):
         parse_model(text)
-    # ... unless checking is explicitly disabled
-    m = parse_model(text, check=False)
-    assert m.d(m.d(m.algebra.gen("x")))
 
 
 def test_loop_model_hand_differentials(data_path):
