@@ -3,7 +3,9 @@
 Subpackages cover: free graded-commutative algebras and derivations (gca),
 sparse exact linear algebra (linalg), cochain complexes and induced maps
 (homology), minimal models with their loop, based and circle-equivariant
-extensions (models), surface word brackets on ribbon graphs (goldman),
+extensions (models; the minimal, loop and equivariant ones are all a
+Model), surface word brackets on ribbon graphs (goldman), the sparse
+combinations, report and identities the checkers share (checks),
 bracket/coproduct axiom checkers on finite structure tables (structures),
 and coderivation calculus on cofree coalgebras (coderivations).
 """
