@@ -176,11 +176,24 @@ INPUTS = {
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
+# cyclically reduced words of 40 and 60 letters on genus2.fat
+LONG_40 = (
+    "a a b c a^- b d^- d^- b a b^- c^- d^- a b c^- a^- d d c^- b^- a^- c^- "
+    "d^- b d^- a^- d^- b c a d a c^- d^- d^- c^- d^- a^- c"
+)
+LONG_60 = (
+    "a a a b^- d^- b^- d^- c^- c^- b c b d d c^- a d^- b^- c d^- c^- d b^- "
+    "b^- a a d a d^- b^- a d b a b^- a d^- b c^- a b a a d c^- d^- b a a c^- "
+    "c^- a d^- c d a c^- d^- d^- d^-"
+)
+
 # (input from INPUTS or None, command with {d} for tests/data, {f} for the
 # input and {t} for the temporary directory, exit code, sha256 of stdout,
 # sha256 of stderr); both streams are hashed with the paths put back as
 # placeholders.  Recorded before one Model class replaced the three model
-# classes and one degree witness the two in structures.
+# classes and one degree witness the two in structures; the long-word
+# goldman rows and the max-len 10 fuzz before Goldman combinations were
+# keyed by rank strings.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -219,6 +232,16 @@ CLI_GOLDEN = [
      "9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
      EMPTY),
     (None, ("jacobi-fuzz", "--surface", "{d}/genus2.fat", "--trials", "30", "--max-len", "4", "--seed", "3"), 0,
+     "9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
+     EMPTY),
+    # long words, where most terms are sliced from the two keys
+    (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", LONG_40, "--b", LONG_60), 0,
+     "df5c34837f4720fc4d6878631553047967fe9a54fa1f9163ae67951ea710875c",
+     EMPTY),
+    (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", LONG_60, "--b", LONG_40), 0,
+     "f1cb168489a053863a8c2f810a677a7d925a9e160e8c5193d254ced2269523ee",
+     EMPTY),
+    (None, ("jacobi-fuzz", "--surface", "{d}/genus2.fat", "--trials", "100", "--max-len", "10"), 0,
      "9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
      EMPTY),
     (None, ("loop-model", "--model", "{d}/s2.min"), 0,
