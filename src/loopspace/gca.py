@@ -91,6 +91,8 @@ class GradedAlgebra:
         return len(self.generators)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, GradedAlgebra) and self.generators == other.generators
 
     def __hash__(self):

@@ -5,7 +5,10 @@ generator, attached in the cyclic order read counterclockwise around the
 disk.  Free homotopy classes are cyclically reduced cyclic words in the
 generators.  The bracket of two classes is a signed sum over basepoint
 pairs: each transversal crossing of taut representatives contributes the
-concatenated class with the sign of the crossing.
+concatenated class with the sign of the crossing.  On one surface a class
+is its key, a rank string: the bracket, its bilinear extension and the
+Jacobi fuzz add {key: coefficient} combinations, and a CyclicWord is made
+only where a word enters or leaves.
 
 Crossing detection works on the four rays leaving a merged basepoint (both
 words forward and backward).  The directions of rays that leave along the
@@ -36,8 +39,6 @@ __all__ = [
     "CyclicWord",
     "goldman_bracket",
     "bracket_combo",
-    "invert_classes",
-    "combo_sub",
     "random_reduced_cyclic_word",
     "jacobi_fuzz",
     "format_combo",
@@ -108,13 +109,7 @@ class FatGraph:
         return name if letter > 0 else name + _INV_SUFFIX
 
     def letter(self, token):
-        inv = token.endswith(_INV_SUFFIX)
-        name = token[: -len(_INV_SUFFIX)] if inv else token
-        try:
-            k = self.names.index(name) + 1
-        except ValueError:
-            raise WordError(f"unknown generator {name!r}") from None
-        return -k if inv else k
+        return _letter(self.names, token)
 
     def word(self, text):
         return CyclicWord(self, tuple(map(self.letter, text.split())))
@@ -143,6 +138,16 @@ class FatGraph:
         return (2 - b - chi) // 2
 
 
+def _letter(names, token):
+    inv = token.endswith(_INV_SUFFIX)
+    name = token[: -len(_INV_SUFFIX)] if inv else token
+    try:
+        k = names.index(name) + 1
+    except ValueError:
+        raise WordError(f"unknown generator {name!r}") from None
+    return -k if inv else k
+
+
 def parse_fat_graph(text):
     names = None
     order_tokens = None
@@ -167,10 +172,8 @@ def parse_fat_graph(text):
         raise FatGraphError("missing generators line")
     if order_tokens is None:
         raise FatGraphError("missing cyclic-order line")
-    stub = FatGraph.__new__(FatGraph)
-    stub.names = tuple(names)
     try:
-        letters = [stub.letter(tok) for tok in order_tokens]
+        letters = [_letter(names, tok) for tok in order_tokens]
     except WordError as e:
         raise FatGraphError(str(e)) from None
     return FatGraph(names, letters)
@@ -301,7 +304,12 @@ def goldman_bracket(w, v):
     graph = w.graph
     if not _same_surface(graph, v.graph):
         raise WordError("words live on different surfaces")
-    a, b = w.key, v.key
+    return {_wrap(graph, term): c for term, c in _bracket(graph, w.key, v.key).items()}
+
+
+def _bracket(graph, a, b):
+    """[a, b] for the keys of two classes of graph, as {key: coefficient}
+    with no zero coefficient."""
     m, n = len(a), len(b)
     # the ray along v backward from position j reads ib forward from n - j
     ib = b[::-1].translate(graph.inv_table)
@@ -343,28 +351,19 @@ def goldman_bracket(w, v):
                 term = _least_rotation(head[k:] + tail[:n - k])
             else:
                 term = _canonical(graph, map(graph.letter_of.__getitem__, head + tail))
-            c = acc.get(term, 0) + o1
+            c = acc.pop(term, 0) + o1
             if c:
                 acc[term] = c
-            else:
-                acc.pop(term, None)
-    return {_wrap(graph, term): c for term, c in acc.items()}
+    return acc
 
 
-def combo_sub(a, b):
-    return add_into(dict(a), b, -1)
-
-
-def invert_classes(combo):
-    return add_into({}, {k.inverse(): v for k, v in combo.items()})
-
-
-def bracket_combo(a, b):
-    """Bilinear extension of the bracket to integer combinations."""
+def bracket_combo(graph, a, b):
+    """Bilinear extension of the bracket to integer combinations of the
+    keys of graph's classes."""
     out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            add_into(out, goldman_bracket(wa, wb), ca * cb)
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            add_into(out, _bracket(graph, ka, kb), ca * cb)
     return out
 
 
@@ -382,12 +381,10 @@ def random_reduced_cyclic_word(graph, rng, max_len):
     n = rng.randint(1, max_len)
     letters = []
     for k in range(n):
-        cands = list(alphabet)
-        if k > 0:
-            cands = [x for x in cands if x != -letters[-1]]
-        if k == n - 1 and n > 1:
-            cands = [x for x in cands if x != -letters[0]]
-        letters.append(rng.choice(cands))
+        banned = {-letters[-1]} if k else set()
+        if 0 < k == n - 1:
+            banned.add(-letters[0])
+        letters.append(rng.choice([x for x in alphabet if x not in banned]))
     return CyclicWord(graph, tuple(letters))
 
 
@@ -400,13 +397,12 @@ def jacobi_fuzz(graph, trials=200, max_len=6, seed=1):
     """
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
-        u = random_reduced_cyclic_word(graph, rng, max_len)
-        v = random_reduced_cyclic_word(graph, rng, max_len)
-        w = random_reduced_cyclic_word(graph, rng, max_len)
-        lhs = bracket_combo({u: 1}, goldman_bracket(v, w))
-        rhs1 = bracket_combo(goldman_bracket(u, v), {w: 1})
-        rhs2 = bracket_combo({v: 1}, goldman_bracket(u, w))
-        residual = combo_sub(combo_sub(lhs, rhs1), rhs2)
+        u, v, w = (random_reduced_cyclic_word(graph, rng, max_len) for _ in range(3))
+        a, b, c = u.key, v.key, w.key
+        residual = bracket_combo(graph, {a: 1}, _bracket(graph, b, c))
+        add_into(residual, bracket_combo(graph, _bracket(graph, a, b), {c: 1}), -1)
+        add_into(residual, bracket_combo(graph, {b: 1}, _bracket(graph, a, c)), -1)
         if residual:
+            residual = {_wrap(graph, k): n for k, n in residual.items()}
             return {"trial": t, "u": u, "v": v, "w": w, "residual": residual}
     return None

@@ -9,15 +9,18 @@ the chain-map check that evaluates both differentials per monomial.  The
 Goldman bracket is kept here too, on letter tuples: the library builds
 each term from slices of rank strings and cuts the letters that cancel
 where the two words join, while the reference reduces every whole
-concatenation and tries every rotation.
+concatenation and tries every rotation.  The Jacobi fuzz is kept on
+CyclicWord combinations, where the library adds {key: coefficient}
+combinations of one surface.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from loopspace.checks import add_into
 from loopspace.gca import AlgebraError, Derivation, GradedElement
-from loopspace.goldman import cyclic_reduce
+from loopspace.goldman import cyclic_reduce, goldman_bracket, random_reduced_cyclic_word
 from loopspace.homology import ChainMap, ChainMapError
 
 
@@ -230,3 +233,28 @@ def format_letter_combo(graph, combo):
     class, ordered by token tuples."""
     rows = sorted((tuple(map(graph.token, w)), c) for w, c in combo.items())
     return "".join(f"{c}\t{' '.join(toks) or '1'}\n" for toks, c in rows)
+
+
+def reference_jacobi_fuzz(graph, trials=200, max_len=6, seed=1, bracket=goldman_bracket):
+    """jacobi_fuzz on {CyclicWord: coefficient} combinations, through a
+    bracket of two CyclicWords: the same draws, verdict and witness."""
+
+    def combo(a, b):
+        out = {}
+        for wa, ca in a.items():
+            for wb, cb in b.items():
+                add_into(out, bracket(wa, wb), ca * cb)
+        return out
+
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{t}")
+        u = random_reduced_cyclic_word(graph, rng, max_len)
+        v = random_reduced_cyclic_word(graph, rng, max_len)
+        w = random_reduced_cyclic_word(graph, rng, max_len)
+        lhs = combo({u: 1}, bracket(v, w))
+        rhs1 = combo(bracket(u, v), {w: 1})
+        rhs2 = combo({v: 1}, bracket(u, w))
+        residual = add_into(add_into(lhs, rhs1, -1), rhs2, -1)
+        if residual:
+            return {"trial": t, "u": u, "v": v, "w": w, "residual": residual}
+    return None

@@ -107,28 +107,27 @@ def test_jacobi_fuzz_pass(capsys, data_path):
 def test_jacobi_fuzz_fail_report(capsys, monkeypatch, data_path):
     # a bracket with one coefficient off must fail the fuzz with a witness
     from loopspace import goldman
+    from loopspace.checks import add_into
 
-    true_bracket = goldman.goldman_bracket
+    true_bracket = goldman._bracket
 
-    def perturbed(w, v):
-        out = true_bracket(w, v)
+    def perturbed(graph, a, b):
+        # keys order like token sequences: the least key is the least class
+        out = true_bracket(graph, a, b)
         if out:
-            first = min(out, key=lambda cls: cls.tokens())
-            out[first] += 1
+            out[min(out)] += 1
         return out
 
-    monkeypatch.setattr(goldman, "goldman_bracket", perturbed)
+    monkeypatch.setattr(goldman, "_bracket", perturbed)
     graph = goldman.load_fat_graph(data_path("torus.fat"))
     witness = goldman.jacobi_fuzz(graph, trials=40, max_len=5)
     assert witness is not None and witness["residual"]
     u, v, w = witness["u"], witness["v"], witness["w"]
-    residual = goldman.combo_sub(
-        goldman.combo_sub(
-            goldman.bracket_combo({u: 1}, perturbed(v, w)),
-            goldman.bracket_combo(perturbed(u, v), {w: 1}),
-        ),
-        goldman.bracket_combo({v: 1}, perturbed(u, w)),
-    )
+    a, b, c = u.key, v.key, w.key
+    residual = goldman.bracket_combo(graph, {a: 1}, perturbed(graph, b, c))
+    add_into(residual, goldman.bracket_combo(graph, perturbed(graph, a, b), {c: 1}), -1)
+    add_into(residual, goldman.bracket_combo(graph, {b: 1}, perturbed(graph, a, c)), -1)
+    residual = {goldman._wrap(graph, k): n for k, n in residual.items()}
     assert residual == witness["residual"]
 
     code, out, _ = run(

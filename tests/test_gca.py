@@ -142,6 +142,27 @@ def test_derivation_leibniz_hand_values():
     assert not delta(alg.parse("xb*x"))  # lands on xb*xb = 0
 
 
+class _Uncomparable(tuple):
+    """Generators that fail the test when compared."""
+
+    def __eq__(self, other):
+        raise AssertionError("generators compared")
+
+    __hash__ = tuple.__hash__
+
+
+def test_algebra_compared_with_itself_reads_no_generators():
+    alg = GradedAlgebra(LOOP_GENS)
+    d = Derivation(alg, 1, {"yb": "-2*xb*x", "y": "x^2"})
+    alg.generators = _Uncomparable(alg.generators)
+    assert alg == alg and not alg != alg
+    assert d(alg.gen("yb")) == alg.parse("-2*xb*x")
+    assert Derivation(alg, 1, {"y": "x^2"})(alg.gen("y")) == alg.parse("x^2")
+    # distinct but equal algebras still compare by their generators
+    assert GradedAlgebra(LOOP_GENS) == GradedAlgebra(list(reversed(LOOP_GENS)))
+    assert GradedAlgebra(LOOP_GENS) != GradedAlgebra(LOOP_GENS[:3])
+
+
 def test_derivation_degree_check():
     alg = GradedAlgebra(LOOP_GENS)
     with pytest.raises(AlgebraError):

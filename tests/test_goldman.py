@@ -12,24 +12,29 @@ import sys
 
 import pytest
 
+from loopspace import goldman
+from loopspace.checks import add_into
 from loopspace.goldman import (
     CyclicWord,
     FatGraph,
     FatGraphError,
     WordError,
     bracket_combo,
-    combo_sub,
     cyclic_reduce,
     format_combo,
     goldman_bracket,
-    invert_classes,
     jacobi_fuzz,
     load_fat_graph,
     parse_fat_graph,
     random_reduced_cyclic_word,
 )
 
-from reference import format_letter_combo, min_rotation, reference_bracket
+from reference import (
+    format_letter_combo,
+    min_rotation,
+    reference_bracket,
+    reference_jacobi_fuzz,
+)
 
 
 @pytest.fixture
@@ -139,6 +144,11 @@ def test_self_bracket_vanishes_fuzz(genus2):
         assert goldman_bracket(w, w) == {}
 
 
+def inverted(combo):
+    # inversion is a bijection on classes, so no two terms merge
+    return {w.inverse(): c for w, c in combo.items()}
+
+
 def test_inverse_symmetry_fuzz(genus2):
     # [w^-, v] matches [w, v^-] with every output class inverted, and
     # inverting both inputs inverts the classes of [w, v]
@@ -146,10 +156,10 @@ def test_inverse_symmetry_fuzz(genus2):
     for _ in range(60):
         w = random_reduced_cyclic_word(genus2, rng, 5)
         v = random_reduced_cyclic_word(genus2, rng, 5)
-        assert goldman_bracket(w.inverse(), v) == invert_classes(
+        assert goldman_bracket(w.inverse(), v) == inverted(
             goldman_bracket(w, v.inverse())
         )
-        assert goldman_bracket(w.inverse(), v.inverse()) == invert_classes(
+        assert goldman_bracket(w.inverse(), v.inverse()) == inverted(
             goldman_bracket(w, v)
         )
 
@@ -168,14 +178,65 @@ def test_annulus_brackets_vanish(annulus):
 
 
 def test_bracket_combo_bilinear(torus):
-    a = {torus.word("a"): 2}
-    b = {torus.word("b"): 3, torus.word("a b"): -1}
-    got = bracket_combo(a, b)
-    want = combo_sub(
-        {torus.word("a b"): 6},
-        {torus.word("a a b"): 2},
-    )
+    def key(text):
+        return torus.word(text).key
+
+    a = {key("a"): 2}
+    b = {key("b"): 3, key("a b"): -1}
+    got = bracket_combo(torus, a, b)
+    want = add_into({key("a b"): 6}, {key("a a b"): 2}, -1)
     assert got == want
+
+
+@pytest.mark.parametrize("name", ["torus", "genus2", "annulus"])
+def test_jacobi_fuzz_matches_reference(name, data_path):
+    graph = load_fat_graph(data_path(name + ".fat"))
+    for seed, trials, max_len in ((1, 40, 6), (2, 30, 10), (9, 60, 4)):
+        got = jacobi_fuzz(graph, trials, max_len, seed)
+        assert got is None
+        assert got == reference_jacobi_fuzz(graph, trials, max_len, seed)
+
+
+def test_jacobi_fuzz_witness_matches_reference(monkeypatch, torus, genus2):
+    # the least term of every bracket gets one more: the same perturbation
+    # on keys in the library and on CyclicWords in the reference
+    true_bracket = goldman._bracket
+
+    def bump(combo, order=None):
+        if combo:
+            combo[min(combo, key=order)] += 1
+        return combo
+
+    def word_bracket(w, v):
+        return bump(goldman_bracket(w, v), order=CyclicWord.tokens)
+
+    for graph in (torus, genus2):
+        for seed in (1, 4):
+            want = reference_jacobi_fuzz(graph, 40, 5, seed, bracket=word_bracket)
+            with monkeypatch.context() as m:
+                m.setattr(goldman, "_bracket", lambda *args: bump(true_bracket(*args)))
+                got = jacobi_fuzz(graph, 40, 5, seed)
+            assert want is not None and want["residual"]
+            assert got == want
+
+
+def test_clean_jacobi_fuzz_wraps_only_its_draws(monkeypatch, genus2):
+    # bracket terms stay keys: a clean fuzz makes three words per trial
+    counts = {"wrap": 0, "init": 0}
+    wrap, init = goldman._wrap, CyclicWord.__init__
+
+    def counted_wrap(*args):
+        counts["wrap"] += 1
+        return wrap(*args)
+
+    def counted_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(goldman, "_wrap", counted_wrap)
+    monkeypatch.setattr(CyclicWord, "__init__", counted_init)
+    assert jacobi_fuzz(genus2, trials=20, max_len=8, seed=2) is None
+    assert counts == {"wrap": 0, "init": 60}
 
 
 def test_boundary_and_genus(torus, annulus, genus2):
@@ -200,6 +261,8 @@ def test_parse_fat_graph_errors():
         parse_fat_graph("generators a b\ncyclic-order a b a^-\n")
     with pytest.raises(FatGraphError, match="unknown generator 'c'"):
         parse_fat_graph("generators a b\ncyclic-order a b c a^- b^-\n")
+    with pytest.raises(FatGraphError, match="unknown generator 'b'"):
+        parse_fat_graph("generators a\ncyclic-order a b^- a^-\n")
     with pytest.raises(FatGraphError, match="line 3: second generators"):
         parse_fat_graph("generators a\ncyclic-order a a^-\ngenerators b\n")
     with pytest.raises(FatGraphError, match="missing generators"):
@@ -316,8 +379,8 @@ def test_long_word_bracket_laws(genus2):
         uv = goldman_bracket(u, v)
         assert uv, (u, v)
         assert uv == {k: -c for k, c in goldman_bracket(v, u).items()}, (u, v)
-        assert goldman_bracket(u.inverse(), v.inverse()) == invert_classes(uv)
-        assert goldman_bracket(u.inverse(), v) == invert_classes(
+        assert goldman_bracket(u.inverse(), v.inverse()) == inverted(uv)
+        assert goldman_bracket(u.inverse(), v) == inverted(
             goldman_bracket(u, v.inverse())
         )
         assert goldman_bracket(u, u) == {}
@@ -376,9 +439,11 @@ def test_traced_commands_read_words(data_path):
         "tracer = tracing.install()\n"
         f"codes = [cli.main(['goldman', '--surface', {torus!r}, '--a', 'a b', '--b', 'b']),\n"
         f"         cli.main(['jacobi-fuzz', '--surface', {torus!r}, '--trials', '4'])]\n"
-        "print(codes, tracer.counts['goldman.CyclicWord.calls'])\n"
+        "counts = tracer.counts\n"
+        "print(codes, counts['goldman.CyclicWord.calls'], counts['goldman.goldman_bracket.calls'])\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    assert run.stdout.splitlines()[-1] == "[0, 0] 14"
+    # the span covers the direct bracket only: the fuzz brackets keys
+    assert run.stdout.splitlines()[-1] == "[0, 0] 14 1"
