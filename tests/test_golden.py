@@ -5,8 +5,10 @@ marked-point structure files and on one mutant of the torus file.  Every
 other subcommand is pinned by stdout, stderr and exit code in CLI_GOLDEN:
 `goldman` and `jacobi-fuzz` on the three surfaces, `loop-model` and
 `string-model` on the four models, `verify bv` and `verify gerstenhaber`
-on every structure file, five tables that each fail one degree line, and
-one command per unusable input that exits 2.
+on every structure file and on the 40-element circle table, two tables
+whose first failure is an arity-3 law late in the walk, five tables that
+each fail one degree line, and one command per unusable input that exits
+2.
 
 The betti and gysin digests were recorded before the sparse derivation
 and chain-map kernels replaced GradedElement arithmetic on the homology
@@ -23,6 +25,7 @@ for a deliberate report change, and say why.
 import hashlib
 
 import pytest
+from conftest import circle_structure
 
 from loopspace.cli import main
 
@@ -157,10 +160,31 @@ def test_symmetry_mutant_witness(data_path, tmp_path, capsys):
 
 
 
-# Inputs written to a temporary file {f}: five structure tables that each
-# fail one degree line, and the unusable inputs of the README's exit-2 list.
-# None leaves {f} unwritten.
+# Sixteen basis names with no structure, ahead of the names that fail, so
+# that a table's first failing tuple comes late in the walk.
+PADDING = "".join(f"basis p_{i} 0\n" for i in range(16))
+
+# Inputs written to a temporary file {f}: the 40-element circle table; two
+# tables whose first failure is an arity-3 law late in the walk (an
+# antisymmetric bracket that is not Lie, failing Jacobi at two last names,
+# and a delta of order three on Q[x,y,z]/(x^2,y^2,z^2)); five structure
+# tables that each fail one degree line, and the unusable inputs of the
+# README's exit-2 list.  None leaves {f} unwritten.
 INPUTS = {
+    "circle 19": circle_structure(19),
+    "late jacobi": PADDING + (
+        "basis x -1\nbasis y -1\nbasis z -1\nbasis w -1\nproduct x x = 0\n"
+        "bracket x y = x\nbracket y x = -x\nbracket y w = y\nbracket w y = -y\n"
+        "bracket y z = y\nbracket z y = -y\n"
+    ),
+    "third-order delta": PADDING + (
+        "basis x 0\nbasis y 0\nbasis z 0\nbasis xy 0\nbasis xz 0\nbasis yz 0\n"
+        "basis xyz 0\nbasis w 1\n"
+        "product x y = xy\nproduct y x = xy\nproduct x z = xz\nproduct z x = xz\n"
+        "product y z = yz\nproduct z y = yz\nproduct x yz = xyz\nproduct yz x = xyz\n"
+        "product y xz = xyz\nproduct xz y = xyz\nproduct z xy = xyz\nproduct xy z = xyz\n"
+        "delta xyz = w\n"
+    ),
     "product degree": "basis a 0\nbasis b 1\nproduct a a = b\nbracket a a = 0\n",
     "bracket degree": "basis a 0\nbasis b 1\nproduct a a = a\nbracket a b = a\n",
     "delta degree": "basis a 0\nbasis b 2\nproduct a a = a\ndelta a = b\n",
@@ -193,7 +217,8 @@ LONG_60 = (
 # placeholders.  Recorded before one Model class replaced the three model
 # classes and one degree witness the two in structures; the long-word
 # goldman rows and the max-len 10 fuzz before Goldman combinations were
-# keyed by rank strings.
+# keyed by rank strings; the circle 19, late jacobi and third-order delta
+# rows before the identities were evaluated a row of last names at a time.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -298,6 +323,18 @@ CLI_GOLDEN = [
     (None, ("verify", "gerstenhaber", "--structure", "{d}/torus_bracket.struct"), 2,
      EMPTY,
      "88034a886da24c6d9afa16aef05d9cc78562456e2dc1b24a4c6ff127ccb889e9"),
+    ("circle 19", ("verify", "bv", "--structure", "{f}"), 0,
+     "60dc3fbf09842977504f95f0e7665be5bd9e2d99de0b29ea659acab631fb680b",
+     EMPTY),
+    ("circle 19", ("verify", "gerstenhaber", "--structure", "{f}"), 0,
+     "1076146cb8e3a7b9c3156ddc6bfb9649320633d080981c6f44a9669c498e6967",
+     EMPTY),
+    ("late jacobi", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
+     "b85e50c905ff187ebfa1f9e6efeb3bf45a810d71e40ebae8444ae271c1656605",
+     EMPTY),
+    ("third-order delta", ("verify", "bv", "--structure", "{f}"), 1,
+     "40631cda03698cde5c12512dd16991bb6ef8cc832fe921f3beaf5597770dfb99",
+     EMPTY),
     ("product degree", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
      "ac723a78bf12846748e121b63c13ae6fdc9f9f0fdc6aff5b46ab8059b5387986",
      EMPTY),
