@@ -5,10 +5,12 @@ themselves, each stated once.
 A combination is a dict key -> coefficient that never stores a zero, so
 two combinations are equal exactly when they are equal as dicts.
 
-An identity is a method of Tabulation that returns its two sides on one
-basis tuple; IDENTITIES declares each one with its arity and its printed
-sides, and Tabulation.witness walks every tuple for it.  A space is
-anything with ordered ``names``, ``degree(name)`` and ``render(combo)``.
+An identity of arity k is a method of Tabulation that takes the first k-1
+names of a basis tuple and returns its two sides for every last name at
+once, as {last name: nonzero combination} dicts built from the row tables;
+IDENTITIES declares each one with its arity and its printed sides, and
+Tabulation.witness walks every prefix for it.  A space is anything with
+ordered ``names``, ``degree(name)`` and ``render(combo)``.
 """
 
 from __future__ import annotations
@@ -104,32 +106,37 @@ class CheckReport:
         return "".join(out)
 
 
-def _left(table, a, combo, acc, sign=1):
-    """acc += sign * (a . combo) for a pair table, a basis name a and a
-    sign of +-1."""
-    for y, v in combo.items():
-        row = table[a, y]
-        if row:
-            add_into(acc, row, v if sign == 1 else -v)
-    return acc
-
-
-def _right(table, combo, c, acc, sign=1):
-    """acc += sign * (combo . c) for a pair table, a basis name c and a
-    sign of +-1."""
+def _mix(acc, rows, combo, sign=1):
+    """acc[c] += sign * (combo . c) for every c, where rows[x] = {c: x.c}:
+    the rows of combo's names, added with its coefficients.  A
+    combination that cancels stays behind empty."""
     for x, v in combo.items():
-        row = table[x, c]
-        if row:
-            add_into(acc, row, v if sign == 1 else -v)
+        for c, xc in rows[x].items():
+            add_into(acc.setdefault(c, {}), xc, v if sign == 1 else -v)
     return acc
+
+
+def _compose(acc, f, rows, sign=1):
+    """acc[c] += sign * f(rows[c]) for every c of rows, f applied linearly
+    as in apply_map."""
+    for c, combo in rows.items():
+        add_into(acc.setdefault(c, {}), apply_map(f, combo), sign)
+    return acc
+
+
+def _nonzero(rows):
+    return {c: combo for c, combo in rows.items() if combo}
 
 
 class Tabulation:
     """The structure constants of one check, tabulated once on basis names.
 
-    A pair table holds every basis pair, zero pairs included, so it has n^2
-    entries; the tables derived from delta are built on first use.  The
-    tabulation belongs to one check and is dropped when the check returns.
+    Every pair table is held as rows, rows[x] = {y: x.y} with the zero
+    pairs left out, so evaluating a law costs what its nonzero constants
+    cost, not n^3: prod, br, and the tables derived from delta (dprod,
+    dleft, dright, dev), which are built on first use.  delta maps a name
+    to its nonzero image.  The tabulation belongs to one check and is
+    dropped when the check returns.
     shift is the parity the bracket adds to degrees: 1 for the odd
     Gerstenhaber bracket, 0 for the even bracket on the marked-point space.
     """
@@ -140,107 +147,120 @@ class Tabulation:
         names = space.names
         self.deg = {a: space.degree(a) for a in names}
 
-        def pairs(table):
+        def rows(table):
             if table is None:
                 return None
-            return {(a, b): table.get((a, b), {}) for a in names for b in names}
+            out = {a: {} for a in names}
+            for (a, b), combo in table.items():
+                if combo:
+                    out[a][b] = combo
+            return out
 
-        self.prod = pairs(product)
-        self.br = pairs(bracket)
-        self.delta = None if delta is None else {a: delta.get(a, {}) for a in names}
+        self.prod = rows(product)
+        self.br = rows(bracket)
+        self.delta = None if delta is None else {a: c for a, c in delta.items() if c}
 
     @functools.cached_property
     def dprod(self):
         """delta(a*b)."""
-        delta = self.delta
-        return {k: apply_map(delta.get, ab) for k, ab in self.prod.items()}
+        return {a: _nonzero(_compose({}, self.delta.get, row)) for a, row in self.prod.items()}
 
     @functools.cached_property
     def dleft(self):
         """delta(a)*b."""
-        return {(a, b): _right(self.prod, self.delta[a], b, {}) for a, b in self.prod}
+        return {a: _nonzero(_mix({}, self.prod, self.delta.get(a, {}))) for a in self.prod}
 
     @functools.cached_property
     def dright(self):
         """a*delta(b)."""
-        return {(a, b): _left(self.prod, a, self.delta[b], {}) for a, b in self.prod}
+        return {a: _nonzero(_compose({}, row.get, self.delta)) for a, row in self.prod.items()}
 
     @functools.cached_property
     def dev(self):
         """Deviation of delta from being a derivation of the product."""
         out = {}
-        for a, b in self.prod:
+        for a in self.prod:
             s = ksign(self.deg[a])
-            acc = add_into({}, self.dprod[a, b], s)
-            add_into(acc, self.dleft[a, b], -s)
-            out[a, b] = add_into(acc, self.dright[a, b], -1)
+            terms = (self.dprod[a], self.dleft[a], self.dright[a])
+            out[a] = _nonzero(_mix({}, terms, {0: s, 1: -s, 2: -1}))
         return out
 
-    # Each identity below returns its two sides on one basis tuple.
+    # Each identity below takes all but the last name of a basis tuple and
+    # returns its two sides as {last name: nonzero combination}.
 
-    def commutative(self, a, b):
+    def commutative(self, a):
+        prod, deg = self.prod, self.deg
+        return ({b: row[a] for b, row in prod.items() if a in row},
+                {b: add_into({}, ab, ksign(deg[a] * deg[b])) for b, ab in prod[a].items()})
+
+    def associative(self, a, b):
         prod = self.prod
-        return prod[b, a], add_into({}, prod[a, b], ksign(self.deg[a] * self.deg[b]))
+        return (_nonzero(_mix({}, prod, prod[a].get(b, {}))),
+                _nonzero(_compose({}, prod[a].get, prod[b])))
 
-    def associative(self, a, b, c):
-        prod = self.prod
-        return _right(prod, prod[a, b], c, {}), _left(prod, a, prod[b, c], {})
+    def delta_square(self):
+        return _nonzero(_compose({}, self.delta.get, self.delta)), {}
 
-    def delta_square(self, a):
-        return apply_map(self.delta.get, self.delta[a]), {}
+    def antisymmetric(self, a):
+        s, br, deg = self.shift, self.br, self.deg
+        return ({b: row[a] for b, row in br.items() if a in row},
+                {b: add_into({}, ab, -ksign((deg[a] + s) * (deg[b] + s)))
+                 for b, ab in br[a].items()})
 
-    def antisymmetric(self, a, b):
-        s, br = self.shift, self.br
-        sign = -ksign((self.deg[a] + s) * (self.deg[b] + s))
-        return br[b, a], add_into({}, br[a, b], sign)
+    def jacobi(self, a, b):
+        s, br, deg = self.shift, self.br, self.deg
+        rhs = _mix({}, br, br[a].get(b, {}))
+        _compose(rhs, br[b].get, br[a], ksign((deg[a] + s) * (deg[b] + s)))
+        return _nonzero(_compose({}, br[a].get, br[b])), _nonzero(rhs)
 
-    def jacobi(self, a, b, c):
-        s, br = self.shift, self.br
-        rhs = _right(br, br[a, b], c, {})
-        _left(br, b, br[a, c], rhs, ksign((self.deg[a] + s) * (self.deg[b] + s)))
-        return _left(br, a, br[b, c], {}), rhs
+    def leibniz(self, a, b):
+        prod, br, deg = self.prod, self.br, self.deg
+        rhs = _mix({}, prod, br[a].get(b, {}))
+        _compose(rhs, prod[b].get, br[a], ksign(deg[b] * (deg[a] + self.shift)))
+        return _nonzero(_compose({}, br[a].get, prod[b])), _nonzero(rhs)
 
-    def leibniz(self, a, b, c):
-        prod, br = self.prod, self.br
-        rhs = _right(prod, br[a, b], c, {})
-        _left(prod, b, br[a, c], rhs, ksign(self.deg[b] * (self.deg[a] + self.shift)))
-        return _left(br, a, prod[b, c], {}), rhs
+    def first_arg(self, a, b):
+        prod, dev, deg = self.prod, self.dev, self.deg
+        rhs = _compose({}, prod[a].get, dev[b])
+        # dev(a,c)*b, whose sign depends on c
+        for c, combo in dev[a].items():
+            add_into(rhs.setdefault(c, {}), apply_map(lambda x: prod[x].get(b), combo),
+                     ksign(deg[b] * (deg[c] + 1)))
+        return _nonzero(_mix({}, dev, prod[a].get(b, {}))), _nonzero(rhs)
 
-    def first_arg(self, a, b, c):
+    def second_arg(self, a, b):
         prod, dev = self.prod, self.dev
-        rhs = _left(prod, a, dev[b, c], {})
-        _right(prod, dev[a, c], b, rhs, ksign(self.deg[b] * (self.deg[c] + 1)))
-        return _right(dev, prod[a, b], c, {}), rhs
+        rhs = _mix({}, prod, dev[a].get(b, {}))
+        _compose(rhs, prod[b].get, dev[a], ksign(self.deg[b] * (self.deg[a] + 1)))
+        return _nonzero(_compose({}, dev[a].get, prod[b])), _nonzero(rhs)
 
-    def second_arg(self, a, b, c):
-        prod, dev = self.prod, self.dev
-        rhs = _right(prod, dev[a, b], c, {})
-        _left(prod, b, dev[a, c], rhs, ksign(self.deg[b] * (self.deg[a] + 1)))
-        return _left(dev, a, prod[b, c], {}), rhs
-
-    def seven_term(self, a, b, c):
+    def seven_term(self, a, b):
         """delta(a*b*c) against the six terms of a second-order operator."""
         prod, dprod, dleft = self.prod, self.dprod, self.dleft
         da, db = self.deg[a], self.deg[b]
         sa = ksign(da)
-        ab = prod[a, b]
-        rhs = _right(prod, dprod[a, b], c, {})
-        _left(prod, a, dprod[b, c], rhs, sa)
-        _left(prod, b, dprod[a, c], rhs, ksign((da + 1) * db))
-        _left(dleft, a, prod[b, c], rhs, -1)
-        _left(prod, a, dleft[b, c], rhs, -sa)
-        _right(self.dright, ab, c, rhs, -ksign(da + db))
-        return _right(dprod, ab, c, {}), rhs
+        ab = prod[a].get(b, {})
+        rhs = _mix({}, prod, dprod[a].get(b, {}))
+        _compose(rhs, prod[a].get, dprod[b], sa)
+        _compose(rhs, prod[b].get, dprod[a], ksign((da + 1) * db))
+        _compose(rhs, dleft[a].get, prod[b], -1)
+        _compose(rhs, prod[a].get, dleft[b], -sa)
+        _mix(rhs, self.dright, ab, -ksign(da + db))
+        return _nonzero(_mix({}, dprod, ab)), _nonzero(rhs)
 
     def witness(self, label):
         """First basis tuple on which the identity's two sides differ,
-        rendered; None when they agree on every tuple."""
+        rendered; None when they agree on every tuple.  Prefixes are walked
+        in product order, and the last names of a failing prefix in basis
+        order."""
         sides, arity, lhs_text, rhs_text = IDENTITIES[label]
-        render = self.space.render
-        for tup in itertools.product(self.space.names, repeat=arity):
-            lhs, rhs = sides(self, *tup)
+        names, render = self.space.names, self.space.render
+        for prefix in itertools.product(names, repeat=arity - 1):
+            lhs, rhs = sides(self, *prefix)
             if lhs != rhs:
-                where = ", ".join(f"{v}={n}" for v, n in zip("abc", tup))
+                c = next(c for c in names if lhs.get(c) != rhs.get(c))
+                lhs, rhs = lhs.get(c, {}), rhs.get(c, {})
+                where = ", ".join(f"{v}={n}" for v, n in zip("abc", prefix + (c,)))
                 tail = f", {rhs_text} {render(rhs)}" if rhs_text else ""
                 return f"{where}: {lhs_text} = {render(lhs)}{tail}"
         return None

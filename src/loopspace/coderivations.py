@@ -126,8 +126,8 @@ def coproduct(word, sdegs):
         ]
     out = {}
     for front, back, sign, _ in splits:
-        add_into(out, {(front, back): sign})
-    return out
+        out[front, back] = out.get((front, back), 0) + sign
+    return {key: c for key, c in out.items() if c}
 
 
 def _render_word(word, names):
@@ -147,12 +147,11 @@ def _render_combo(combo, names):
 
 
 def _words(sdegs, word_len):
-    """Every canonical word of length up to word_len, shortest first."""
-    return [
-        word
-        for length in range(word_len + 1)
-        for word in wedge_words(len(sdegs), sdegs, length)
-    ]
+    """Every canonical word of length up to word_len, shortest first.  The
+    walk stops at the first length with no word: dropping the last letter
+    of a word gives a shorter word, so no longer length has one."""
+    batches = (list(wedge_words(len(sdegs), sdegs, n)) for n in range(word_len + 1))
+    return [word for batch in itertools.takewhile(bool, batches) for word in batch]
 
 
 def _square_label(k, word_len):
@@ -227,13 +226,18 @@ def coderivation_relations(reps, word_len, names):
             words, lambda word: total(total({word: 1})), names))
     for k in ks:
         rep.add(f"m{k} is a coderivation for the unshuffle coproduct {upto}",
-                _coproduct_witness(image[k], sdegs, words, names))
+                _coproduct_witness(reps[k], image[k], words, names))
     return rep
 
 
-def _coproduct_witness(image, sdegs, words, names):
+def _coproduct_witness(rep, image, words, names):
+    sdegs = rep.sdegs
     deg = sdegs.__getitem__
     for word in words:
+        # on a word with no k letters in comps the extension vanishes on
+        # the word and on both blocks of every split, so both sides are 0
+        if not any(sub in rep.comps for sub in itertools.combinations(word, rep.k)):
+            continue
         lhs = {}
         for w2, c in image(word).items():
             add_into(lhs, coproduct(w2, sdegs), c)
@@ -305,7 +309,7 @@ def jacobi_coderivation_equiv(space, bracket, word_len, relations=None):
         comps = {}
         for i, j in wedge_words(len(names), sdegs, 2):
             sign = ksign(tab.deg[names[i]])
-            combo = {index[x]: sign * c for x, c in tab.br[names[i], names[j]].items()}
+            combo = {index[x]: sign * c for x, c in tab.br[names[i]].get(names[j], {}).items()}
             if combo:
                 comps[i, j] = combo
         image = functools.cache(CoderivationRep(sdegs, 2, comps).apply_word)

@@ -337,7 +337,8 @@ def derived_bracket(t):
     if t.product is None or t.delta is None:
         raise StructureError("derived bracket needs product and delta tables")
     dev = Tabulation(t.space, product=t.product, delta=t.delta).dev
-    return t.with_bracket({k: combo for k, combo in dev.items() if combo})
+    return t.with_bracket({(a, b): combo for a, row in dev.items()
+                           for b, combo in row.items()})
 
 
 class StringBracketReport:

@@ -11,14 +11,18 @@ each term from slices of rank strings and cuts the letters that cancel
 where the two words join, while the reference reduces every whole
 concatenation and tries every rotation.  The Jacobi fuzz is kept on
 CyclicWord combinations, where the library adds {key: coefficient}
-combinations of one surface.
+combinations of one surface.  The Gerstenhaber and BV identities are kept
+here tuple by tuple on pair tables, where the library evaluates a row of
+last names at a time.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
-from loopspace.checks import add_into
+from loopspace.checks import IDENTITIES, add_into, ksign
+from loopspace.checks import apply_map as apply_table
 from loopspace.gca import AlgebraError, Derivation, GradedElement
 from loopspace.goldman import cyclic_reduce, goldman_bracket, random_reduced_cyclic_word
 from loopspace.homology import ChainMap, ChainMapError
@@ -257,4 +261,127 @@ def reference_jacobi_fuzz(graph, trials=200, max_len=6, seed=1, bracket=goldman_
         residual = add_into(add_into(lhs, rhs1, -1), rhs2, -1)
         if residual:
             return {"trial": t, "u": u, "v": v, "w": w, "residual": residual}
+    return None
+
+
+def _left(table, a, combo, acc, sign=1):
+    """acc += sign * (a . combo) for a pair table and a basis name a."""
+    for y, v in combo.items():
+        add_into(acc, table[a, y], sign * v)
+    return acc
+
+
+def _right(table, combo, c, acc, sign=1):
+    """acc += sign * (combo . c) for a pair table and a basis name c."""
+    for x, v in combo.items():
+        add_into(acc, table[x, c], sign * v)
+    return acc
+
+
+class _PairTables:
+    """A tabulation's tables keyed by every basis pair, zero pairs
+    included, with the identities evaluated on one whole basis tuple."""
+
+    def __init__(self, tab):
+        names = tab.space.names
+        self.deg, self.shift = tab.deg, tab.shift
+
+        def pairs(rows):
+            if rows is None:
+                return None
+            return {(a, b): rows[a].get(b, {}) for a in names for b in names}
+
+        self.prod = pairs(tab.prod)
+        self.br = pairs(tab.br)
+        self.delta = None if tab.delta is None else {a: tab.delta.get(a, {}) for a in names}
+
+    @functools.cached_property
+    def dprod(self):
+        return {k: apply_table(self.delta.get, ab) for k, ab in self.prod.items()}
+
+    @functools.cached_property
+    def dleft(self):
+        return {(a, b): _right(self.prod, self.delta[a], b, {}) for a, b in self.prod}
+
+    @functools.cached_property
+    def dright(self):
+        return {(a, b): _left(self.prod, a, self.delta[b], {}) for a, b in self.prod}
+
+    @functools.cached_property
+    def dev(self):
+        out = {}
+        for a, b in self.prod:
+            s = ksign(self.deg[a])
+            acc = add_into({}, self.dprod[a, b], s)
+            add_into(acc, self.dleft[a, b], -s)
+            out[a, b] = add_into(acc, self.dright[a, b], -1)
+        return out
+
+    def commutative(self, a, b):
+        prod = self.prod
+        return prod[b, a], add_into({}, prod[a, b], ksign(self.deg[a] * self.deg[b]))
+
+    def associative(self, a, b, c):
+        prod = self.prod
+        return _right(prod, prod[a, b], c, {}), _left(prod, a, prod[b, c], {})
+
+    def delta_square(self, a):
+        return apply_table(self.delta.get, self.delta[a]), {}
+
+    def antisymmetric(self, a, b):
+        s, br = self.shift, self.br
+        sign = -ksign((self.deg[a] + s) * (self.deg[b] + s))
+        return br[b, a], add_into({}, br[a, b], sign)
+
+    def jacobi(self, a, b, c):
+        s, br = self.shift, self.br
+        rhs = _right(br, br[a, b], c, {})
+        _left(br, b, br[a, c], rhs, ksign((self.deg[a] + s) * (self.deg[b] + s)))
+        return _left(br, a, br[b, c], {}), rhs
+
+    def leibniz(self, a, b, c):
+        prod, br = self.prod, self.br
+        rhs = _right(prod, br[a, b], c, {})
+        _left(prod, b, br[a, c], rhs, ksign(self.deg[b] * (self.deg[a] + self.shift)))
+        return _left(br, a, prod[b, c], {}), rhs
+
+    def first_arg(self, a, b, c):
+        prod, dev = self.prod, self.dev
+        rhs = _left(prod, a, dev[b, c], {})
+        _right(prod, dev[a, c], b, rhs, ksign(self.deg[b] * (self.deg[c] + 1)))
+        return _right(dev, prod[a, b], c, {}), rhs
+
+    def second_arg(self, a, b, c):
+        prod, dev = self.prod, self.dev
+        rhs = _right(prod, dev[a, b], c, {})
+        _left(prod, b, dev[a, c], rhs, ksign(self.deg[b] * (self.deg[a] + 1)))
+        return _left(dev, a, prod[b, c], {}), rhs
+
+    def seven_term(self, a, b, c):
+        prod, dprod, dleft = self.prod, self.dprod, self.dleft
+        da, db = self.deg[a], self.deg[b]
+        sa = ksign(da)
+        ab = prod[a, b]
+        rhs = _right(prod, dprod[a, b], c, {})
+        _left(prod, a, dprod[b, c], rhs, sa)
+        _left(prod, b, dprod[a, c], rhs, ksign((da + 1) * db))
+        _left(dleft, a, prod[b, c], rhs, -1)
+        _left(prod, a, dleft[b, c], rhs, -sa)
+        _right(self.dright, ab, c, rhs, -ksign(da + db))
+        return _right(dprod, ab, c, {}), rhs
+
+
+def reference_witness(tab, label):
+    """Tabulation.witness tuple by tuple: the identity named by label (its
+    method of the same name here) evaluated on every basis tuple in
+    product order, each on pair tables rebuilt from tab's tables."""
+    sides, arity, lhs_text, rhs_text = IDENTITIES[label]
+    ref = _PairTables(tab)
+    render = tab.space.render
+    for tup in itertools.product(tab.space.names, repeat=arity):
+        lhs, rhs = getattr(ref, sides.__name__)(*tup)
+        if lhs != rhs:
+            where = ", ".join(f"{v}={n}" for v, n in zip("abc", tup))
+            tail = f", {rhs_text} {render(rhs)}" if rhs_text else ""
+            return f"{where}: {lhs_text} = {render(lhs)}{tail}"
     return None

@@ -3,6 +3,7 @@ and Jacobi-equivalence reports."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -445,3 +446,17 @@ def test_verify_coderivations_walks_m2_once(data_path, monkeypatch, capsys):
     assert main(["verify", "coderivations", "--structure", path, "--word-len", "6"]) == 0
     assert "arity-2 coderivation squares to zero" in capsys.readouterr().out
     assert len(calls) <= 932, len(calls)
+
+
+def test_words_stop_at_the_longest(data_path, capsys):
+    # every letter of the torus table is odd, so no word is longer than
+    # its 9 letters; the walk used to run every longer length anyway (more
+    # than 100 s at --word-len 30)
+    path = data_path("torus_bracket.struct")
+    assert main(["verify", "coderivations", "--structure", path, "--word-len", "9"]) == 0
+    nine = capsys.readouterr().out
+    started = time.monotonic()
+    assert main(["verify", "coderivations", "--structure", path, "--word-len", "30"]) == 0
+    elapsed = time.monotonic() - started
+    assert capsys.readouterr().out.replace("length 30", "length 9") == nine
+    assert elapsed < 10.0, elapsed

@@ -1,10 +1,14 @@
 """Structure files and the algebraic law checkers that run over them."""
 
+import os
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import circle_structure
+from conftest import DATA_DIR, circle_structure
+from reference import reference_witness
 
+from loopspace.checks import BRACKET_LAWS, DEVIATION_LAWS, PRODUCT_LAWS, Tabulation
 from loopspace.structures import (
     BasisSpace,
     StructureTable,
@@ -393,3 +397,84 @@ def test_good_and_mutated_tables_back_to_back(what, mutant_first):
         runs.reverse()
     for table, want in runs + runs:
         assert CHECKERS[what](table).text() == _report(want)
+
+
+
+# The identity engine against the tuple-by-tuple reference: every label
+# that a table's sections allow, with the same witness text.
+def _labels(t):
+    labels = []
+    if t.product is not None:
+        labels += PRODUCT_LAWS
+    if t.bracket is not None:
+        labels += BRACKET_LAWS
+        if t.product is not None:
+            labels.append("bracket is a graded derivation of the product")
+    if t.delta is not None:
+        labels.append("delta squares to zero")
+        if t.product is not None:
+            labels += DEVIATION_LAWS
+    return labels
+
+
+def _witnesses(t):
+    tab = Tabulation(t.space, product=t.product, bracket=t.bracket, delta=t.delta)
+    return [(label, tab.witness(label), reference_witness(tab, label)) for label in _labels(t)]
+
+
+def _assert_matches_reference(t):
+    for label, got, want in _witnesses(t):
+        assert got == want, label
+
+
+STRUCT_FILES = sorted(f for f in os.listdir(DATA_DIR) if f.endswith(".struct"))
+
+
+@pytest.mark.parametrize("name", STRUCT_FILES)
+def test_identities_match_reference_on_fixtures(name, data_path):
+    t = load_structure_file(data_path(name))
+    _assert_matches_reference(t)
+    if t.string_space is not None and t.product is not None:
+        # the marked-point bracket, whose laws carry the even shift
+        ss = t.string_space
+        out = string_brackets(t, max_arity=2)
+        tab = Tabulation(ss, bracket=out.bracket, shift=0)
+        for label in BRACKET_LAWS:
+            assert tab.witness(label) == reference_witness(tab, label), label
+
+
+def test_identities_match_reference_on_forty_elements():
+    _assert_matches_reference(parse_structure_file(circle_structure(19)))
+
+
+def _edit(t, rng):
+    """t with one coefficient of one product, bracket or delta entry set
+    to a random value: an entry that is there, or any entry at all."""
+    kind = rng.choice([k for k in ("product", "bracket", "delta") if getattr(t, k) is not None])
+    table = {key: dict(combo) for key, combo in getattr(t, kind).items()}
+    names = t.space.names
+    if table and rng.random() < 0.5:
+        key = rng.choice(sorted(table))
+        target = rng.choice(sorted(table[key]))
+    else:
+        key = rng.choice(names) if kind == "delta" else (rng.choice(names), rng.choice(names))
+        target = rng.choice(names)
+    combo = table.setdefault(key, {})
+    combo[target] = Fraction(rng.choice((-2, -1, 0, 1, 2, 3)), rng.choice((1, 1, 2)))
+    if not combo[target]:
+        del combo[target]
+    tables = {"product": t.product, "bracket": t.bracket, "delta": t.delta}
+    tables[kind] = {k: c for k, c in table.items() if c}
+    return StructureTable(t.space, **tables)
+
+
+@pytest.mark.parametrize("name", ["circle.struct", "torus_bracket.struct", "ext_odd.struct"])
+def test_identities_match_reference_on_edited_tables(name, data_path):
+    t = load_structure_file(data_path(name))
+    failing = 0
+    for i in range(40):
+        rows = _witnesses(_edit(t, random.Random(f"{name}:{i}")))
+        for label, got, want in rows:
+            assert got == want, (i, label)
+        failing += any(got is not None for _, got, _ in rows)
+    assert failing >= 10
