@@ -6,11 +6,11 @@ A combination is a dict key -> coefficient that never stores a zero, so
 two combinations are equal exactly when they are equal as dicts.
 
 An identity of arity k is a method of Tabulation that takes the first k-1
-names of a basis tuple and returns its two sides for every last name at
-once, as {last name: nonzero combination} dicts built from the row tables;
-IDENTITIES declares each one with its arity and its printed sides, and
-Tabulation.witness walks every prefix for it.  A space is anything with
-ordered ``names``, ``degree(name)`` and ``render(combo)``.
+names of a basis tuple and returns both sides for every last name, as
+{last name: nonzero combination}; IDENTITIES declares each one with its
+arity and its printed sides, and Tabulation.witness walks every prefix.
+A space is anything with ordered ``names``, ``degree(name)`` and
+``render(combo)``.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ class CheckReport:
 
 
 def _mix(acc, rows, combo, sign=1):
-    """acc[c] += sign * (combo . c) for every c, where rows[x] = {c: x.c}:
-    the rows of combo's names, added with its coefficients.  A
-    combination that cancels stays behind empty."""
+    """acc[c] += sign * (combo . c) for every c, where rows[x] = {c: x.c};
+    a combination that cancels stays behind empty."""
     for x, v in combo.items():
         for c, xc in rows[x].items():
             add_into(acc.setdefault(c, {}), xc, v if sign == 1 else -v)
@@ -117,8 +116,7 @@ def _mix(acc, rows, combo, sign=1):
 
 
 def _compose(acc, f, rows, sign=1):
-    """acc[c] += sign * f(rows[c]) for every c of rows, f applied linearly
-    as in apply_map."""
+    """acc[c] += sign * f(rows[c]) for every c of rows; f as in apply_map."""
     for c, combo in rows.items():
         add_into(acc.setdefault(c, {}), apply_map(f, combo), sign)
     return acc
@@ -131,12 +129,11 @@ def _nonzero(rows):
 class Tabulation:
     """The structure constants of one check, tabulated once on basis names.
 
-    Every pair table is held as rows, rows[x] = {y: x.y} with the zero
-    pairs left out, so evaluating a law costs what its nonzero constants
-    cost, not n^3: prod, br, and the tables derived from delta (dprod,
-    dleft, dright, dev), which are built on first use.  delta maps a name
-    to its nonzero image.  The tabulation belongs to one check and is
-    dropped when the check returns.
+    Pair tables are rows, rows[x] = {y: x.y} with the zero pairs left
+    out, so a law costs what its nonzero constants cost, not n^3: prod,
+    br, and those derived from delta (dprod, dleft, dright, dev), built on
+    first use.  delta maps a name to its nonzero image.  The tabulation
+    belongs to one check and is dropped when the check returns.
     shift is the parity the bracket adds to degrees: 1 for the odd
     Gerstenhaber bracket, 0 for the even bracket on the marked-point space.
     """
@@ -148,16 +145,14 @@ class Tabulation:
         self.deg = {a: space.degree(a) for a in names}
 
         def rows(table):
-            if table is None:
-                return None
             out = {a: {} for a in names}
             for (a, b), combo in table.items():
                 if combo:
                     out[a][b] = combo
             return out
 
-        self.prod = rows(product)
-        self.br = rows(bracket)
+        self.prod = None if product is None else rows(product)
+        self.br = None if bracket is None else rows(bracket)
         self.delta = None if delta is None else {a: c for a, c in delta.items() if c}
 
     @functools.cached_property
@@ -250,9 +245,8 @@ class Tabulation:
 
     def witness(self, label):
         """First basis tuple on which the identity's two sides differ,
-        rendered; None when they agree on every tuple.  Prefixes are walked
-        in product order, and the last names of a failing prefix in basis
-        order."""
+        rendered; None when they agree on every tuple.  Prefixes go in
+        product order, the last names of a failing prefix in basis order."""
         sides, arity, lhs_text, rhs_text = IDENTITIES[label]
         names, render = self.space.names, self.space.render
         for prefix in itertools.product(names, repeat=arity - 1):

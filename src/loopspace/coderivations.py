@@ -147,11 +147,17 @@ def _render_combo(combo, names):
 
 
 def _words(sdegs, word_len):
-    """Every canonical word of length up to word_len, shortest first.  The
-    walk stops at the first length with no word: dropping the last letter
-    of a word gives a shorter word, so no longer length has one."""
-    batches = (list(wedge_words(len(sdegs), sdegs, n)) for n in range(word_len + 1))
-    return [word for batch in itertools.takewhile(bool, batches) for word in batch]
+    """Every canonical word of length up to word_len, shortest first, in
+    wedge_words order.  Each length extends the last one's words by a
+    final letter, so the walk ends at the first length that has none."""
+    words, last = [()], [()]
+    for _ in range(word_len):
+        last = [w + (x,) for w in last for x in range(w[-1] if w else 0, len(sdegs))
+                if not (w and x == w[-1] and sdegs[x] % 2)]
+        if not last:
+            break
+        words += last
+    return words
 
 
 def _square_label(k, word_len):

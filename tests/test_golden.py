@@ -171,7 +171,8 @@ PADDING = "".join(f"basis p_{i} 0\n" for i in range(16))
 # tables that each fail one degree line, and the unusable inputs of the
 # README's exit-2 list.  None leaves {f} unwritten.
 INPUTS = {
-    "circle 19": circle_structure(19),
+    "circle 19 bv": circle_structure(19),
+    "circle 19 gerstenhaber": circle_structure(19),
     "late jacobi": PADDING + (
         "basis x -1\nbasis y -1\nbasis z -1\nbasis w -1\nproduct x x = 0\n"
         "bracket x y = x\nbracket y x = -x\nbracket y w = y\nbracket w y = -y\n"
@@ -323,10 +324,10 @@ CLI_GOLDEN = [
     (None, ("verify", "gerstenhaber", "--structure", "{d}/torus_bracket.struct"), 2,
      EMPTY,
      "88034a886da24c6d9afa16aef05d9cc78562456e2dc1b24a4c6ff127ccb889e9"),
-    ("circle 19", ("verify", "bv", "--structure", "{f}"), 0,
+    ("circle 19 bv", ("verify", "bv", "--structure", "{f}"), 0,
      "60dc3fbf09842977504f95f0e7665be5bd9e2d99de0b29ea659acab631fb680b",
      EMPTY),
-    ("circle 19", ("verify", "gerstenhaber", "--structure", "{f}"), 0,
+    ("circle 19 gerstenhaber", ("verify", "gerstenhaber", "--structure", "{f}"), 0,
      "1076146cb8e3a7b9c3156ddc6bfb9649320633d080981c6f44a9669c498e6967",
      EMPTY),
     ("late jacobi", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
