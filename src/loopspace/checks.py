@@ -176,6 +176,7 @@ class Tabulation:
         out = {}
         for a in self.prod:
             s = ksign(self.deg[a])
+            # the rows s*dprod - s*dleft - dright, as a combination of rows
             terms = (self.dprod[a], self.dleft[a], self.dright[a])
             out[a] = _nonzero(_mix({}, terms, {0: s, 1: -s, 2: -1}))
         return out

@@ -240,8 +240,8 @@ def _coproduct_witness(rep, image, words, names):
     sdegs = rep.sdegs
     deg = sdegs.__getitem__
     for word in words:
-        # on a word with no k letters in comps the extension vanishes on
-        # the word and on both blocks of every split, so both sides are 0
+        # without a k-letter subword in comps the extension vanishes on the
+        # word and on both blocks of every split, so both sides are 0
         if not any(sub in rep.comps for sub in itertools.combinations(word, rep.k)):
             continue
         lhs = {}
