@@ -399,7 +399,6 @@ def test_good_and_mutated_tables_back_to_back(what, mutant_first):
         assert CHECKERS[what](table).text() == _report(want)
 
 
-
 # The identity engine against the tuple-by-tuple reference: every label
 # that a table's sections allow, with the same witness text.
 def _labels(t):
