@@ -93,6 +93,11 @@ VERIFY_GOLDEN = [
      "ddee7b4edc5497546f4a66a401447a5740378331b63a5fedfe07a8e00a63f14d"),
     ("string-brackets", "torus_bracket.struct", "--arities 2,3,4", 0,
      "ddee7b4edc5497546f4a66a401447a5740378331b63a5fedfe07a8e00a63f14d"),
+    # arity 2 only, where graded symmetry rests on bracket antisymmetry
+    ("string-brackets", "circle.struct", "--arities 2", 0,
+     "255c37f4dca0621cb8ae5787e1ccd0ab993b0f03757e5e648f243931998d4085"),
+    ("string-brackets", "torus_bracket.struct", "--arities 2", 0,
+     "ddee7b4edc5497546f4a66a401447a5740378331b63a5fedfe07a8e00a63f14d"),
     ("coderivations", "circle.struct", "", 0,
      "c889fa04a5a4d094f5ffe06a67930a7c98339774b50e266bd63885cc44a2589e"),
     ("coderivations", "circle.struct", "--arities 2,3,4", 0,
@@ -113,6 +118,9 @@ VERIFY_GOLDEN = [
      "dd276ea5ba5cee4db0a540924091fd961551f2a82da7800521f6e72a84d6080d"),
     ("string-brackets", "symmetry mutant", "", 1,
      "a492cc15b45868c1c3afbde02e12301b1386aecd17a2d8635e0cc34188e371bf"),
+    # the mutant's broken operation has arity 3, so at arity 2 it passes
+    ("string-brackets", "symmetry mutant", "--arities 2", 0,
+     "ddee7b4edc5497546f4a66a401447a5740378331b63a5fedfe07a8e00a63f14d"),
     ("coderivations", "symmetry mutant", "", 1,
      "c8dd9207c62f1f00e104d49ca098dc7e12dfa16e2b17cc55c8a9e6f486343899"),
 ]
