@@ -49,15 +49,17 @@ def wedge_sort(seq, sdegs):
     return tuple(items), sign
 
 
-def wedge_words(n, sdegs, length):
-    """All canonical words of the given length over n basis indices."""
-    for tup in itertools.combinations_with_replacement(range(n), length):
-        if any(
-            tup[i] == tup[i + 1] and sdegs[tup[i]] % 2
-            for i in range(length - 1)
-        ):
-            continue
-        yield tup
+def wedge_words(sdegs, max_len):
+    """Every canonical word of length up to max_len over the indices of
+    sdegs, shortest first, each length in lexicographic order.  Each
+    length extends the last one's words by a final letter, so once a
+    length has no word no longer one has either."""
+    words = [()]
+    for _ in range(max_len):
+        yield from words
+        words = [w + (x,) for w in words for x in range(w[-1] if w else 0, len(sdegs))
+                 if not (w and x == w[-1] and sdegs[x] % 2)]
+    yield from words
 
 
 def front_sign(word, positions, sdegs):
@@ -83,6 +85,21 @@ class CoderivationRep:
         self.sdegs = tuple(sdegs)
         self.k = k
         self.comps = comps
+
+    @classmethod
+    def from_operation(cls, space, k, op):
+        """The arity-k component of op, a map from name tuples of space to
+        name-keyed combinations, on the degrees of space shifted by one."""
+        names = space.names
+        sdegs = tuple(space.degree(a) + 1 for a in names)
+        index = {a: i for i, a in enumerate(names)}
+        comps = {}
+        for word in wedge_words(sdegs, k):
+            if len(word) == k:
+                combo = op(tuple(names[i] for i in word))
+                if combo:
+                    comps[word] = {index[x]: c for x, c in combo.items()}
+        return cls(sdegs, k, comps)
 
     def apply_word(self, word):
         """Coderivation extension on a single canonical word."""
@@ -146,20 +163,6 @@ def _render_combo(combo, names):
     return " + ".join(parts)
 
 
-def _words(sdegs, word_len):
-    """Every canonical word of length up to word_len, shortest first, in
-    wedge_words order.  Each length extends the last one's words by a
-    final letter, so the walk ends at the first length that has none."""
-    words, last = [()], [()]
-    for _ in range(word_len):
-        last = [w + (x,) for w in last for x in range(w[-1] if w else 0, len(sdegs))
-                if not (w and x == w[-1] and sdegs[x] % 2)]
-        if not last:
-            break
-        words += last
-    return words
-
-
 def _square_label(k, word_len):
     return f"m{k} squares to zero on words up to length {word_len}"
 
@@ -190,7 +193,7 @@ def coderivation_relations(reps, word_len, names):
     for k in ks:
         if reps[k].sdegs != sdegs:
             raise ValueError("components disagree on shifted degrees")
-    words = _words(sdegs, word_len)
+    words = list(wedge_words(sdegs, word_len))
     upto = f"on words up to length {word_len}"
     # Each component's image of each word is computed once; the memos are
     # bounded by the words up to word_len and are dropped when this call
@@ -199,37 +202,31 @@ def coderivation_relations(reps, word_len, names):
     # images.
     image = {k: functools.cache(reps[k].apply_word) for k in ks}
 
-    def composite(outer, inner, flip=False):
-        def residue(word):
-            acc = apply_map(image[outer], image[inner](word))
-            if flip:
-                add_into(acc, apply_map(image[inner], image[outer](word)))
+    def residue(pairs):
+        """The witness of the sum of outer after inner over the pairs."""
+        def of(word):
+            acc = {}
+            for outer, inner in pairs:
+                add_into(acc, apply_map(image[outer], image[inner](word)))
             return acc
-        return _residue_witness(words, residue, names)
-
-    def total(combo):
-        out = {}
-        for k in ks:
-            add_into(out, apply_map(image[k], combo))
-        return out
+        return _residue_witness(words, of, names)
 
     def total_label(chosen):
         return (f"total coderivation for arities {{{','.join(map(str, chosen))}}} "
                 f"squares to zero {upto}")
 
     rep = CheckReport()
-    squares = {k: composite(k, k) for k in ks}
+    squares = {k: residue([(k, k)]) for k in ks}
     for k in ks:
         rep.add(_square_label(k, word_len), squares[k])
     for a, b in itertools.combinations(ks, 2):
-        rep.add(f"m{a} and m{b} anticommute {upto}", composite(a, b, flip=True))
+        rep.add(f"m{a} and m{b} anticommute {upto}", residue([(a, b), (b, a)]))
     # the total coderivation of one arity is that component composed with
     # itself, so its residue is the square's
     for k in ks:
         rep.add(total_label([k]), squares[k])
     if len(ks) > 1:
-        rep.add(total_label(ks), _residue_witness(
-            words, lambda word: total(total({word: 1})), names))
+        rep.add(total_label(ks), residue(list(itertools.product(ks, repeat=2))))
     for k in ks:
         rep.add(f"m{k} is a coderivation for the unshuffle coproduct {upto}",
                 _coproduct_witness(reps[k], image[k], words, names))
@@ -263,15 +260,13 @@ def _coproduct_witness(rep, image, words, names):
                     for w2, c in img.items()
                 }, s)
         if lhs != rhs:
-            keys = sorted(set(lhs) | set(rhs))
-            for key in keys:
-                if lhs.get(key, 0) != rhs.get(key, 0):
-                    l, r = key
-                    return (
-                        f"word {_render_word(word, names)} at "
-                        f"({_render_word(l, names)} | {_render_word(r, names)}): "
-                        f"lhs {lhs.get(key, 0)}, rhs {rhs.get(key, 0)}"
-                    )
+            l, r = min(key for key in lhs.keys() | rhs.keys()
+                       if lhs.get(key, 0) != rhs.get(key, 0))
+            return (
+                f"word {_render_word(word, names)} at "
+                f"({_render_word(l, names)} | {_render_word(r, names)}): "
+                f"lhs {lhs.get((l, r), 0)}, rhs {rhs.get((l, r), 0)}"
+            )
     return None
 
 
@@ -309,18 +304,12 @@ def jacobi_coderivation_equiv(space, bracket, word_len, relations=None):
     if label in known:
         square = known[label]
     else:
-        names = space.names
-        sdegs = tuple(tab.deg[a] + 1 for a in names)
-        index = {a: i for i, a in enumerate(names)}
-        comps = {}
-        for i, j in wedge_words(len(names), sdegs, 2):
-            sign = ksign(tab.deg[names[i]])
-            combo = {index[x]: sign * c for x, c in tab.br[names[i]].get(names[j], {}).items()}
-            if combo:
-                comps[i, j] = combo
-        image = functools.cache(CoderivationRep(sdegs, 2, comps).apply_word)
-        square = _residue_witness(_words(sdegs, word_len),
-                                  lambda word: apply_map(image, image(word)), names)
+        # the symmetric form takes (a, b) to (-1)^|a| [a,b]
+        m2 = CoderivationRep.from_operation(space, 2, lambda ab: add_into(
+            {}, tab.br[ab[0]].get(ab[1], {}), ksign(tab.deg[ab[0]])))
+        image = functools.cache(m2.apply_word)
+        square = _residue_witness(wedge_words(m2.sdegs, word_len),
+                                  lambda word: apply_map(image, image(word)), space.names)
     coderivation = rep.add(
         f"arity-2 coderivation squares to zero on words up to length {word_len}",
         square,

@@ -38,7 +38,6 @@ __all__ = [
     "verify_chain_map",
     "MapDegreeReport",
     "induced_map",
-    "euler_check",
     "format_betti_table",
 ]
 
@@ -160,19 +159,6 @@ def betti_table(cx, cutoff):
     if bad is not None:
         raise ComplexError(bad)
     return BettiTable(cx.betti(i) for i in range(cutoff + 1))
-
-
-def euler_check(cx, cutoff):
-    """Truncated Euler identity.
-
-    Sum (-1)^i b_i over i <= N telescopes against the dimension counts,
-    leaving one boundary rank: it equals
-    Sum (-1)^i dim_i  -  (-1)^N rank(d at N).
-    """
-    lhs = sum((-1) ** i * cx.betti(i) for i in range(cutoff + 1))
-    rhs = sum((-1) ** i * cx.dim(i) for i in range(cutoff + 1))
-    rhs -= (-1) ** cutoff * cx.rank(cutoff)
-    return lhs == rhs
 
 
 class ChainMap:

@@ -26,7 +26,7 @@ from .checks import (
     apply_map,
     ksign,
 )
-from .coderivations import CoderivationRep, wedge_words
+from .coderivations import CoderivationRep
 
 __all__ = [
     "StructureError",
@@ -35,10 +35,8 @@ __all__ = [
     "StructureTable",
     "parse_structure_file",
     "load_structure_file",
-    "CheckReport",
     "check_gerstenhaber",
     "check_bv",
-    "derived_bracket",
     "string_brackets",
     "StringBracketReport",
 ]
@@ -60,6 +58,15 @@ _TERM_RE = re.compile(
 )
 
 
+def _name_problem(name, taken):
+    """Why name cannot join a basis whose names are taken; None if it can."""
+    if not _NAME_RE.match(name):
+        return f"bad basis name {name!r}"
+    if name in taken:
+        return f"duplicate basis name {name!r}"
+    return None
+
+
 class BasisSpace:
     """Ordered graded basis; combos are name -> Fraction dicts."""
 
@@ -67,10 +74,9 @@ class BasisSpace:
         names = []
         degrees = {}
         for name, deg in pairs:
-            if not _NAME_RE.match(name):
-                raise StructureError(f"bad basis name {name!r}")
-            if name in degrees:
-                raise StructureError(f"duplicate basis name {name!r}")
+            problem = _name_problem(name, degrees)
+            if problem:
+                raise StructureError(problem)
             names.append(name)
             degrees[name] = deg
         self.names = tuple(names)
@@ -157,12 +163,6 @@ class StructureTable:
         self.erase = erase
         self.mark = mark
 
-    def with_bracket(self, bracket):
-        return StructureTable(
-            self.space, self.product, bracket, self.delta,
-            self.string_space, self.erase, self.mark,
-        )
-
     def mult(self, ca, cb):
         if self.product is None:
             raise StructureError("structure has no product table")
@@ -182,6 +182,7 @@ class StructureTable:
 def parse_structure_file(text):
     basis_pairs = []
     sbasis_pairs = []
+    declared = {}  # name -> "basis" or "sbasis"
     op_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -199,7 +200,14 @@ def parse_structure_file(text):
                 deg = int(deg_text)
             except ValueError:
                 raise StructureFileError(lineno, f"bad degree {deg_text!r}") from None
-            (basis_pairs if kind == "basis" else sbasis_pairs).append((lineno, name, deg))
+            if declared.get(name, kind) != kind:
+                problem = f"name in both basis and sbasis: {name}"
+            else:
+                problem = _name_problem(name, declared)
+            if problem:
+                raise StructureFileError(lineno, problem)
+            declared[name] = kind
+            (basis_pairs if kind == "basis" else sbasis_pairs).append((name, deg))
         elif kind in {"product", "bracket", "delta", "E", "M"}:
             if "=" not in rest:
                 raise StructureFileError(lineno, f"{kind} line needs '='")
@@ -215,15 +223,8 @@ def parse_structure_file(text):
             raise StructureFileError(lineno, f"unrecognized declaration {kind!r}")
     if not basis_pairs:
         raise StructureFileError(0, "no basis lines")
-    try:
-        space = BasisSpace((n, d) for _, n, d in basis_pairs)
-        string_space = BasisSpace((n, d) for _, n, d in sbasis_pairs) if sbasis_pairs else None
-    except StructureError as e:
-        raise StructureFileError(0, str(e)) from None
-    if string_space is not None:
-        clash = set(space.names) & set(string_space.names)
-        if clash:
-            raise StructureFileError(0, f"name in both basis and sbasis: {sorted(clash)[0]}")
+    space = BasisSpace(basis_pairs)
+    string_space = BasisSpace(sbasis_pairs) if sbasis_pairs else None
 
     tables = {"product": None, "bracket": None, "delta": None, "E": None, "M": None}
     seen_keys = {}
@@ -331,35 +332,32 @@ def check_bv(t):
     return rep
 
 
-def derived_bracket(t):
-    """Table with the bracket replaced by the deviation of delta from
-    being a derivation of the product."""
-    if t.product is None or t.delta is None:
-        raise StructureError("derived bracket needs product and delta tables")
-    dev = Tabulation(t.space, product=t.product, delta=t.delta).dev
-    return t.with_bracket({(a, b): combo for a, row in dev.items()
-                           for b, combo in row.items()})
-
-
 class StringBracketReport:
     """Outcome bundle: precondition and identity checks, the bracket table
     on the marked-point space, and the higher operations as coderivation
     components keyed by basis index.  Each table is filled in once the
-    checks before it pass."""
+    checks before it pass; text() renders the checks, then the bracket and
+    the components in the marked-point space."""
 
-    def __init__(self):
+    def __init__(self, space):
+        self.space = space
         self.checks = CheckReport()
         self.bracket = {}
         self.reps = {}
-        self.bracket_lines = []
-        self.op_lines = []
 
     @property
     def ok(self):
         return self.checks.ok
 
     def text(self):
-        return self.checks.text() + "".join(self.bracket_lines) + "".join(self.op_lines)
+        names, render = self.space.names, self.space.render
+        lines = [self.checks.text()]
+        lines += (f"bracket {' '.join(pair)} = {render(combo)}\n"
+                  for pair, combo in self.bracket.items())
+        lines += (f"m{k} {' '.join(names[i] for i in word)} = "
+                  f"{render({names[x]: c for x, c in combo.items()})}\n"
+                  for k, rep in self.reps.items() for word, combo in rep.comps.items())
+        return "".join(lines)
 
 
 def string_brackets(t, max_arity=3):
@@ -372,7 +370,8 @@ def string_brackets(t, max_arity=3):
     The arity-k operation takes s1..sk to E(M(s1)...M(sk)).  Each of its
     values is computed once and kept until this call returns; the memo
     holds at most the n^2 + ... + n^max_arity input tuples, over the n
-    marked-point basis names, that the symmetry walk visits anyway.
+    marked-point basis names, that the bracket and the symmetry walk visit
+    anyway.
     """
     if t.string_space is None or not t.string_space.names:
         raise StructureError("string bracket check needs an sbasis")
@@ -384,7 +383,7 @@ def string_brackets(t, max_arity=3):
         raise StructureError("max arity must be at least 2")
     sp = t.space
     ss = t.string_space
-    out = StringBracketReport()
+    out = StringBracketReport(ss)
     rep = out.checks
 
     tables = ((sp, sp, t.product, 0, "product"), (sp, sp, t.delta or {}, 1, "delta"),
@@ -429,16 +428,16 @@ def string_brackets(t, max_arity=3):
         combo = add_into({}, op_value(pair), ksign(deg(pair[0])))
         if combo:
             out.bracket[pair] = combo
-            out.bracket_lines.append(f"bracket {' '.join(pair)} = {ss.render(combo)}\n")
 
     if not Tabulation(ss, bracket=out.bracket, shift=0).add_laws(rep, BRACKET_LAWS):
         return out
 
     def symmetry_witness():
         # inputs carry their marked degree, one more than the file degree;
-        # adjacent swaps generate all permutations, so this justifies
-        # storing each operation on sorted input tuples only
-        for k in range(2, max_arity + 1):
+        # adjacent swaps generate all permutations, so sorted input tuples
+        # suffice.  Arity 2 is the antisymmetry just passed: with [a,b] =
+        # (-1)^|a| op(a,b) it reads op(b,a) = (-1)^((|a|+1)(|b|+1)) op(a,b)
+        for k in range(3, max_arity + 1):
             for tup in itertools.product(ss.names, repeat=k):
                 for p in range(k - 1):
                     swapped = tup[:p] + (tup[p + 1], tup[p]) + tup[p + 2:]
@@ -454,15 +453,6 @@ def string_brackets(t, max_arity=3):
     if not rep.add("inputs are graded symmetric", symmetry_witness()):
         return out
 
-    index = {n: i for i, n in enumerate(ss.names)}
-    sdegs = tuple(deg(n) + 1 for n in ss.names)
-    for k in range(2, max_arity + 1):
-        comps = {}
-        for tup in wedge_words(len(ss.names), sdegs, k):
-            names = tuple(ss.names[i] for i in tup)
-            combo = op_value(names)
-            if combo:
-                comps[tup] = {index[n]: c for n, c in combo.items()}
-                out.op_lines.append(f"m{k} {' '.join(names)} = {ss.render(combo)}\n")
-        out.reps[k] = CoderivationRep(sdegs, k, comps)
+    out.reps = {k: CoderivationRep.from_operation(ss, k, op_value)
+                for k in range(2, max_arity + 1)}
     return out

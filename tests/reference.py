@@ -13,7 +13,13 @@ concatenation and tries every rotation.  The Jacobi fuzz is kept on
 CyclicWord combinations, where the library adds {key: coefficient}
 combinations of one surface.  The Gerstenhaber and BV identities are kept
 here tuple by tuple on pair tables, where the library evaluates a row of
-last names at a time.
+last names at a time.  The canonical wedge words are kept as filtered
+combinations of one length, where the library grows each length from the
+one before, and the graded symmetry of the marked-point operations is
+walked here from arity 2, where the library starts at arity 3 because
+bracket antisymmetry is the arity-2 condition.  The deviation bracket of
+a BV table and the truncated Euler identity, which only tests use, are
+kept here too.
 """
 
 import functools
@@ -21,11 +27,12 @@ import itertools
 import random
 from fractions import Fraction
 
-from loopspace.checks import IDENTITIES, add_into, ksign
+from loopspace.checks import IDENTITIES, Tabulation, add_into, ksign
 from loopspace.checks import apply_map as apply_table
 from loopspace.gca import AlgebraError, Derivation, GradedElement
 from loopspace.goldman import cyclic_reduce, goldman_bracket, random_reduced_cyclic_word
 from loopspace.homology import ChainMap, ChainMapError
+from loopspace.structures import StructureError, StructureTable
 
 
 def reference_basis(alg, n):
@@ -384,4 +391,70 @@ def reference_witness(tab, label):
             where = ", ".join(f"{v}={n}" for v, n in zip("abc", tup))
             tail = f", {rhs_text} {render(rhs)}" if rhs_text else ""
             return f"{where}: {lhs_text} = {render(lhs)}{tail}"
+    return None
+
+
+def euler_check(cx, cutoff):
+    """Truncated Euler identity.
+
+    Sum (-1)^i b_i over i <= N telescopes against the dimension counts,
+    leaving one boundary rank: it equals
+    Sum (-1)^i dim_i  -  (-1)^N rank(d at N).
+    """
+    lhs = sum((-1) ** i * cx.betti(i) for i in range(cutoff + 1))
+    rhs = sum((-1) ** i * cx.dim(i) for i in range(cutoff + 1))
+    rhs -= (-1) ** cutoff * cx.rank(cutoff)
+    return lhs == rhs
+
+
+def with_bracket(t, bracket):
+    """The structure table t with its bracket table replaced."""
+    return StructureTable(t.space, t.product, bracket, t.delta,
+                          t.string_space, t.erase, t.mark)
+
+
+def derived_bracket(t):
+    """Table with the bracket replaced by the deviation of delta from
+    being a derivation of the product."""
+    if t.product is None or t.delta is None:
+        raise StructureError("derived bracket needs product and delta tables")
+    dev = Tabulation(t.space, product=t.product, delta=t.delta).dev
+    return with_bracket(t, {(a, b): combo for a, row in dev.items()
+                            for b, combo in row.items()})
+
+
+def reference_wedge_words(n, sdegs, length):
+    """All canonical words of the given length over n basis indices: the
+    sorted tuples in which no odd index repeats."""
+    for tup in itertools.combinations_with_replacement(range(n), length):
+        if any(
+            tup[i] == tup[i + 1] and sdegs[tup[i]] % 2
+            for i in range(length - 1)
+        ):
+            continue
+        yield tup
+
+
+def reference_symmetry_witness(t, max_arity):
+    """The graded symmetry of the operations E(M(s1)...M(sk)) of arities 2
+    to max_arity, tuple by tuple and adjacent swap by adjacent swap, each
+    value computed afresh; the first failure rendered as string_brackets
+    renders it, or None."""
+    ss = t.string_space
+
+    def op(names):
+        acc = t.mark.get(names[0], {})
+        for s in names[1:]:
+            acc = t.mult(acc, t.mark.get(s, {}))
+        return apply_table(t.erase.get, acc)
+
+    for k in range(2, max_arity + 1):
+        for tup in itertools.product(ss.names, repeat=k):
+            for p in range(k - 1):
+                swapped = tup[:p] + (tup[p + 1], tup[p]) + tup[p + 2:]
+                sign = ksign((ss.degree(tup[p]) + 1) * (ss.degree(tup[p + 1]) + 1))
+                lhs, rhs = op(swapped), add_into({}, op(tup), sign)
+                if lhs != rhs:
+                    return (f"op({' '.join(swapped)}) = {ss.render(lhs)}, "
+                            f"expected {ss.render(rhs)}")
     return None

@@ -34,11 +34,11 @@ from loopspace.models import (
 from loopspace.structures import (
     check_bv,
     check_gerstenhaber,
-    derived_bracket,
     load_structure_file,
     string_brackets,
 )
 
+from reference import derived_bracket
 from test_coderivations import extension_oracle, random_rep
 
 
@@ -232,9 +232,8 @@ def test_coderivation_suite():
     sdegs = (1, 2, 3)
     for k in (1, 2, 3):
         rep = random_rep(rng, k, sdegs=sdegs)
-        for length in range(5):
-            for word in wedge_words(3, sdegs, length):
-                ok = ok and rep.apply_word(word) == extension_oracle(rep, word)
+        for word in wedge_words(sdegs, 4):
+            ok = ok and rep.apply_word(word) == extension_oracle(rep, word)
 
     torus = load_structure_file(_data("torus_bracket.struct"))
     out = string_brackets(torus, max_arity=3)

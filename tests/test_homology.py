@@ -9,14 +9,20 @@ from loopspace.homology import (
     ComplexError,
     CochainComplex,
     betti_table,
-    euler_check,
     format_betti_table,
     induced_map,
     verify_chain_map,
 )
 from loopspace.models import based_complex, load_model, loop_model
 
-from reference import apply_map, compose, element, generator_images_map, identity_map
+from reference import (
+    apply_map,
+    compose,
+    element,
+    euler_check,
+    generator_images_map,
+    identity_map,
+)
 from test_gca import series_dimensions
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import DATA_DIR, circle_structure
-from reference import reference_witness
+from reference import derived_bracket, reference_symmetry_witness, reference_witness, with_bracket
+from test_golden import SYMMETRY_MUTANT
 
 from loopspace.checks import BRACKET_LAWS, DEVIATION_LAWS, PRODUCT_LAWS, Tabulation
 from loopspace.structures import (
@@ -16,7 +17,6 @@ from loopspace.structures import (
     StructureFileError,
     check_bv,
     check_gerstenhaber,
-    derived_bracket,
     load_structure_file,
     parse_structure_file,
     string_brackets,
@@ -97,6 +97,22 @@ def test_structure_file_errors():
         parse_structure_file("basis T 0\nbasis T 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("basis 1a 0\n", "line 1: bad basis name '1a'"),
+    ("basis a 0\nbasis a 1\n", "line 2: duplicate basis name 'a'"),
+    ("basis a 0\nsbasis a -1\n", "line 2: name in both basis and sbasis: a"),
+    ("sbasis a -1\n# comment\nbasis a 0\n", "line 3: name in both basis and sbasis: a"),
+    ("basis a 0\nsbasis s -1\nsbasis s 0\n", "line 3: duplicate basis name 's'"),
+    ("basis a 0\nsbasis s- -1\n", "line 2: bad basis name 's-'"),
+    ("sbasis s -1\n", "line 0: no basis lines"),
+], ids=["bad basis name", "duplicate basis name", "sbasis after basis",
+        "basis after sbasis", "duplicate sbasis name", "bad sbasis name", "no basis lines"])
+def test_structure_file_name_errors_name_their_line(text, message):
+    with pytest.raises(StructureFileError) as err:
+        parse_structure_file(text)
+    assert str(err.value) == message
+
+
 def test_structure_file_duplicate_entry_line_number():
     with pytest.raises(StructureFileError) as err:
         parse_structure_file("basis T 0\ndelta T = 0\ndelta T = T\n")
@@ -131,7 +147,7 @@ def test_circle_string_brackets_vanish(circle):
     out = string_brackets(circle, max_arity=3)
     assert out.ok, out.checks.text()
     assert out.bracket == {}
-    assert out.bracket_lines == []
+    assert out.text() == out.checks.text()
     # every higher operation is zero as well
     for rep in out.reps.values():
         assert all(not combo for combo in rep.comps.values())
@@ -237,7 +253,7 @@ def test_string_brackets_requirements(circle):
     with pytest.raises(StructureError, match="max arity"):
         string_brackets(circle, max_arity=1)
     with pytest.raises(StructureError, match="needs product and bracket"):
-        check_gerstenhaber(plain.with_bracket(None))
+        check_gerstenhaber(with_bracket(plain, None))
     with pytest.raises(StructureError, match="needs product and delta"):
         derived_bracket(plain)
 
@@ -477,3 +493,75 @@ def test_identities_match_reference_on_edited_tables(name, data_path):
             assert got == want, (i, label)
         failing += any(got is not None for _, got, _ in rows)
     assert failing >= 10
+
+
+# The symmetry walk of string_brackets starts at arity 3, because bracket
+# antisymmetry is its arity-2 condition; the reference walks from arity 2.
+def _assert_symmetry_matches_reference(t, max_arity):
+    """Returns the antisymmetry and symmetry witnesses, or "unreached"."""
+    lines = dict(string_brackets(t, max_arity=max_arity).checks.lines)
+    antisymmetry = lines.get("bracket is graded antisymmetric", "unreached")
+    if antisymmetry is None:
+        assert reference_symmetry_witness(t, 2) is None
+    symmetry = lines.get("inputs are graded symmetric", "unreached")
+    if symmetry != "unreached":
+        assert symmetry == reference_symmetry_witness(t, max_arity)
+    return antisymmetry, symmetry
+
+
+@pytest.mark.parametrize("max_arity", [2, 3, 4])
+@pytest.mark.parametrize("name", ["circle.struct", "torus_bracket.struct", "symmetry mutant"])
+def test_symmetry_matches_reference_on_fixtures(name, max_arity, data_path):
+    if name == "symmetry mutant":
+        with open(data_path("torus_bracket.struct"), encoding="utf-8") as fh:
+            t = parse_structure_file(fh.read() + SYMMETRY_MUTANT)
+    else:
+        t = load_structure_file(data_path(name))
+    assert t.string_space is not None
+    antisymmetry, symmetry = _assert_symmetry_matches_reference(t, max_arity)
+    assert antisymmetry is None
+    assert (symmetry is None) == (name != "symmetry mutant" or max_arity == 2)
+
+
+def _edit_marked(t, rng):
+    """t with one coefficient of one product, E or M entry set to a random
+    value on a name of the degree the entry must have: an entry that is
+    there, or any entry at all."""
+    sp, ss = t.space, t.string_space
+    kind = rng.choice(("product", "erase", "mark"))
+    arg_space, val_space, shift = {
+        "product": (sp, sp, 0), "erase": (sp, ss, 0), "mark": (ss, sp, 1)}[kind]
+    table = {key: dict(combo) for key, combo in getattr(t, kind).items()}
+    if table and rng.random() < 0.5:
+        key = rng.choice(sorted(table))
+    elif kind == "product":
+        key = (rng.choice(sp.names), rng.choice(sp.names))
+    else:
+        key = rng.choice(arg_space.names)
+    args = key if kind == "product" else (key,)
+    want = sum(map(arg_space.degree, args)) + shift
+    targets = [n for n in val_space.names if val_space.degree(n) == want]
+    if not targets:
+        return t
+    combo = table.setdefault(key, {})
+    target = rng.choice(targets)
+    combo[target] = Fraction(rng.choice((-2, -1, 0, 1, 2)))
+    if not combo[target]:
+        del combo[target]
+    tables = {"product": t.product, "erase": t.erase, "mark": t.mark}
+    tables[kind] = {k: c for k, c in table.items() if c}
+    return StructureTable(sp, delta=t.delta, string_space=ss, **tables)
+
+
+def test_symmetry_matches_reference_on_edited_torus(torus_bracket):
+    outcomes = [
+        _assert_symmetry_matches_reference(
+            _edit_marked(torus_bracket, random.Random(f"torus:{i}")), 3)
+        for i in range(48)
+    ]
+    # edits that stop before the bracket, that break antisymmetry, and
+    # that reach the symmetry walk all occur
+    antisymmetry = [a for a, _ in outcomes]
+    assert antisymmetry.count("unreached") >= 5
+    assert sum(a not in (None, "unreached") for a in antisymmetry) >= 5
+    assert sum(s != "unreached" for _, s in outcomes) >= 5
