@@ -6,9 +6,11 @@ other subcommand is pinned by stdout, stderr and exit code in CLI_GOLDEN:
 `goldman` and `jacobi-fuzz` on the three surfaces, `loop-model` and
 `string-model` on the four models, `verify bv` and `verify gerstenhaber`
 on every structure file and on the 40-element circle table, two tables
-whose first failure is an arity-3 law late in the walk, five tables that
-each fail one degree line, and one command per unusable input that exits
-2.
+whose first failure is an arity-3 law late in the walk, the same two with
+fractional constants, five tables that each fail one degree line, and one
+command per unusable input that exits 2; `verify string-brackets` and
+`verify coderivations` on one table with fractional components whose m2
+and m3 fail to anticommute.
 
 The betti and gysin digests were recorded before the sparse derivation
 and chain-map kernels replaced GradedElement arithmetic on the homology
@@ -23,6 +25,7 @@ for a deliberate report change, and say why.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 from conftest import circle_structure
@@ -171,29 +174,65 @@ def test_symmetry_mutant_witness(data_path, tmp_path, capsys):
 # Sixteen basis names with no structure, ahead of the names that fail, so
 # that a table's first failing tuple comes late in the walk.
 PADDING = "".join(f"basis p_{i} 0\n" for i in range(16))
+# An antisymmetric bracket that is not Lie, failing Jacobi at two last
+# names, and a delta of order three on Q[x,y,z]/(x^2,y^2,z^2).
+LATE_JACOBI = PADDING + (
+    "basis x -1\nbasis y -1\nbasis z -1\nbasis w -1\nproduct x x = 0\n"
+    "bracket x y = x\nbracket y x = -x\nbracket y w = y\nbracket w y = -y\n"
+    "bracket y z = y\nbracket z y = -y\n"
+)
+THIRD_ORDER_DELTA = PADDING + (
+    "basis x 0\nbasis y 0\nbasis z 0\nbasis xy 0\nbasis xz 0\nbasis yz 0\n"
+    "basis xyz 0\nbasis w 1\n"
+    "product x y = xy\nproduct y x = xy\nproduct x z = xz\nproduct z x = xz\n"
+    "product y z = yz\nproduct z y = yz\nproduct x yz = xyz\nproduct yz x = xyz\n"
+    "product y xz = xyz\nproduct xz y = xyz\nproduct z xy = xyz\nproduct xy z = xyz\n"
+    "delta xyz = w\n"
+)
 
-# Inputs written to a temporary file {f}: the 40-element circle table; two
-# tables whose first failure is an arity-3 law late in the walk (an
-# antisymmetric bracket that is not Lie, failing Jacobi at two last names,
-# and a delta of order three on Q[x,y,z]/(x^2,y^2,z^2)); five structure
-# tables that each fail one degree line, and the unusable inputs of the
-# README's exit-2 list.  None leaves {f} unwritten.
+# Marked-point operations m2 and m3, with fractional components, whose
+# string-bracket checks pass but which fail to anticommute on s s s s:
+# m3(s,s,s) is a multiple of t, and m2(s,t) is a multiple of w.
+RATIONAL_M2_M3 = (
+    "basis a 0\nbasis a2 0\nbasis a3 0\nbasis u 1\nbasis v 1\n"
+    "sbasis s -1\nsbasis t 0\nsbasis w 1\n"
+    "product a a = a2\nproduct a a2 = a3\nproduct a2 a = a3\n"
+    "product a u = v\nproduct u a = v\n"
+    "E a3 = 2/3*t\nE v = w\nM s = a\nM t = -5/7*u\ndelta a3 = -10/21*u\n"
+)
+
+
+def _scaled(text, factors):
+    """text with the one-term right side of every line of a kind in
+    factors multiplied by that kind's factor."""
+    lines = []
+    for line in text.splitlines():
+        kind = line.split()[0]
+        if kind in factors and not line.endswith(" = 0"):
+            lhs, rhs = line.split(" = ")
+            sign = -1 if rhs.startswith("-") else 1
+            line = f"{lhs} = {sign * factors[kind]}*{rhs.lstrip('-')}"
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+# Inputs written to a temporary file {f}: the 40-element circle table; the
+# two tables whose first failure is an arity-3 law late in the walk, as
+# they are and with their constants scaled by non-integer rationals, so
+# that the witness coefficients are fractions; a marked-point table whose
+# m2 and m3, with fractional components, fail to anticommute; five
+# structure tables that each fail one degree line, and the unusable inputs
+# of the README's exit-2 list.  None leaves {f} unwritten.
 INPUTS = {
     "circle 19 bv": circle_structure(19),
     "circle 19 gerstenhaber": circle_structure(19),
-    "late jacobi": PADDING + (
-        "basis x -1\nbasis y -1\nbasis z -1\nbasis w -1\nproduct x x = 0\n"
-        "bracket x y = x\nbracket y x = -x\nbracket y w = y\nbracket w y = -y\n"
-        "bracket y z = y\nbracket z y = -y\n"
-    ),
-    "third-order delta": PADDING + (
-        "basis x 0\nbasis y 0\nbasis z 0\nbasis xy 0\nbasis xz 0\nbasis yz 0\n"
-        "basis xyz 0\nbasis w 1\n"
-        "product x y = xy\nproduct y x = xy\nproduct x z = xz\nproduct z x = xz\n"
-        "product y z = yz\nproduct z y = yz\nproduct x yz = xyz\nproduct yz x = xyz\n"
-        "product y xz = xyz\nproduct xz y = xyz\nproduct z xy = xyz\nproduct xy z = xyz\n"
-        "delta xyz = w\n"
-    ),
+    "late jacobi": LATE_JACOBI,
+    "third-order delta": THIRD_ORDER_DELTA,
+    "rational late jacobi": _scaled(LATE_JACOBI, {"bracket": Fraction(2, 3)}),
+    "rational third-order delta": _scaled(
+        THIRD_ORDER_DELTA, {"product": Fraction(2, 3), "delta": Fraction(-5, 7)}),
+    "rational m2 m3 string-brackets": RATIONAL_M2_M3,
+    "rational m2 m3 coderivations": RATIONAL_M2_M3,
     "product degree": "basis a 0\nbasis b 1\nproduct a a = b\nbracket a a = 0\n",
     "bracket degree": "basis a 0\nbasis b 1\nproduct a a = a\nbracket a b = a\n",
     "delta degree": "basis a 0\nbasis b 2\nproduct a a = a\ndelta a = b\n",
@@ -227,7 +266,8 @@ LONG_60 = (
 # classes and one degree witness the two in structures; the long-word
 # goldman rows and the max-len 10 fuzz before Goldman combinations were
 # keyed by rank strings; the circle 19, late jacobi and third-order delta
-# rows before the identities were evaluated a row of last names at a time.
+# rows before the identities were evaluated a row of last names at a time;
+# the rational rows before the checkers cleared denominators.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -343,6 +383,18 @@ CLI_GOLDEN = [
      EMPTY),
     ("third-order delta", ("verify", "bv", "--structure", "{f}"), 1,
      "40631cda03698cde5c12512dd16991bb6ef8cc832fe921f3beaf5597770dfb99",
+     EMPTY),
+    ("rational late jacobi", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
+     "72138616e8d0704880837e0bbc09a20137c9e264b387dce774d2b94fcf8871a0",
+     EMPTY),
+    ("rational third-order delta", ("verify", "bv", "--structure", "{f}"), 1,
+     "259cbca92b6cd6bcd97c38ba3cab37a7c4069fc4efa47dd0067924697cdde90c",
+     EMPTY),
+    ("rational m2 m3 string-brackets", ("verify", "string-brackets", "--structure", "{f}"), 0,
+     "65e69cb042c9fa7d6e90065125a49b8203efc9b44c72095c20fd7cdcec8095b8",
+     EMPTY),
+    ("rational m2 m3 coderivations", ("verify", "coderivations", "--structure", "{f}"), 1,
+     "9c7dec1af3f024d48036413daa735a6f31d1922133e713dde34fa504ff813047",
      EMPTY),
     ("product degree", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
      "ac723a78bf12846748e121b63c13ae6fdc9f9f0fdc6aff5b46ab8059b5387986",
