@@ -8,18 +8,31 @@ two combinations are equal exactly when they are equal as dicts.
 An identity of arity k is a method of Tabulation that takes the first k-1
 names of a basis tuple and returns both sides for every last name, as
 {last name: nonzero combination}; IDENTITIES declares each one with its
-arity and its printed sides, and Tabulation.witness walks every prefix.
-A space is anything with ordered ``names``, ``degree(name)`` and
-``render(combo)``.
+arity, its degree and its printed sides, and Tabulation.witness walks
+every prefix.  A space is anything with ordered ``names``,
+``degree(name)`` and ``render(combo)``.
+
+Inside a check the arithmetic is on ints.  Tables arrive with Fraction
+coefficients, and integral multiplies all the tables of one check by the
+least common multiple D of their denominators.  Every identity is
+homogeneous in the structure constants: each side is a sum of products of
+the same number of constants, its degree.  So both sides of an identity of
+degree k scale by D^k, which changes neither the verdict nor the first
+failing tuple, and a witness divides each side by D^k to render the exact
+Fraction values.  Fractions appear only where tables are read and where
+witnesses are rendered.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 
 __all__ = [
     "add_into",
+    "integral",
     "ksign",
     "apply_map",
     "CheckReport",
@@ -51,6 +64,18 @@ def add_into(acc, combo, scale=1):
         else:
             acc.pop(key, None)
     return acc
+
+
+def integral(tables):
+    """The tables, each a dict key -> combination or None, with every
+    coefficient multiplied by the least common multiple D of all their
+    denominators; returns (the tables with int coefficients, D)."""
+    scale = math.lcm(*{c.denominator for table in tables if table
+                       for combo in table.values() for c in combo.values()})
+    return [None if table is None else {
+        key: {x: c.numerator * (scale // c.denominator) for x, c in combo.items()}
+        for key, combo in table.items()
+    } for table in tables], scale
 
 
 def ksign(e):
@@ -136,6 +161,13 @@ class Tabulation:
     belongs to one check and is dropped when the check returns.
     shift is the parity the bracket adds to degrees: 1 for the odd
     Gerstenhaber bracket, 0 for the even bracket on the marked-point space.
+
+    The product, bracket and delta tables are multiplied once, here, by
+    one scale, the least common multiple of all their denominators: prod,
+    br and delta are scale times the exact tables, with int coefficients,
+    and the tables derived from two of them are scale^2 times theirs.
+    Every identity is homogeneous of the degree IDENTITIES states, so
+    witness divides each side by scale^degree to render it exactly.
     """
 
     def __init__(self, space, product=None, bracket=None, delta=None, shift=1):
@@ -151,6 +183,7 @@ class Tabulation:
                     out[a][b] = combo
             return out
 
+        (product, bracket, delta), self.scale = integral([product, bracket, delta])
         self.prod = None if product is None else rows(product)
         self.br = None if bracket is None else rows(bracket)
         self.delta = None if delta is None else {a: c for a, c in delta.items() if c}
@@ -246,10 +279,16 @@ class Tabulation:
 
     def witness(self, label):
         """First basis tuple on which the identity's two sides differ,
-        rendered; None when they agree on every tuple.  Prefixes go in
-        product order, the last names of a failing prefix in basis order."""
-        sides, arity, lhs_text, rhs_text = IDENTITIES[label]
-        names, render = self.space.names, self.space.render
+        rendered with each side divided by scale^degree, its exact value;
+        None when they agree on every tuple.  Prefixes go in product
+        order, the last names of a failing prefix in basis order."""
+        sides, arity, degree, lhs_text, rhs_text = IDENTITIES[label]
+        names = self.space.names
+        unit = self.scale ** degree
+
+        def render(combo):
+            return self.space.render({x: Fraction(v, unit) for x, v in combo.items()})
+
         for prefix in itertools.product(names, repeat=arity - 1):
             lhs, rhs = sides(self, *prefix)
             if lhs != rhs:
@@ -266,21 +305,23 @@ class Tabulation:
         return all(rep.add(label, self.witness(label)) for label in labels)
 
 
-# label -> (sides, arity, left side as printed, right side as printed)
+# label -> (sides, arity, degree, left side as printed, right side as
+# printed); the degree is the number of structure constants in each term
+# of either side, so scaling every table by c scales both sides by c^degree
 IDENTITIES = {
-    "product is graded commutative": (Tabulation.commutative, 2, "b*a", "expected"),
-    "product is associative": (Tabulation.associative, 3, "(a*b)*c", "a*(b*c) ="),
-    "delta squares to zero": (Tabulation.delta_square, 1, "delta(delta(a))", None),
-    "bracket is graded antisymmetric": (Tabulation.antisymmetric, 2, "[b,a]", "expected"),
+    "product is graded commutative": (Tabulation.commutative, 2, 1, "b*a", "expected"),
+    "product is associative": (Tabulation.associative, 3, 2, "(a*b)*c", "a*(b*c) ="),
+    "delta squares to zero": (Tabulation.delta_square, 1, 2, "delta(delta(a))", None),
+    "bracket is graded antisymmetric": (Tabulation.antisymmetric, 2, 1, "[b,a]", "expected"),
     "bracket satisfies the graded Jacobi identity":
-        (Tabulation.jacobi, 3, "[a,[b,c]]", "expected"),
+        (Tabulation.jacobi, 3, 2, "[a,[b,c]]", "expected"),
     "bracket is a graded derivation of the product":
-        (Tabulation.leibniz, 3, "[a,b*c]", "expected"),
+        (Tabulation.leibniz, 3, 2, "[a,b*c]", "expected"),
     "deviation is a derivation in its first argument":
-        (Tabulation.first_arg, 3, "dev(a*b, c)", "expected"),
+        (Tabulation.first_arg, 3, 3, "dev(a*b, c)", "expected"),
     "deviation is a derivation in its second argument":
-        (Tabulation.second_arg, 3, "dev(a, b*c)", "expected"),
-    "seven-term identity holds": (Tabulation.seven_term, 3, "delta(a*b*c)", "expected"),
+        (Tabulation.second_arg, 3, 3, "dev(a, b*c)", "expected"),
+    "seven-term identity holds": (Tabulation.seven_term, 3, 3, "delta(a*b*c)", "expected"),
 }
 PRODUCT_LAWS = ("product is graded commutative", "product is associative")
 BRACKET_LAWS = (

@@ -9,14 +9,21 @@ sorted input tuple, extends uniquely to a coderivation; the extension acts
 on a word by picking every subset of the stated arity, pulling it to the
 front with the Koszul sign of the unshuffle, and wedging the value back
 onto the untouched letters.
+
+The relations are checked on ints.  coderivation_relations multiplies
+every component by one common scale D, the least common multiple of all
+their denominators, so each composite of two components is D^2 times its
+exact value and each image D times its own; witnesses divide by that
+power again to render exact Fractions.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
-from .checks import BRACKET_LAWS, CheckReport, Tabulation, add_into, apply_map, ksign
+from .checks import BRACKET_LAWS, CheckReport, Tabulation, add_into, apply_map, integral, ksign
 
 __all__ = [
     "wedge_sort",
@@ -77,8 +84,9 @@ def front_sign(word, positions, sdegs):
 class CoderivationRep:
     """Arity-k symmetric operation given on sorted input tuples.
 
-    comps maps a sorted index tuple to a dict index -> Fraction.  Values on
-    unsorted tuples follow from the Koszul sign of sorting.
+    comps maps a sorted index tuple to a dict index -> coefficient: exact
+    Fractions as built, ints in the scaled copies a relation check makes.
+    Values on unsorted tuples follow from the Koszul sign of sorting.
     """
 
     def __init__(self, sdegs, k, comps):
@@ -153,12 +161,13 @@ def _render_word(word, names):
     return " ".join(names[i] for i in word)
 
 
-def _render_combo(combo, names):
+def _render_combo(combo, names, unit):
+    """combo divided by unit, exactly."""
     if not combo:
         return "0"
     parts = []
     for word in sorted(combo):
-        c = combo[word]
+        c = Fraction(combo[word], unit)
         parts.append(f"{c}*({_render_word(word, names)})")
     return " + ".join(parts)
 
@@ -167,13 +176,14 @@ def _square_label(k, word_len):
     return f"m{k} squares to zero on words up to length {word_len}"
 
 
-def _residue_witness(words, residue, names):
-    """The first word with a nonzero residue, rendered; None if none."""
+def _residue_witness(words, residue, names, unit):
+    """The first word with a nonzero residue, rendered divided by unit;
+    None if none."""
     for word in words:
         acc = residue(word)
         if acc:
             return (f"word {_render_word(word, names)}: "
-                    f"residue {_render_combo(acc, names)}")
+                    f"residue {_render_combo(acc, names, unit)}")
     return None
 
 
@@ -185,6 +195,13 @@ def coderivation_relations(reps, word_len, names):
 
     The total coderivation is checked for each arity on its own and, when
     there are several, for all of them together.
+
+    All components are multiplied by one scale D, common to every arity,
+    so the relations run on ints.  Each is homogeneous: a sum of
+    composites m_a after m_b is D^2 times its exact value, whichever
+    arities it mixes, and a coproduct side is D times its own; a separate
+    scale per arity would break this for the anticommutators and the
+    total.  Residues render divided by D^2, coproduct sides by D.
     """
     ks = sorted(reps)
     if not ks:
@@ -193,6 +210,8 @@ def coderivation_relations(reps, word_len, names):
     for k in ks:
         if reps[k].sdegs != sdegs:
             raise ValueError("components disagree on shifted degrees")
+    comps, scale = integral([reps[k].comps for k in ks])
+    reps = {k: CoderivationRep(sdegs, k, c) for k, c in zip(ks, comps)}
     words = list(wedge_words(sdegs, word_len))
     upto = f"on words up to length {word_len}"
     # Each component's image of each word is computed once; the memos are
@@ -209,7 +228,7 @@ def coderivation_relations(reps, word_len, names):
             for outer, inner in pairs:
                 add_into(acc, apply_map(image[outer], image[inner](word)))
             return acc
-        return _residue_witness(words, of, names)
+        return _residue_witness(words, of, names, scale ** 2)
 
     def total_label(chosen):
         return (f"total coderivation for arities {{{','.join(map(str, chosen))}}} "
@@ -229,11 +248,14 @@ def coderivation_relations(reps, word_len, names):
         rep.add(total_label(ks), residue(list(itertools.product(ks, repeat=2))))
     for k in ks:
         rep.add(f"m{k} is a coderivation for the unshuffle coproduct {upto}",
-                _coproduct_witness(reps[k], image[k], words, names))
+                _coproduct_witness(reps[k], image[k], words, names, scale))
     return rep
 
 
-def _coproduct_witness(rep, image, words, names):
+def _coproduct_witness(rep, image, words, names, scale):
+    """The first word on which the coproduct of the image differs from
+    the operation applied to either block of each split, with the first
+    differing key; both sides render divided by scale.  None if none."""
     sdegs = rep.sdegs
     deg = sdegs.__getitem__
     for word in words:
@@ -246,26 +268,26 @@ def _coproduct_witness(rep, image, words, names):
             add_into(lhs, coproduct(w2, sdegs), c)
         rhs = {}
         for (left, right), s in coproduct(word, sdegs).items():
-            img = image(left)
-            if img:
-                add_into(rhs, {(w2, right): c for w2, c in img.items()}, s)
+            for w2, c in image(left).items():
+                rhs[w2, right] = rhs.get((w2, right), 0) + s * c
             img = image(right)
             if img:
                 # the operation passes the left block: a term costs the
                 # left parity times the degree it adds to right
                 lodd = sum(map(deg, left)) % 2
                 rdeg = sum(map(deg, right))
-                add_into(rhs, {
-                    (left, w2): -c if lodd and (sum(map(deg, w2)) - rdeg) % 2 else c
-                    for w2, c in img.items()
-                }, s)
+                for w2, c in img.items():
+                    sign = -s if lodd and (sum(map(deg, w2)) - rdeg) % 2 else s
+                    rhs[left, w2] = rhs.get((left, w2), 0) + sign * c
+        rhs = {key: c for key, c in rhs.items() if c}
         if lhs != rhs:
             l, r = min(key for key in lhs.keys() | rhs.keys()
                        if lhs.get(key, 0) != rhs.get(key, 0))
             return (
                 f"word {_render_word(word, names)} at "
                 f"({_render_word(l, names)} | {_render_word(r, names)}): "
-                f"lhs {lhs.get((l, r), 0)}, rhs {rhs.get((l, r), 0)}"
+                f"lhs {Fraction(lhs.get((l, r), 0), scale)}, "
+                f"rhs {Fraction(rhs.get((l, r), 0), scale)}"
             )
     return None
 
@@ -304,12 +326,14 @@ def jacobi_coderivation_equiv(space, bracket, word_len, relations=None):
     if label in known:
         square = known[label]
     else:
-        # the symmetric form takes (a, b) to (-1)^|a| [a,b]
+        # the symmetric form takes (a, b) to (-1)^|a| [a,b]; built from
+        # the tabulation's int rows, it is tab.scale times the exact form
         m2 = CoderivationRep.from_operation(space, 2, lambda ab: add_into(
             {}, tab.br[ab[0]].get(ab[1], {}), ksign(tab.deg[ab[0]])))
         image = functools.cache(m2.apply_word)
         square = _residue_witness(wedge_words(m2.sdegs, word_len),
-                                  lambda word: apply_map(image, image(word)), space.names)
+                                  lambda word: apply_map(image, image(word)), space.names,
+                                  tab.scale ** 2)
     coderivation = rep.add(
         f"arity-2 coderivation squares to zero on words up to length {word_len}",
         square,

@@ -12,14 +12,16 @@ where the two words join, while the reference reduces every whole
 concatenation and tries every rotation.  The Jacobi fuzz is kept on
 CyclicWord combinations, where the library adds {key: coefficient}
 combinations of one surface.  The Gerstenhaber and BV identities are kept
-here tuple by tuple on pair tables, where the library evaluates a row of
-last names at a time.  The canonical wedge words are kept as filtered
+here tuple by tuple on pair tables of the exact Fraction tables, where
+the library clears denominators and evaluates a row of last names at a
+time on ints.  The canonical wedge words are kept as filtered
 combinations of one length, where the library grows each length from the
 one before, and the graded symmetry of the marked-point operations is
 walked here from arity 2, where the library starts at arity 3 because
 bracket antisymmetry is the arity-2 condition.  The deviation bracket of
 a BV table and the truncated Euler identity, which only tests use, are
-kept here too.
+kept here too, with a rational change of basis of a structure table and a
+switch that runs the checkers on Fractions throughout.
 """
 
 import functools
@@ -27,7 +29,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from loopspace.checks import IDENTITIES, Tabulation, add_into, ksign
+from loopspace.checks import IDENTITIES, add_into, ksign
 from loopspace.checks import apply_map as apply_table
 from loopspace.gca import AlgebraError, Derivation, GradedElement
 from loopspace.goldman import cyclic_reduce, goldman_bracket, random_reduced_cyclic_word
@@ -286,21 +288,23 @@ def _right(table, combo, c, acc, sign=1):
 
 
 class _PairTables:
-    """A tabulation's tables keyed by every basis pair, zero pairs
-    included, with the identities evaluated on one whole basis tuple."""
+    """The exact tables of a check, in Fractions as read, keyed by every
+    basis pair, zero pairs included, with the identities evaluated on one
+    whole basis tuple."""
 
-    def __init__(self, tab):
-        names = tab.space.names
-        self.deg, self.shift = tab.deg, tab.shift
+    def __init__(self, space, product=None, bracket=None, delta=None, shift=1):
+        names = space.names
+        self.deg = {a: space.degree(a) for a in names}
+        self.shift = shift
 
-        def pairs(rows):
-            if rows is None:
+        def pairs(table):
+            if table is None:
                 return None
-            return {(a, b): rows[a].get(b, {}) for a in names for b in names}
+            return {(a, b): table.get((a, b), {}) for a in names for b in names}
 
-        self.prod = pairs(tab.prod)
-        self.br = pairs(tab.br)
-        self.delta = None if tab.delta is None else {a: tab.delta.get(a, {}) for a in names}
+        self.prod = pairs(product)
+        self.br = pairs(bracket)
+        self.delta = None if delta is None else {a: delta.get(a, {}) for a in names}
 
     @functools.cached_property
     def dprod(self):
@@ -378,14 +382,15 @@ class _PairTables:
         return _right(dprod, ab, c, {}), rhs
 
 
-def reference_witness(tab, label):
-    """Tabulation.witness tuple by tuple: the identity named by label (its
-    method of the same name here) evaluated on every basis tuple in
-    product order, each on pair tables rebuilt from tab's tables."""
-    sides, arity, lhs_text, rhs_text = IDENTITIES[label]
-    ref = _PairTables(tab)
-    render = tab.space.render
-    for tup in itertools.product(tab.space.names, repeat=arity):
+def reference_witness(space, label, product=None, bracket=None, delta=None, shift=1):
+    """Tabulation(space, product, bracket, delta, shift).witness(label)
+    tuple by tuple, in Fractions: the identity named by label (its method
+    of the same name here) evaluated on every basis tuple in product
+    order, on pair tables built from the exact tables given."""
+    sides, arity, _, lhs_text, rhs_text = IDENTITIES[label]
+    ref = _PairTables(space, product, bracket, delta, shift)
+    render = space.render
+    for tup in itertools.product(space.names, repeat=arity):
         lhs, rhs = getattr(ref, sides.__name__)(*tup)
         if lhs != rhs:
             where = ", ".join(f"{v}={n}" for v, n in zip("abc", tup))
@@ -413,14 +418,51 @@ def with_bracket(t, bracket):
                           t.string_space, t.erase, t.mark)
 
 
+def rescaled_table(t, rng):
+    """t in the basis lambda_e * e, each lambda_e a random +-p/q with
+    1 <= p, q <= 9 drawn from rng, on the names of both bases: an entry
+    op(a, b) = c*k becomes c * lambda_a * lambda_b / lambda_k * k.  An
+    isomorphism, so every verdict stays, while the constants become
+    fractions."""
+    names = t.space.names + (t.string_space.names if t.string_space else ())
+    lam = {n: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+           for n in names}
+
+    def scaled(table):
+        if table is None:
+            return None
+        out = {}
+        for key, combo in table.items():
+            factor = Fraction(1)
+            for a in (key if isinstance(key, tuple) else (key,)):
+                factor *= lam[a]
+            out[key] = {x: c * factor / lam[x] for x, c in combo.items()}
+        return out
+
+    return StructureTable(t.space, scaled(t.product), scaled(t.bracket), scaled(t.delta),
+                          t.string_space, scaled(t.erase), scaled(t.mark))
+
+
+def fractions_only(monkeypatch):
+    """Make the identity checkers skip clearing denominators: every table
+    keeps its Fraction coefficients and the common scale is 1, so a check
+    run afterwards is the all-Fraction evaluation of the same formulas."""
+    from loopspace import checks, coderivations
+
+    def unscaled(tables):
+        return list(tables), 1
+
+    monkeypatch.setattr(checks, "integral", unscaled)
+    monkeypatch.setattr(coderivations, "integral", unscaled)
+
+
 def derived_bracket(t):
     """Table with the bracket replaced by the deviation of delta from
     being a derivation of the product."""
     if t.product is None or t.delta is None:
         raise StructureError("derived bracket needs product and delta tables")
-    dev = Tabulation(t.space, product=t.product, delta=t.delta).dev
-    return with_bracket(t, {(a, b): combo for a, row in dev.items()
-                            for b, combo in row.items()})
+    dev = _PairTables(t.space, product=t.product, delta=t.delta).dev
+    return with_bracket(t, {pair: combo for pair, combo in dev.items() if combo})
 
 
 def reference_wedge_words(n, sdegs, length):

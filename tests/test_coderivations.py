@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_wedge_words
+from reference import fractions_only, reference_wedge_words, rescaled_table
 
 from loopspace import coderivations
-from loopspace.checks import add_into
+from loopspace.checks import add_into, ksign
 from loopspace.cli import main
 from loopspace.coderivations import (
     CoderivationRep,
@@ -413,6 +413,76 @@ def test_broken_extension_is_not_a_coderivation(torus_reps, monkeypatch):
         "m2 is a coderivation for the unshuffle coproduct on words up to length 4",
         "word S_0_1 S_0_2 S_1_0 at (S_0_2 | S_1_1): lhs 1, rhs -1",
     )
+
+
+def _edited_reps(reps, rng):
+    """reps with one coefficient of one component of one arity set to a
+    random fraction: on a component that is there, or on any input."""
+    k = rng.choice(sorted(reps))
+    rep = reps[k]
+    comps = {word: dict(combo) for word, combo in rep.comps.items()}
+    if comps and rng.random() < 0.5:
+        word = rng.choice(sorted(comps))
+    else:
+        word = rng.choice([w for w in wedge_words(rep.sdegs, k) if len(w) == k])
+    comps.setdefault(word, {})[rng.randrange(len(rep.sdegs))] = _fraction(rng)
+    return {**reps, k: CoderivationRep(rep.sdegs, k, comps)}
+
+
+def _edited_bracket(bracket, space, rng):
+    """bracket with one constant of [a,b] set to a random fraction, and
+    the one of [b,a] to match, so it stays graded antisymmetric."""
+    a, b = rng.sample(space.names, 2)
+    x = rng.choice(space.names)
+    c = _fraction(rng)
+    out = {pair: dict(combo) for pair, combo in bracket.items()}
+    out.setdefault((a, b), {})[x] = c
+    out.setdefault((b, a), {})[x] = -ksign(space.degree(a) * space.degree(b)) * c
+    return out
+
+
+def _fraction(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("name", ["circle.struct", "torus_bracket.struct"])
+def test_relations_match_fractions_on_rational_tables(name, data_path, monkeypatch):
+    # the fixtures in a basis rescaled by random p/q, as they are and with
+    # 40 seeded edits of a component and of the bracket: the relation and
+    # Jacobi lines, on ints inside, must read as an all-Fraction run does
+    t = rescaled_table(load_structure_file(data_path(name)), random.Random(f"rational:{name}"))
+    ss = t.string_space
+    out = string_brackets(t, max_arity=3)
+    assert out.ok
+    rngs = [random.Random(f"rational:{name}:{i}") for i in range(40)]
+    runs = [(out.reps, out.bracket)]
+    runs += [(_edited_reps(out.reps, rng), _edited_bracket(out.bracket, ss, rng)) for rng in rngs]
+
+    def lines():
+        return [(coderivation_relations(reps, 4, ss.names).lines,
+                 jacobi_coderivation_equiv(ss, bracket, 4).lines) for reps, bracket in runs]
+
+    got = lines()
+    fractions_only(monkeypatch)
+    assert got == lines()
+    assert not any(w for relations, jacobi in got[:1] for _, w in relations + jacobi)
+    witnesses = [w for relations, jacobi in got for _, w in relations + jacobi if w]
+    assert sum("/" in w for w in witnesses) >= 10
+
+
+def test_broken_extension_witness_on_rational_reps(data_path, monkeypatch):
+    # the coproduct line's sides render divided by the common scale: with
+    # the unshuffle sign dropped it fails, on fractions, as an all-Fraction
+    # run does
+    t = rescaled_table(load_structure_file(data_path("torus_bracket.struct")),
+                       random.Random("rational:torus_bracket.struct"))
+    reps = string_brackets(t, max_arity=3).reps
+    monkeypatch.setattr(coderivations, "front_sign", lambda *args: 1)
+    got = coderivation_relations(reps, 4, t.string_space.names).lines
+    fractions_only(monkeypatch)
+    assert got == coderivation_relations(reps, 4, t.string_space.names).lines
+    label, witness = got[-2]
+    assert label.startswith("m2 is a coderivation") and "/" in witness
 
 
 @pytest.mark.parametrize("arities", [(2,), (2, 3), (3,)])

@@ -1,15 +1,29 @@
 """Structure files and the algebraic law checkers that run over them."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import DATA_DIR, circle_structure
-from reference import derived_bracket, reference_symmetry_witness, reference_witness, with_bracket
+from reference import (
+    derived_bracket,
+    reference_symmetry_witness,
+    reference_witness,
+    rescaled_table,
+    with_bracket,
+)
 from test_golden import SYMMETRY_MUTANT
 
-from loopspace.checks import BRACKET_LAWS, DEVIATION_LAWS, PRODUCT_LAWS, Tabulation
+from loopspace.checks import (
+    BRACKET_LAWS,
+    DEVIATION_LAWS,
+    IDENTITIES,
+    PRODUCT_LAWS,
+    Tabulation,
+    integral,
+)
 from loopspace.structures import (
     BasisSpace,
     StructureTable,
@@ -433,8 +447,10 @@ def _labels(t):
 
 
 def _witnesses(t):
-    tab = Tabulation(t.space, product=t.product, bracket=t.bracket, delta=t.delta)
-    return [(label, tab.witness(label), reference_witness(tab, label)) for label in _labels(t)]
+    tables = {"product": t.product, "bracket": t.bracket, "delta": t.delta}
+    tab = Tabulation(t.space, **tables)
+    return [(label, tab.witness(label), reference_witness(t.space, label, **tables))
+            for label in _labels(t)]
 
 
 def _assert_matches_reference(t):
@@ -455,7 +471,8 @@ def test_identities_match_reference_on_fixtures(name, data_path):
         out = string_brackets(t, max_arity=2)
         tab = Tabulation(ss, bracket=out.bracket, shift=0)
         for label in BRACKET_LAWS:
-            assert tab.witness(label) == reference_witness(tab, label), label
+            assert tab.witness(label) == reference_witness(
+                ss, label, bracket=out.bracket, shift=0), label
         for max_arity in (2, 3, 4):
             assert _symmetry_against_reference(t, max_arity) == (None, None)
 
@@ -495,6 +512,63 @@ def test_identities_match_reference_on_edited_tables(name, data_path):
             assert got == want, (i, label)
         failing += any(got is not None for _, got, _ in rows)
     assert failing >= 10
+
+
+@pytest.mark.parametrize("name", ["circle.struct", "torus_bracket.struct", "ext_odd.struct"])
+def test_identities_match_reference_on_rational_tables(name, data_path):
+    # the same fixtures in a basis rescaled by random p/q: the checkers
+    # clear the denominators and work on ints, the reference stays in
+    # Fractions, and every witness must read the same
+    rng = random.Random(f"rational:{name}")
+    t = rescaled_table(load_structure_file(data_path(name)), rng)
+    assert any(c.denominator > 1 for combo in t.product.values() for c in combo.values())
+    assert all(got is None and want is None for _, got, want in _witnesses(t))
+    witnesses = []
+    for i in range(40):
+        rows = _witnesses(_edit(t, random.Random(f"rational:{name}:{i}")))
+        for label, got, want in rows:
+            assert got == want, (i, label)
+        witnesses += [got for _, got, _ in rows if got is not None]
+    assert len(witnesses) >= 10
+    assert any("/" in w for w in witnesses)
+
+
+def test_identities_are_homogeneous_of_their_degree():
+    # the degree in IDENTITIES is what witness divides by: on random int
+    # tables, scaling every table by c must scale both sides of each
+    # identity, on every prefix, by c^degree
+    rng = random.Random(11)
+    space = BasisSpace([("a", 0), ("b", 1), ("c", -1), ("d", 2)])
+    names = space.names
+
+    def combo():
+        return {x: v for x in names if (v := rng.choice((0, 0, 1, -1, 2, -3)))}
+
+    tables = {"product": {(a, b): combo() for a in names for b in names},
+              "bracket": {(a, b): combo() for a in names for b in names},
+              "delta": {a: combo() for a in names}}
+
+    def times(c, rows):
+        return {x: {y: c * v for y, v in row.items()} for x, row in rows.items()}
+
+    plain = Tabulation(space, **tables)
+    for c in (2, -3):
+        tab = Tabulation(space, **{kind: times(c, table) for kind, table in tables.items()})
+        for label, (sides, arity, degree, *_) in IDENTITIES.items():
+            nonzero = False
+            for prefix in itertools.product(names, repeat=arity - 1):
+                want = [times(c ** degree, side) for side in sides(plain, *prefix)]
+                assert list(sides(tab, *prefix)) == want, (label, c, prefix)
+                nonzero = nonzero or any(want)
+            assert nonzero, label
+
+
+def test_integral_clears_denominators_once():
+    product = {("a", "b"): {"a": Fraction(1, 6), "b": Fraction(-3, 4)}}
+    delta = {"a": {"b": Fraction(5)}, "b": {}}
+    assert integral([product, None, delta]) == (
+        [{("a", "b"): {"a": 2, "b": -9}}, None, {"a": {"b": 60}, "b": {}}], 12)
+    assert integral([None, {}]) == ([None, {}], 1)
 
 
 # The symmetry walk of string_brackets starts at arity 3, because bracket
