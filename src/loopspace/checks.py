@@ -12,15 +12,13 @@ arity, its degree and its printed sides, and Tabulation.witness walks
 every prefix.  A space is anything with ordered ``names``,
 ``degree(name)`` and ``render(combo)``.
 
-Inside a check the arithmetic is on ints.  Tables arrive with Fraction
-coefficients, and integral multiplies all the tables of one check by the
-least common multiple D of their denominators.  Every identity is
-homogeneous in the structure constants: each side is a sum of products of
-the same number of constants, its degree.  So both sides of an identity of
-degree k scale by D^k, which changes neither the verdict nor the first
-failing tuple, and a witness divides each side by D^k to render the exact
-Fraction values.  Fractions appear only where tables are read and where
-witnesses are rendered.
+Inside a check the arithmetic is on ints: integral multiplies all the
+tables of one check by the least common multiple D of their
+denominators.  Each side of an identity is a sum of products of the same
+number k of structure constants, the degree IDENTITIES states, so both
+sides scale by D^k: the verdict and the first failing tuple stay, and a
+witness divided by D^k is exact.  Fractions appear only where tables are
+read and where witnesses are rendered.
 """
 
 from __future__ import annotations
@@ -162,12 +160,9 @@ class Tabulation:
     shift is the parity the bracket adds to degrees: 1 for the odd
     Gerstenhaber bracket, 0 for the even bracket on the marked-point space.
 
-    The product, bracket and delta tables are multiplied once, here, by
-    one scale, the least common multiple of all their denominators: prod,
-    br and delta are scale times the exact tables, with int coefficients,
-    and the tables derived from two of them are scale^2 times theirs.
-    Every identity is homogeneous of the degree IDENTITIES states, so
-    witness divides each side by scale^degree to render it exactly.
+    prod, br and delta are the tables given times one scale, the least
+    common multiple of all their denominators, so every table here has int
+    coefficients; witness divides by scale^degree to render.
     """
 
     def __init__(self, space, product=None, bracket=None, delta=None, shift=1):
@@ -307,7 +302,6 @@ class Tabulation:
 
 # label -> (sides, arity, degree, left side as printed, right side as
 # printed); the degree is the number of structure constants in each term
-# of either side, so scaling every table by c scales both sides by c^degree
 IDENTITIES = {
     "product is graded commutative": (Tabulation.commutative, 2, 1, "b*a", "expected"),
     "product is associative": (Tabulation.associative, 3, 2, "(a*b)*c", "a*(b*c) ="),

@@ -9,12 +9,6 @@ sorted input tuple, extends uniquely to a coderivation; the extension acts
 on a word by picking every subset of the stated arity, pulling it to the
 front with the Koszul sign of the unshuffle, and wedging the value back
 onto the untouched letters.
-
-The relations are checked on ints.  coderivation_relations multiplies
-every component by one common scale D, the least common multiple of all
-their denominators, so each composite of two components is D^2 times its
-exact value and each image D times its own; witnesses divide by that
-power again to render exact Fractions.
 """
 
 from __future__ import annotations
@@ -196,12 +190,11 @@ def coderivation_relations(reps, word_len, names):
     The total coderivation is checked for each arity on its own and, when
     there are several, for all of them together.
 
-    All components are multiplied by one scale D, common to every arity,
-    so the relations run on ints.  Each is homogeneous: a sum of
-    composites m_a after m_b is D^2 times its exact value, whichever
-    arities it mixes, and a coproduct side is D times its own; a separate
-    scale per arity would break this for the anticommutators and the
-    total.  Residues render divided by D^2, coproduct sides by D.
+    The relations run on ints: every component is multiplied by one
+    scale D, the least common multiple of all their denominators.  With
+    one D for every arity, any sum of composites m_a after m_b is D^2
+    times its exact value and renders divided by D^2; a coproduct side is
+    D times its own.
     """
     ks = sorted(reps)
     if not ks:
@@ -326,8 +319,8 @@ def jacobi_coderivation_equiv(space, bracket, word_len, relations=None):
     if label in known:
         square = known[label]
     else:
-        # the symmetric form takes (a, b) to (-1)^|a| [a,b]; built from
-        # the tabulation's int rows, it is tab.scale times the exact form
+        # the symmetric form takes (a, b) to (-1)^|a| [a,b], here on the
+        # tabulation's int rows, so tab.scale times the exact form
         m2 = CoderivationRep.from_operation(space, 2, lambda ab: add_into(
             {}, tab.br[ab[0]].get(ab[1], {}), ksign(tab.deg[ab[0]])))
         image = functools.cache(m2.apply_word)
