@@ -29,6 +29,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from loopspace import checks, coderivations
 from loopspace.checks import IDENTITIES, add_into, ksign
 from loopspace.checks import apply_map as apply_table
 from loopspace.gca import AlgebraError, Derivation, GradedElement
@@ -447,8 +448,6 @@ def fractions_only(monkeypatch):
     """Make the identity checkers skip clearing denominators: every table
     keeps its Fraction coefficients and the common scale is 1, so a check
     run afterwards is the all-Fraction evaluation of the same formulas."""
-    from loopspace import checks, coderivations
-
     def unscaled(tables):
         return list(tables), 1
 
