@@ -3,8 +3,10 @@
 Algebras here are free on a finite list of generators, each carrying a
 positive integer degree.  Odd-degree generators anticommute and square to
 zero; even-degree generators are polynomial.  Coefficients are exact
-``fractions.Fraction`` values throughout, so signs, ranks and dimensions
-computed downstream are exact integers rather than floating-point estimates.
+rationals, ints or ``fractions.Fraction`` values (parsing makes Fractions),
+so signs, ranks and dimensions computed downstream are exact integers
+rather than floating-point estimates.  ``Derivation.integral`` gives the
+int copy of a derivation that the homology layer's slices are built from.
 
 Canonical form: generators are totally ordered by (degree, name); a monomial
 is the tuple of (generator, exponent) pairs in that order; an element is a
@@ -31,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .checks import add_into, apply_map
+from .checks import add_into, apply_map, integral
 
 __all__ = [
     "AlgebraError",
@@ -123,11 +125,11 @@ class GradedAlgebra:
         return GradedElement(self, {})
 
     def one(self):
-        return GradedElement(self, {(): Fraction(1)})
+        return GradedElement(self, {(): 1})
 
     def gen(self, name):
         i = self.index(name)
-        return GradedElement(self, {((i, 1),): Fraction(1)})
+        return GradedElement(self, {((i, 1),): 1})
 
     # -- monomials ---------------------------------------------------------
 
@@ -497,6 +499,14 @@ class Derivation:
                         out[prod] = out.get(prod, 0) + k * s * c
             parity ^= odd & e
         return {m: c for m, c in out.items() if c}
+
+    def integral(self):
+        """(D times this derivation, D), for D the lcm of the denominators
+        of its values; the copy's coefficients are ints."""
+        (values,), scale = integral([{i: v.terms for i, v in self._values.items()}])
+        copy = Derivation(self.algebra, self.degree, check=False)
+        copy._values = {i: GradedElement(self.algebra, t) for i, t in values.items()}
+        return copy, scale
 
     def __call__(self, elt):
         if not isinstance(elt, GradedElement):

@@ -14,15 +14,25 @@ images live on only as the slices, which are cached per degree, and the
 chain condition holds a map's columns for two degrees at a time and reads
 both differentials from the slices.
 
+Slices and elimination run on ints.  Each complex keeps an int copy of its
+differential, scale * d for the lcm scale of the denominators of d's
+values (``Derivation.integral``), and builds its slices from it; scaling d
+by a nonzero constant changes no rank, kernel or class, and the complex's
+own d, which reports print, is never scaled.  The engine hands out kernel
+vectors and class coordinates as exact Fractions.
+
 Representative convention: the cohomology basis in degree n consists of the
 first kernel vectors (in kernel_basis order) that enlarge the span of the
 coboundaries, so report files are stable.  One elimination per degree
 chooses them and gives class coordinates: the coboundaries enter untagged
 and each accepted cocycle j tagged in column dim + j, so reducing a cocycle
-leaves minus its class in the tag columns.
+leaves minus its class in the tag columns, times the multiplier that the
+reduction reports.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .checks import add_into, apply_map
 from .gca import GradedElement
@@ -60,6 +70,7 @@ class CochainComplex:
             raise ComplexError(f"differential must have degree +1, got {diff.degree}")
         self.algebra = algebra
         self.diff = diff
+        self._scaled, self.scale = diff.integral()
         self._slices = {}
         self._ranks = {}
         self._cohomology = {}   # n -> (tagged SpanTracker, representatives)
@@ -79,14 +90,15 @@ class CochainComplex:
         return len(self.algebra.basis(n))
 
     def slice(self, n):
-        """Matrix of the differential from degree n to degree n+1."""
+        """Matrix of scale * d from degree n to degree n+1, with int
+        entries."""
         if n not in self._slices:
             src = self.algebra.basis(n) if n >= 0 else []
             tgt = self.algebra.basis(n + 1) if n + 1 >= 0 else []
             index = {m: k for k, m in enumerate(tgt)}
             entries = {}
             for j, mono in enumerate(src):
-                for m, c in self.diff.image(mono).items():
+                for m, c in self._scaled.image(mono).items():
                     entries[(index[m], j)] = c
             self._slices[n] = MatrixSlice(len(tgt), len(src), entries)
         return self._slices[n]
@@ -139,10 +151,10 @@ class CochainComplex:
         over the representatives of H^n; None when vec is no cocycle.
         Call cohomology(n) first."""
         tracker = self._cohomology[n][0]
-        rem = tracker.reduce(vec)
+        rem, m = tracker.reduce(vec)
         if any(c < tracker.dim for c in rem):
             return None
-        return {c - tracker.dim: -x for c, x in rem.items()}
+        return {c - tracker.dim: Fraction(-x, m) for c, x in rem.items()}
 
 
 class BettiTable(list):
@@ -209,8 +221,12 @@ def verify_chain_map(f, cutoff):
 
     f is evaluated once per basis monomial, into the columns F_n of one
     degree, and only F_n and F_{n+1} are held.  Column by column, in basis
-    order, D_tgt F_n is compared with (-1)^degree F_{n+1} D_src, both
-    differentials read from the cached slices of the two complexes.
+    order, d_tgt F_n is compared with (-1)^degree F_{n+1} d_src, both
+    differentials read from the cached slices of the two complexes.  The
+    slices hold the differentials times the complexes' scales, so the
+    comparison is of src.scale * (tgt.scale d_tgt) F_n with tgt.scale *
+    (-1)^degree F_{n+1} (src.scale d_src); the witness divides both sides
+    by src.scale * tgt.scale back to their exact values.
     """
     sign = -1 if f.degree % 2 else 1
     src, tgt = f.src, f.tgt
@@ -222,15 +238,14 @@ def verify_chain_map(f, cutoff):
         for j, mono in enumerate(src.algebra.basis(n)):
             lhs, rhs = {}, {}
             for i, c in cur[j].items():
-                add_into(lhs, d_tgt[i], c)
+                add_into(lhs, d_tgt[i], src.scale * c)
             for k, c in d_src[j].items():
-                add_into(rhs, nxt[k], sign * c)
+                add_into(rhs, nxt[k], sign * tgt.scale * c)
             if lhs != rhs:
                 basis = tgt.algebra.basis(n + f.degree + 1)
-                lhs, rhs = (
-                    GradedElement(tgt.algebra, {basis[i]: c for i, c in side.items()})
-                    for side in (lhs, rhs)
-                )
+                lhs, rhs = (GradedElement(tgt.algebra, {
+                    basis[i]: Fraction(c, src.scale * tgt.scale) for i, c in side.items()
+                }) for side in (lhs, rhs))
                 return (n, mono, lhs, rhs)
     return None
 

@@ -1,12 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, run on ints.
 
 One sparse echelon engine, SpanTracker, does all the elimination.  Its rows
-are {col: Fraction} dicts, each with a leading 1, keyed by that lead
-column.  A vector is reduced against the rows in ascending lead order, so
-its remainder is zero in every lead column; a nonzero remainder becomes a
-new row.  The differential slices are about 1% dense, so the work follows
-the nonzero entries, never the full rows x cols grid (sparse exact rank as
-in Dumas-Villard, "Computing the rank of sparse matrices", CASC 2002).
+are primitive {col: int} dicts (entries of gcd 1, leading entry positive),
+keyed by their lead column.  A vector enters as an int dict, times the lcm
+of its denominators, and is reduced fraction-free (Bareiss, Math. Comp. 22,
+1968) against the rows in ascending lead order, so its remainder is zero
+in every lead column; a nonzero remainder becomes a new row.  The
+differential slices are about 1% dense, so the work follows the nonzero
+entries, never the full rows x cols grid (sparse exact rank as in
+Dumas-Villard, "Computing the rank of sparse matrices", CASC 2002).
+Division happens once, at the edges: reduce returns the multiplier it put
+on its vector, and kernel_basis and solve_coords return Fractions.
 
 matrix_rank, kernel_basis and solve_coords are short functions over the
 engine.  Their results do not depend on how the engine stores its rows, so
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 __all__ = [
     "MatrixSlice",
@@ -29,32 +34,51 @@ __all__ = [
     "SpanTracker",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _ints(vec):
+    """(v, m): a dense sequence or sparse dict times the lcm m of its
+    denominators, as an {index: int} dict with zeros dropped."""
+    items = vec.items() if isinstance(vec, dict) else list(enumerate(vec))
+    m = lcm(*{x.denominator for _, x in items})
+    if m == 1:      # the common case, and twice as fast
+        return {j: x.numerator for j, x in items if x}, m
+    return {j: x.numerator * (m // x.denominator) for j, x in items if x}, m
 
 
-def _sparse(vec):
-    """{index: Fraction} copy of a dense sequence or a sparse dict, zeros
-    dropped; values that already are Fractions are kept, not rebuilt."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {j: v if isinstance(v, Fraction) else Fraction(v) for j, v in items if v}
+def _subtract(v, x, row, lead):
+    """Clear v's entry x in column lead, already popped, with the row that
+    leads there: v becomes a*v - b*row in place, for g = gcd(row[lead], x),
+    a = row[lead]/g and b = x/g.  Returns a, the positive multiplier put
+    on v, and the columns that entered v."""
+    g = gcd(row[lead], x)
+    a, b = row[lead] // g, x // g
+    if a != 1:
+        for k in v:
+            v[k] *= a
+    fresh = []
+    for k, y in row.items():
+        if k != lead:
+            if k not in v:
+                fresh.append(k)
+            y = v.get(k, 0) - b * y
+            if y:
+                v[k] = y
+            else:
+                del v[k]
+    return a, fresh
 
 
 class MatrixSlice:
-    """A rows x cols rational matrix with sparse entries."""
+    """A rows x cols rational matrix of sparse entries, kept as given."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        for (i, j), v in (entries or {}).items():
-            v = v if isinstance(v, Fraction) else Fraction(v)
-            if v:
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                self.entries[(i, j)] = v
+        self.nrows, self.ncols = nrows, ncols
+        self.entries = {(i, j): v for (i, j), v in (entries or {}).items() if v}
+        for i, j in self.entries:
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
 
     def row_vectors(self):
         """The rows as sparse {col: value} dicts."""
@@ -84,91 +108,75 @@ class MatrixSlice:
 class SpanTracker:
     """Incrementally maintained echelon basis of a growing span.
 
-    Vectors are dense sequences or sparse {index: value} dicts.  Indices at
-    or past dim are carried along but never lead a row; callers tag their
-    inputs there to record which inputs each row combines.
-
-    add() reports whether the vector enlarged the span; the answer depends
-    only on the span, so feeding candidate vectors in a fixed order always
-    selects the same independent subset.
+    Vectors are dense sequences or sparse {index: value} dicts of ints or
+    Fractions.  Indices at or past dim never lead a row; callers tag their
+    inputs there to record which inputs each row combines.  add() reports
+    whether the vector enlarged the span, which depends only on the span.
     """
 
     def __init__(self, dim):
         self.dim = dim
-        self._rows = {}       # lead column -> row, with row[lead] == 1
+        self._rows = {}       # lead column -> primitive int row, row[lead] > 0
 
     def rank(self):
         return len(self._rows)
 
     def reduce(self, vec):
-        """Sparse remainder of vec, zero in every lead column."""
-        v = _sparse(vec)
+        """(r, m): m * vec minus a combination of the rows, as an int dict
+        zero in every lead column, and the positive int m; the exact
+        remainder of vec is r / m."""
+        v, m = _ints(vec)
         rows = self._rows
         heap = [c for c in v if c in rows]
         heapify(heap)
         while heap:
             lead = heappop(heap)
-            f = v.pop(lead, None)
-            if f is None:     # cancelled since it was queued
+            x = v.pop(lead, None)
+            if x is None:     # cancelled since it was queued
                 continue
-            for k, x in rows[lead].items():
-                if k == lead:
-                    continue
-                old = v.get(k)
-                if old is None:
-                    v[k] = -f * x
-                    if k in rows:
-                        heappush(heap, k)
-                else:
-                    y = old - f * x
-                    if y:
-                        v[k] = y
-                    else:
-                        del v[k]
-        return v
+            a, fresh = _subtract(v, x, rows[lead], lead)
+            m *= a
+            for k in fresh:
+                if k in rows:
+                    heappush(heap, k)
+        return v, m
 
     def add(self, vec):
-        v = self.reduce(vec)
-        if not v:
-            return False
-        lead = min(v)
+        v, _ = self.reduce(vec)
+        lead = min(v, default=self.dim)
         if lead >= self.dim:
             return False
-        p = v[lead]
-        if p != 1:
-            v = {k: x / p for k, x in v.items()}
-        self._rows[lead] = v
+        g = gcd(*v.values()) * (1 if v[lead] > 0 else -1)
+        self._rows[lead] = v if g == 1 else {k: x // g for k, x in v.items()}
         return True
 
     def reduced_rows(self):
-        """Back-substitute to the unique reduced row echelon form of the
-        span: {lead: row}, each row zero in every other lead column."""
+        """Back-substitute to the reduced row echelon form of the span, up
+        to a positive scale per row: {lead: primitive row}, each row zero in
+        every other lead column."""
         rows = self._rows
         for lead in sorted(rows, reverse=True):
             row = rows[lead]
             # rows with larger leads are already reduced, so clearing one
             # lead column never refills another
-            for c in [c for c in row if c != lead and c in rows]:
-                f = row.pop(c)
-                for k, x in rows[c].items():
-                    if k != c:
-                        y = row.get(k, _ZERO) - f * x
-                        if y:
-                            row[k] = y
-                        else:
-                            row.pop(k, None)
+            cols = [c for c in row if c != lead and c in rows]
+            for c in cols:
+                _subtract(row, row.pop(c), rows[c], c)
+            if cols:
+                g = gcd(*row.values())
+                rows[lead] = {k: x // g for k, x in row.items()}
         return rows
 
     def kernel_basis(self):
-        """kernel_basis of the rows added so far, over columns 0..dim-1,
-        as sparse vectors {free: 1, lead: -x, ...} read off the reduced
-        row echelon form."""
+        """kernel_basis of the rows added so far, over columns 0..dim-1:
+        {free: 1, lead: -x/p, ...}, where a reduced row has x in the free
+        column and p in its lead."""
         ech = self.reduced_rows()
-        basis = {free: {free: _ONE} for free in range(self.dim) if free not in ech}
+        basis = {free: {free: Fraction(1)} for free in range(self.dim) if free not in ech}
         for lead, row in ech.items():
             for c, x in row.items():
                 if c != lead:
-                    basis[c][lead] = -x
+                    basis[c][lead] = Fraction(-x, row[lead])
         return list(basis.values())
 
 
@@ -185,30 +193,22 @@ def matrix_rank(rows):
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel, one sparse {index: value} vector per free
-    column.
-
-    Rows are dense sequences or sparse dicts.  Free columns are visited in
-    ascending order; each basis vector has a 1 in its free column and zeros
-    in the other free columns, which pins the representative choice for
-    every caller.
-    """
+    """Basis of the right kernel of dense or sparse rows, one sparse vector
+    per free column in ascending order, with a 1 there and zeros in the
+    other free columns, which pins the representative choice."""
     return _echelon(ncols, rows).kernel_basis()
 
 
 def solve_coords(columns, target):
-    """Coordinates of target in the span of the given column vectors.
-
-    Returns a coefficient list (free coordinates set to zero) or None when
-    target is outside the span.
-    """
+    """Coordinates of target in the span of the given column vectors, as
+    a list of Fractions (free coordinates zero); None outside the span."""
     dim = len(target)
     tracker = SpanTracker(dim)
     for j, col in enumerate(columns):
-        v = _sparse(col)
-        v[dim + j] = _ONE     # reduction turns this into the row's combination
+        v, m = _ints(col)
+        v[dim + j] = m        # reduction turns this into the row's combination
         tracker.add(v)
-    rem = tracker.reduce(target)
+    rem, m = tracker.reduce(target)
     if any(c < dim for c in rem):
         return None
-    return [-rem.get(dim + j, _ZERO) for j in range(len(columns))]
+    return [Fraction(-rem.get(dim + j, 0), m) for j in range(len(columns))]

@@ -183,7 +183,7 @@ def graded_commutator(d1, d2):
 
 def span_contains(tracker, vec):
     """Whether vec lies in the span a SpanTracker holds."""
-    return not tracker.reduce(vec)
+    return not tracker.reduce(vec)[0]
 
 
 def min_rotation(graph, letters):

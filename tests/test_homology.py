@@ -13,7 +13,15 @@ from loopspace.homology import (
     induced_map,
     verify_chain_map,
 )
-from loopspace.models import based_complex, load_model, loop_model
+from loopspace.linalg import SpanTracker
+from loopspace.models import (
+    based_complex,
+    equivariant_model,
+    gysin_report,
+    load_model,
+    loop_model,
+    parse_model,
+)
 
 from reference import (
     apply_map,
@@ -161,3 +169,31 @@ def test_format_betti_table_layout(data_path):
     cx = _loop_cx(data_path("s2.min"))
     text = format_betti_table(betti_table(cx, 3))
     assert text == "0\t1\n1\t1\n2\t1\n3\t1\n"
+
+
+def test_rational_model_eliminates_on_ints(monkeypatch):
+    # the slices hold 49 * d for d y = -128/49*x^2, and the engine clears
+    # the denominators of kernel vectors and class coordinates as they
+    # enter, so no Fraction reaches elimination anywhere on the path
+    trackers = []
+    init = SpanTracker.__init__
+
+    def recorded(self, dim):
+        init(self, dim)
+        trackers.append(self)
+
+    monkeypatch.setattr(SpanTracker, "__init__", recorded)
+    string = equivariant_model(loop_model(parse_model(
+        "gen x 2\ngen y 3\ngen z 3\nd y = -128/49*x^2\n")))
+    cx = string.complex
+    assert cx.scale == 49
+    for n in range(13):
+        cx.cohomology(n)
+        cx.slice(n).rank()
+    assert gysin_report(string, 8).ok
+    for complex_ in (cx, string.loop.complex):
+        for n, sl in complex_._slices.items():
+            assert all(type(v) is int for v in sl.entries.values()), n
+    assert trackers
+    for tr in trackers:
+        assert all(type(x) is int for row in tr._rows.values() for x in row.values())

@@ -2,8 +2,10 @@
 oracle: the sparse engine must give the same numbers, not merely
 consistent ones, because report representatives depend on them."""
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -207,13 +209,19 @@ def test_matrix_slice_roundtrip():
     assert mul(dense, [[2], [0], [4]]) == [[2], [2]]
 
 
-def test_integer_entries_become_fractions():
-    # elimination divides by leading entries, so an int must be wrapped
-    # first; an entry that already is a Fraction is kept as it is
+def test_slice_keeps_entries_and_solve_returns_fractions():
+    # the engine clears denominators itself, so a slice stores its entries
+    # as given: an int stays an int, a Fraction is kept as it is, zeros
+    # are dropped, and an entry out of range is refused
     half = Fraction(1, 2)
-    sl = MatrixSlice(1, 2, {(0, 0): 3, (0, 1): half})
-    assert type(sl.entries[(0, 0)]) is Fraction
+    sl = MatrixSlice(1, 3, {(0, 0): 3, (0, 1): half, (0, 2): 0})
+    assert type(sl.entries[(0, 0)]) is int
     assert sl.entries[(0, 1)] is half
+    assert sl.entries.keys() == {(0, 0), (0, 1)}
+    for bad in ((1, 0), (0, 3), (-1, 0)):
+        with pytest.raises(IndexError):
+            MatrixSlice(1, 3, {bad: 1})
+    # coordinates divide at the engine's edge, so they are Fractions
     coords = solve_coords([[3, 0], [0, 7]], [1, 1])
     assert coords == [Fraction(1, 3), Fraction(1, 7)]
     assert all(type(c) is Fraction for c in coords)
@@ -307,3 +315,145 @@ def test_span_tracker_verdicts_equal_reference(rows):
     tr = SpanTracker(len(rows[0]))
     assert [tr.add(row) for row in rows] == dense_span_verdicts(rows)
     assert tr.rank() == naive_rank(rows)
+
+
+# The fraction-free engine against the dense Fraction references, on
+# integral matrices whose entries are non-unit leads and on rational ones:
+# its rows, multipliers and remainders are ints, and every number it
+# hands out must still equal the exact rational one.
+
+def dense_tracker(rows, dim):
+    """Echelon basis of the rows as SpanTracker builds it, in Fractions:
+    (lead, row with a leading 1) pairs in ascending lead order; a row
+    whose remainder leads at or past dim is refused."""
+    basis = []
+    for row in rows:
+        v = dense_remainder(basis, row)
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None and lead < dim:
+            basis.append((lead, [x / v[lead] for x in v]))
+            basis.sort(key=lambda pb: pb[0])
+    return basis
+
+
+def dense_remainder(basis, vec):
+    """vec minus the combination of the basis rows that agrees with it in
+    every lead column."""
+    v = [Fraction(x) for x in vec]
+    for pc, b in basis:
+        if v[pc]:
+            f = v[pc]
+            v = [x - f * y for x, y in zip(v, b)]
+    return v
+
+
+def _check_rows(tr):
+    """SpanTracker's own invariant: every row is a primitive int dict whose
+    leading entry is positive."""
+    for lead, row in tr._rows.items():
+        assert lead == min(row) and row[lead] > 0
+        assert all(type(x) is int for x in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+_leads = st.sampled_from([0, 0, 0, 2, 3, 5, 7, -2, -3, -5, -7])
+
+
+@st.composite
+def _engine_matrices(draw, entries):
+    """Up to 8 x 8 rows with entries of the given kind, and a few rows that
+    combine others, so that dependencies occur."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=8))
+    index = st.integers(0, len(rows) - 1)
+    for a, b, c in draw(st.lists(st.tuples(index, index, st.sampled_from([2, 3, -5])),
+                                 max_size=2)):
+        rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+    return rows
+
+
+HILBERT = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
+# the next two columns of the Hilbert pattern, so that the kernel is not zero
+HILBERT_WIDE = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(8)]
+
+
+def _engine_against_references(rows, probes):
+    ncols = len(rows[0])
+    tr = SpanTracker(ncols)
+    assert [tr.add(row) for row in rows] == dense_span_verdicts(rows)
+    _check_rows(tr)
+    assert tr.rank() == naive_rank(rows)
+    basis = dense_tracker(rows, ncols)
+    for vec in probes:
+        rem, m = tr.reduce(vec)
+        assert m > 0 and all(type(x) is int for x in rem.values())
+        assert _dense({k: Fraction(x, m) for k, x in rem.items()}, ncols) \
+            == dense_remainder(basis, vec)
+    assert [_dense(vec, ncols) for vec in kernel_basis(rows, ncols)] == dense_kernel(rows, ncols)
+    assert [_dense(vec, ncols) for vec in tr.kernel_basis()] == dense_kernel(rows, ncols)
+    _check_rows(tr)
+
+
+@settings(deadline=None)
+@given(_engine_matrices(_leads), st.data())
+def test_engine_on_non_unit_leads_equals_reference(rows, data):
+    probes = data.draw(st.lists(st.lists(_leads, min_size=len(rows[0]),
+                                         max_size=len(rows[0])), max_size=3))
+    _engine_against_references(rows, probes)
+
+
+@settings(deadline=None)
+@given(_engine_matrices(_fractions), st.data())
+def test_engine_on_rational_entries_equals_reference(rows, data):
+    probes = data.draw(st.lists(st.lists(_fractions, min_size=len(rows[0]),
+                                         max_size=len(rows[0])), max_size=3))
+    _engine_against_references(rows, probes)
+
+
+def test_engine_on_hilbert_matrices():
+    probe = [Fraction(k + 1, 11 - k) for k in range(10)]
+    _engine_against_references(HILBERT, [probe[:8], [1] * 8])
+    _engine_against_references(HILBERT_WIDE, [probe, [7, 0, 0, 0, 0, 0, 0, 0, 0, 3]])
+    assert len(kernel_basis(HILBERT_WIDE, 10)) == 2
+    columns = [list(col) for col in zip(*HILBERT)]
+    assert solve_coords(columns, probe[:8]) == dense_solve(columns, probe[:8])
+    # the inverse of the Hilbert matrix is integral: H x = e_0 has an
+    # int solution whose first entry is 64
+    assert solve_coords(columns, [1] + [0] * 7)[0] == 64
+
+
+@settings(deadline=None)
+@given(_engine_matrices(_leads), _engine_matrices(_leads), st.data())
+def test_tagged_class_coordinates_equal_reference(bounds, cands, data):
+    # the elimination of CochainComplex.cohomology: boundaries untagged,
+    # then each accepted candidate tagged at dim + j; a vector's class is
+    # minus its remainder in the tag columns
+    dim = min(len(bounds[0]), len(cands[0]))
+    bounds, cands = [row[:dim] for row in bounds], [row[:dim] for row in cands]
+    tr = SpanTracker(dim)
+    for row in bounds:
+        tr.add(row)
+    reps = []
+    for row in cands:
+        if tr.add({**dict(enumerate(row)), dim + len(reps): 1}):
+            reps.append(row)
+    _check_rows(tr)
+    coeffs = data.draw(st.lists(_leads, min_size=len(reps), max_size=len(reps)))
+    mix = data.draw(st.lists(_fractions, min_size=len(bounds), max_size=len(bounds)))
+    vec = [sum(c * r[i] for c, r in zip(coeffs, reps))
+           + sum(c * b[i] for c, b in zip(mix, bounds)) for i in range(dim)]
+    rem, m = tr.reduce(vec)
+    assert all(c >= dim for c in rem)
+    got = {c - dim: Fraction(-x, m) for c, x in rem.items()}
+    assert got == {j: c for j, c in enumerate(coeffs) if c}
+    tagged = [dict(enumerate(b)) for b in bounds]
+    tagged += [{**dict(enumerate(r)), dim + j: 1} for j, r in enumerate(reps)]
+    width = dim + len(reps)
+    want = dense_remainder(dense_tracker([_dense_row(v, width) for v in tagged], dim),
+                           vec + [0] * len(reps))
+    assert _dense({k: Fraction(x, m) for k, x in rem.items()}, width) == want
+
+
+def _dense_row(vec, n):
+    return [vec.get(j, 0) for j in range(n)]
