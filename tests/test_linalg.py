@@ -96,23 +96,30 @@ def dense_solve(columns, target):
     return coords
 
 
-def dense_span_verdicts(rows):
-    """Whether each row enlarges the span of the rows before it, by
-    reduction against a dense echelon basis kept in ascending pivot order."""
-    basis = []
-    verdicts = []
+def dense_tracker(rows, dim):
+    """The echelon basis SpanTracker builds, in Fractions: (lead, row with a
+    leading 1) pairs in ascending lead order, and whether each row enlarged
+    the span; a row whose remainder leads at or past dim is refused."""
+    basis, verdicts = [], []
     for row in rows:
-        v = [Fraction(x) for x in row]
-        for pc, b in basis:
-            if v[pc]:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, b)]
+        v = dense_remainder(basis, row)
         lead = next((i for i, x in enumerate(v) if x), None)
-        verdicts.append(lead is not None)
-        if lead is not None:
+        verdicts.append(lead is not None and lead < dim)
+        if verdicts[-1]:
             basis.append((lead, [x / v[lead] for x in v]))
             basis.sort(key=lambda pb: pb[0])
-    return verdicts
+    return basis, verdicts
+
+
+def dense_remainder(basis, vec):
+    """vec minus the combination of the basis rows that agrees with it in
+    every lead column."""
+    v = [Fraction(x) for x in vec]
+    for pc, b in basis:
+        if v[pc]:
+            f = v[pc]
+            v = [x - f * y for x, y in zip(v, b)]
+    return v
 
 
 def mul(a, b):
@@ -313,7 +320,7 @@ def test_solve_coords_equals_reference(rows, data):
 @given(_sparse_matrices())
 def test_span_tracker_verdicts_equal_reference(rows):
     tr = SpanTracker(len(rows[0]))
-    assert [tr.add(row) for row in rows] == dense_span_verdicts(rows)
+    assert [tr.add(row) for row in rows] == dense_tracker(rows, len(rows[0]))[1]
     assert tr.rank() == naive_rank(rows)
 
 
@@ -321,31 +328,6 @@ def test_span_tracker_verdicts_equal_reference(rows):
 # integral matrices whose entries are non-unit leads and on rational ones:
 # its rows, multipliers and remainders are ints, and every number it
 # hands out must still equal the exact rational one.
-
-def dense_tracker(rows, dim):
-    """Echelon basis of the rows as SpanTracker builds it, in Fractions:
-    (lead, row with a leading 1) pairs in ascending lead order; a row
-    whose remainder leads at or past dim is refused."""
-    basis = []
-    for row in rows:
-        v = dense_remainder(basis, row)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is not None and lead < dim:
-            basis.append((lead, [x / v[lead] for x in v]))
-            basis.sort(key=lambda pb: pb[0])
-    return basis
-
-
-def dense_remainder(basis, vec):
-    """vec minus the combination of the basis rows that agrees with it in
-    every lead column."""
-    v = [Fraction(x) for x in vec]
-    for pc, b in basis:
-        if v[pc]:
-            f = v[pc]
-            v = [x - f * y for x, y in zip(v, b)]
-    return v
-
 
 def _check_rows(tr):
     """SpanTracker's own invariant: every row is a primitive int dict whose
@@ -381,10 +363,10 @@ HILBERT_WIDE = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(8)]
 def _engine_against_references(rows, probes):
     ncols = len(rows[0])
     tr = SpanTracker(ncols)
-    assert [tr.add(row) for row in rows] == dense_span_verdicts(rows)
+    basis, verdicts = dense_tracker(rows, ncols)
+    assert [tr.add(row) for row in rows] == verdicts
     _check_rows(tr)
     assert tr.rank() == naive_rank(rows)
-    basis = dense_tracker(rows, ncols)
     for vec in probes:
         rem, m = tr.reduce(vec)
         assert m > 0 and all(type(x) is int for x in rem.values())
@@ -447,13 +429,8 @@ def test_tagged_class_coordinates_equal_reference(bounds, cands, data):
     assert all(c >= dim for c in rem)
     got = {c - dim: Fraction(-x, m) for c, x in rem.items()}
     assert got == {j: c for j, c in enumerate(coeffs) if c}
-    tagged = [dict(enumerate(b)) for b in bounds]
-    tagged += [{**dict(enumerate(r)), dim + j: 1} for j, r in enumerate(reps)]
-    width = dim + len(reps)
-    want = dense_remainder(dense_tracker([_dense_row(v, width) for v in tagged], dim),
-                           vec + [0] * len(reps))
-    assert _dense({k: Fraction(x, m) for k, x in rem.items()}, width) == want
-
-
-def _dense_row(vec, n):
-    return [vec.get(j, 0) for j in range(n)]
+    tags = [[int(j == k) for k in range(len(reps))] for j in range(len(reps))]
+    basis, _ = dense_tracker([b + [0] * len(reps) for b in bounds]
+                             + [r + t for r, t in zip(reps, tags)], dim)
+    assert _dense({k: Fraction(x, m) for k, x in rem.items()}, dim + len(reps)) \
+        == dense_remainder(basis, vec + [0] * len(reps))
