@@ -18,16 +18,18 @@ Slices and elimination run on ints.  Each complex keeps an int copy of its
 differential, scale * d for the lcm scale of the denominators of d's
 values (``Derivation.integral``), and builds its slices from it; scaling d
 by a nonzero constant changes no rank, kernel or class, and the complex's
-own d, which reports print, is never scaled.  The engine hands out kernel
-vectors and class coordinates as exact Fractions.
+own d, which reports print, is never scaled.
 
 Representative convention: the cohomology basis in degree n consists of the
-first kernel vectors (in kernel_basis order) that enlarge the span of the
-coboundaries, so report files are stable.  One elimination per degree
-chooses them and gives class coordinates: the coboundaries enter untagged
-and each accepted cocycle j tagged in column dim + j, so reducing a cocycle
-leaves minus its class in the tag columns, times the multiplier that the
-reduction reports.
+first kernel vectors that enlarge the span of the coboundaries.  Kernel
+vectors are primitive int vectors, one per free column in order
+(MatrixSlice.kernel), each a positive multiple of the reduced row echelon
+one; no report depends on those scales, as ranks and vanishing composites
+do not, and the rotation check compares maps in the same bases.  One
+elimination per degree chooses them and gives class coordinates: the
+coboundaries enter untagged and each accepted cocycle j tagged in column
+dim + j, so reducing a cocycle leaves minus its class in the tag columns,
+times the multiplier that the reduction reports.
 """
 
 from __future__ import annotations
@@ -114,13 +116,11 @@ class CochainComplex:
         return self.dim(n) - self.rank(n) - (self.rank(n - 1) if n > 0 else 0)
 
     def cocycles(self, n):
-        """Kernel basis of d in degree n; the same elimination pass records
-        rank(n)."""
+        """Kernel basis of d in degree n; the same pass records rank(n)."""
         if self.dim(n) == 0:
             return []
-        ech = self.slice(n).echelon()
-        self._ranks[n] = ech.rank()
-        return ech.kernel_basis()
+        self._ranks[n], kernel = self.slice(n).kernel()
+        return kernel
 
     def boundary_columns(self, n):
         """Images of the degree n-1 basis under d, nonzero columns only,

@@ -9,15 +9,15 @@ in every lead column; a nonzero remainder becomes a new row.  The
 differential slices are about 1% dense, so the work follows the nonzero
 entries, never the full rows x cols grid (sparse exact rank as in
 Dumas-Villard, "Computing the rank of sparse matrices", CASC 2002).
-Division happens once, at the edges: reduce returns the multiplier it put
-on its vector, and kernel_basis and solve_coords return Fractions.
 
-matrix_rank, kernel_basis and solve_coords are short functions over the
-engine.  Their results do not depend on how the engine stores its rows, so
-representative choices downstream never depend on insertion or dict order:
-kernel_basis back-substitutes to the unique reduced row echelon form, and
-solve_coords inserts columns greedily in order, which accepts exactly the
-leftmost independent ones, and sets every other coordinate to zero.
+MatrixSlice.kernel gets rank and kernel from one pass over the columns,
+column j tagged at nrows + j.  A column that the earlier ones span reduces
+to tags only: a kernel vector zero at every other free column, so the
+reduced row echelon one of free column j times a positive int, whatever
+order the engine stores its rows in.  matrix_rank, kernel_basis and
+solve_coords are short functions over it that divide once, at the end;
+solve_coords tags the target as the last column, so it uses the leftmost
+independent columns and sets every other coordinate to zero.
 """
 
 from __future__ import annotations
@@ -26,19 +26,18 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-__all__ = [
-    "MatrixSlice",
-    "matrix_rank",
-    "kernel_basis",
-    "solve_coords",
-    "SpanTracker",
-]
+__all__ = ["MatrixSlice", "matrix_rank", "kernel_basis", "solve_coords", "SpanTracker"]
+
+
+def _items(vec):
+    """The (index, value) pairs of a dense sequence or a sparse dict."""
+    return vec.items() if isinstance(vec, dict) else list(enumerate(vec))
 
 
 def _ints(vec):
     """(v, m): a dense sequence or sparse dict times the lcm m of its
     denominators, as an {index: int} dict with zeros dropped."""
-    items = vec.items() if isinstance(vec, dict) else list(enumerate(vec))
+    items = _items(vec)
     m = lcm(*{x.denominator for _, x in items})
     if m == 1:      # the common case, and twice as fast
         return {j: x.numerator for j, x in items if x}, m
@@ -80,13 +79,6 @@ class MatrixSlice:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
 
-    def row_vectors(self):
-        """The rows as sparse {col: value} dicts."""
-        rows = [{} for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def column_vectors(self):
         """The columns as sparse {row: value} dicts."""
         cols = [{} for _ in range(self.ncols)]
@@ -94,12 +86,27 @@ class MatrixSlice:
             cols[j][i] = v
         return cols
 
-    def echelon(self):
-        """A SpanTracker over the rows: one elimination pass."""
-        return _echelon(self.ncols, self.row_vectors())
-
     def rank(self):
-        return self.echelon().rank()
+        """The rank, from one untagged pass over the columns."""
+        tracker = SpanTracker(self.nrows)
+        for col in self.column_vectors():
+            tracker.add(col)
+        return tracker.rank()
+
+    def kernel(self):
+        """(rank, kernel): one primitive {col: int} vector per free column
+        j, in ascending order, positive at j, its largest index, and zero
+        at every other free column."""
+        dim = self.nrows
+        tracker = SpanTracker(dim)
+        kernel = []
+        for j, col in enumerate(self.column_vectors()):
+            col[dim + j] = 1
+            v, _ = tracker.reduce(col)
+            if not tracker._keep(v):
+                g = gcd(*v.values())
+                kernel.append({c - dim: x // g for c, x in v.items()})
+        return tracker.rank(), kernel
 
     def __repr__(self):
         return f"MatrixSlice({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
@@ -110,8 +117,10 @@ class SpanTracker:
 
     Vectors are dense sequences or sparse {index: value} dicts of ints or
     Fractions.  Indices at or past dim never lead a row; callers tag their
-    inputs there to record which inputs each row combines.  add() reports
-    whether the vector enlarged the span, which depends only on the span.
+    inputs there to record which inputs each row combines.  add() is
+    reduce() then _keep(), and reports whether the vector enlarged the span,
+    which depends only on the span; MatrixSlice.kernel calls the two itself,
+    so that it reduces each column once and reads what add() would drop.
     """
 
     def __init__(self, dim):
@@ -142,7 +151,11 @@ class SpanTracker:
         return v, m
 
     def add(self, vec):
-        v, _ = self.reduce(vec)
+        return self._keep(self.reduce(vec)[0])
+
+    def _keep(self, v):
+        """Store a remainder from reduce as a new row, made primitive with
+        a positive lead, when it leads before dim; whether it did."""
         lead = min(v, default=self.dim)
         if lead >= self.dim:
             return False
@@ -150,65 +163,33 @@ class SpanTracker:
         self._rows[lead] = v if g == 1 else {k: x // g for k, x in v.items()}
         return True
 
-    def reduced_rows(self):
-        """Back-substitute to the reduced row echelon form of the span, up
-        to a positive scale per row: {lead: primitive row}, each row zero in
-        every other lead column."""
-        rows = self._rows
-        for lead in sorted(rows, reverse=True):
-            row = rows[lead]
-            # rows with larger leads are already reduced, so clearing one
-            # lead column never refills another
-            cols = [c for c in row if c != lead and c in rows]
-            for c in cols:
-                _subtract(row, row.pop(c), rows[c], c)
-            if cols:
-                g = gcd(*row.values())
-                rows[lead] = {k: x // g for k, x in row.items()}
-        return rows
 
-    def kernel_basis(self):
-        """kernel_basis of the rows added so far, over columns 0..dim-1:
-        {free: 1, lead: -x/p, ...}, where a reduced row has x in the free
-        column and p in its lead."""
-        ech = self.reduced_rows()
-        basis = {free: {free: Fraction(1)} for free in range(self.dim) if free not in ech}
-        for lead, row in ech.items():
-            for c, x in row.items():
-                if c != lead:
-                    basis[c][lead] = Fraction(-x, row[lead])
-        return list(basis.values())
-
-
-def _echelon(dim, vectors):
-    tracker = SpanTracker(dim)
-    for vec in vectors:
-        tracker.add(vec)
-    return tracker
+def _from_rows(rows, ncols):
+    return MatrixSlice(len(rows), ncols,
+                       {(i, j): x for i, row in enumerate(rows) for j, x in _items(row)})
 
 
 def matrix_rank(rows):
     """Rank of a matrix given as a list of equal-length rows."""
-    return _echelon(len(rows[0]), rows).rank() if rows else 0
+    return _from_rows(rows, len(rows[0])).rank() if rows else 0
 
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of dense or sparse rows, one sparse vector
     per free column in ascending order, with a 1 there and zeros in the
-    other free columns, which pins the representative choice."""
-    return _echelon(ncols, rows).kernel_basis()
+    other free columns: the reduced row echelon kernel vectors."""
+    kernel = _from_rows(rows, ncols).kernel()[1]
+    tops = [vec[max(vec)] for vec in kernel]
+    return [{c: Fraction(x, top) for c, x in vec.items()} for vec, top in zip(kernel, tops)]
 
 
 def solve_coords(columns, target):
     """Coordinates of target in the span of the given column vectors, as
     a list of Fractions (free coordinates zero); None outside the span."""
-    dim = len(target)
-    tracker = SpanTracker(dim)
-    for j, col in enumerate(columns):
-        v, m = _ints(col)
-        v[dim + j] = m        # reduction turns this into the row's combination
-        tracker.add(v)
-    rem, m = tracker.reduce(target)
-    if any(c < dim for c in rem):
+    k = len(columns)
+    entries = {(i, j): x for j, col in enumerate([*columns, target]) for i, x in _items(col)}
+    kernel = MatrixSlice(len(target), k + 1, entries).kernel()[1]
+    if not kernel or k not in kernel[-1]:
         return None
-    return [Fraction(-rem.get(dim + j, 0), m) for j in range(len(columns))]
+    vec = kernel[-1]
+    return [Fraction(-vec.get(j, 0), vec[k]) for j in range(k)]

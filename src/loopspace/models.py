@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .checks import CheckReport, apply_map
-from .gca import AlgebraError, Derivation, GradedAlgebra
+from .gca import _NAME_RE, AlgebraError, Derivation, GradedAlgebra
 from .homology import (
     ChainMap,
     ChainMapError,
@@ -87,10 +87,11 @@ def parse_model(text):
     Format: one declaration per line.  ``gen <name> <degree>`` introduces a
     generator; ``d <name> = <element>`` sets its differential (omitted means
     zero).  ``#`` starts a comment.  Differentials may only use generators
-    already declared somewhere in the file.  A generator below degree 2 is
-    rejected on its line.  A differential off its degree, or one that does
-    not square to zero on some generator (CochainComplex.check_differential
-    on the model's complex), raises ModelError.
+    already declared somewhere in the file.  A generator with an invalid
+    name or below degree 2 is rejected on its line.  A differential off its
+    degree, or one that does not square to zero on some generator
+    (CochainComplex.check_differential on the model's complex), raises
+    ModelError.
     """
     gens = []
     seen = set()
@@ -110,6 +111,8 @@ def parse_model(text):
                     f"generator {name!r} has degree {deg}; "
                     "generators must have degree 2 or higher",
                 )
+            if not _NAME_RE.fullmatch(name):
+                raise ModelFileError(lineno, f"invalid generator name {name!r}")
             seen.add(name)
             gens.append((name, deg))
             continue
@@ -119,10 +122,7 @@ def parse_model(text):
             continue
         raise ModelFileError(lineno, f"unrecognized declaration: {line!r}")
 
-    try:
-        algebra = GradedAlgebra(gens)
-    except AlgebraError as e:
-        raise ModelFileError(0, str(e)) from e
+    algebra = GradedAlgebra(gens)
     diffs = {}
     for lineno, name, expr in d_lines:
         if name not in seen:

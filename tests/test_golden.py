@@ -258,6 +258,7 @@ INPUTS = {
     "degree below 2": "gen x 1\n",
     "d squared at load": "gen x 2\ngen y 3\ngen z 4\nd x = y\nd y = z\n",
     "unknown generator": "gen x 2\ngen y 3\nd y = q^2\n",
+    "invalid generator name": "gen x 2\ngen y-z 3\n",
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -282,7 +283,9 @@ LONG_60 = (
 # keyed by rank strings; the circle 19, late jacobi and third-order delta
 # rows before the identities were evaluated a row of last names at a time;
 # the rational rows before the checkers cleared denominators; the
-# rescaled model rows before the homology path did.
+# rescaled model rows before the homology path did.  The invalid
+# generator name row pins the line that declares the name, where the
+# message once read line 0.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -459,6 +462,9 @@ CLI_GOLDEN = [
     ("unknown generator", ("betti", "--model", "{f}"), 2,
      EMPTY,
      "1f947c47c727fd319ceef330b9230c2123726dd776c5f4c5a8138f65227ee533"),
+    ("invalid generator name", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "ff7361e731dd8128ce9fa574e624e90cbe7e1e0bacaee1531b977426249efcea"),
     (None, ("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "0"), 2,
      EMPTY,
      "f42408d67433934ff716963f71d6224e60acf34a35226afcf2417724182f8346"),

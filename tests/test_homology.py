@@ -172,9 +172,10 @@ def test_format_betti_table_layout(data_path):
 
 
 def test_rational_model_eliminates_on_ints(monkeypatch):
-    # the slices hold 49 * d for d y = -128/49*x^2, and the engine clears
-    # the denominators of kernel vectors and class coordinates as they
-    # enter, so no Fraction reaches elimination anywhere on the path
+    # the slices hold 49 * d for d y = -128/49*x^2, kernel vectors and so
+    # representatives are int vectors, and the engine clears the
+    # denominators of class coordinates as they enter, so no Fraction
+    # reaches elimination anywhere on the path
     trackers = []
     init = SpanTracker.__init__
 
@@ -194,6 +195,9 @@ def test_rational_model_eliminates_on_ints(monkeypatch):
     for complex_ in (cx, string.loop.complex):
         for n, sl in complex_._slices.items():
             assert all(type(v) is int for v in sl.entries.values()), n
+        assert complex_._cohomology
+        for n, (_, reps) in complex_._cohomology.items():
+            assert all(type(x) is int for rep in reps for x in rep.values()), n
     assert trackers
     for tr in trackers:
         assert all(type(x) is int for row in tr._rows.values() for x in row.values())

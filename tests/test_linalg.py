@@ -16,6 +16,7 @@ from loopspace.linalg import (
     matrix_rank,
     solve_coords,
 )
+from loopspace.models import equivariant_model, load_model, loop_model
 
 from reference import span_contains
 
@@ -209,7 +210,6 @@ def test_solve_coords_reports_outside_span():
 
 def test_matrix_slice_roundtrip():
     sl = MatrixSlice(2, 3, {(0, 0): 1, (1, 2): Fraction(1, 2), (1, 1): 0})
-    assert sl.row_vectors() == [{0: 1}, {2: Fraction(1, 2)}]
     assert sl.column_vectors() == [{0: 1}, {}, {1: Fraction(1, 2)}]
     assert sl.rank() == 2
     dense = [[sl.entries.get((i, j), 0) for j in range(3)] for i in range(2)]
@@ -373,7 +373,6 @@ def _engine_against_references(rows, probes):
         assert _dense({k: Fraction(x, m) for k, x in rem.items()}, ncols) \
             == dense_remainder(basis, vec)
     assert [_dense(vec, ncols) for vec in kernel_basis(rows, ncols)] == dense_kernel(rows, ncols)
-    assert [_dense(vec, ncols) for vec in tr.kernel_basis()] == dense_kernel(rows, ncols)
     _check_rows(tr)
 
 
@@ -403,6 +402,45 @@ def test_engine_on_hilbert_matrices():
     # the inverse of the Hilbert matrix is integral: H x = e_0 has an
     # int solution whose first entry is 64
     assert solve_coords(columns, [1] + [0] * 7)[0] == 64
+
+
+def _kernel_against_reference(sl):
+    """MatrixSlice.kernel's contract: the rank, and per free column j one
+    primitive int vector, positive at j, its largest index, annihilated by
+    the slice and equal to the reduced row echelon kernel vector times its
+    entry at j."""
+    rows = [[sl.entries.get((i, j), 0) for j in range(sl.ncols)] for i in range(sl.nrows)]
+    rank, kernel = sl.kernel()
+    assert rank == naive_rank(rows)
+    want = dense_kernel(rows, sl.ncols)
+    assert len(kernel) == len(want)
+    for vec, ref in zip(kernel, want):
+        assert all(type(x) is int for x in vec.values())
+        assert math.gcd(*vec.values()) == 1
+        top = vec[max(vec)]
+        assert top > 0
+        assert all(sum(row[j] * x for j, x in vec.items()) == 0 for row in rows)
+        assert _dense(vec, sl.ncols) == [top * x for x in ref]
+
+
+def _as_slice(rows):
+    return MatrixSlice(len(rows), len(rows[0]),
+                       {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+
+
+@settings(deadline=None)
+@given(_engine_matrices(_leads), _engine_matrices(_fractions))
+def test_kernel_vectors_are_primitive_multiples_of_reference(integral, rational):
+    _kernel_against_reference(_as_slice(integral))
+    _kernel_against_reference(_as_slice(rational))
+
+
+@pytest.mark.parametrize("name", ["s2.min", "s3.min", "cp2.min", "s2xs3.min"])
+def test_fixture_slice_kernels_equal_reference(name, data_path):
+    string = equivariant_model(loop_model(load_model(data_path(name))))
+    for cx in (string.loop.complex, string.complex):
+        for n in range(10):
+            _kernel_against_reference(cx.slice(n))
 
 
 @settings(deadline=None)
