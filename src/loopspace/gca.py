@@ -85,7 +85,9 @@ class GradedAlgebra:
         self.degrees = tuple(d for _, d in gens)
         self._odd = tuple(d % 2 for d in self.degrees)
         self._index = {n: i for i, (n, _) in enumerate(gens)}
-        self._basis_cache = {}
+        # basis(n) and its prefix ends per degree, built up from degree 0
+        self._bases = [[()]]
+        self._ends = [[1] * (len(gens) + 1)]
 
     # -- generator bookkeeping -------------------------------------------
 
@@ -177,38 +179,33 @@ class GradedAlgebra:
         return tuple(sorted(exps.items())), -1 if inv & 1 else 1
 
     def basis(self, n):
-        """Canonical monomials of degree exactly n.
+        """Canonical monomials of degree exactly n, the same list on every
+        call.
 
         Ordered lexicographically on the exponent vector over the generator
         order, smallest first; the order is what every report and every
-        matrix slice downstream indexes by.  The walk recurses once per
-        factor, not once per generator, so many generators cannot exhaust
-        the stack; a later next factor leaves more leading zero exponents,
-        so factors are tried from the last generator down.
+        matrix slice downstream indexes by.  In that order the monomials
+        whose first generator is q or later form a prefix of the list, and
+        ``_ends[n][q]`` is its length.  So the block of monomials starting
+        with g_q^e is g_q^e times the prefix of basis(n - e*deg g_q) that
+        starts after q, and degree n is built from lower degrees, blocks
+        appended from the last generator to the first.
         """
         if n < 0:
             return []
-        if n not in self._basis_cache:
-            out = []
-            degs = self.degrees
-            k = len(degs)
-
-            def rec(p, remaining, acc):
-                if remaining == 0:
-                    out.append(tuple(acc))
-                    return
-                for q in range(k - 1, p - 1, -1):
-                    d = degs[q]
-                    if d > remaining:
-                        continue
-                    for e in range(1, 2 if d % 2 else remaining // d + 1):
-                        acc.append((q, e))
-                        rec(q + 1, remaining - e * d, acc)
-                        acc.pop()
-
-            rec(0, n, [])
-            self._basis_cache[n] = out
-        return self._basis_cache[n]
+        bases, ends, degs = self._bases, self._ends, self.degrees
+        while len(bases) <= n:
+            r = len(bases)
+            out, cut = [], [0] * (len(degs) + 1)
+            for q in range(len(degs) - 1, -1, -1):
+                d = degs[q]
+                for e in range(1, (min(r // d, 1) if d % 2 else r // d) + 1):
+                    head, s = ((q, e),), r - e * d
+                    out += [head + m for m in bases[s][:ends[s][q + 1]]]
+                cut[q] = len(out)
+            bases.append(out)
+            ends.append(cut)
+        return bases[n]
 
     # -- moving elements between algebras ----------------------------------
 

@@ -114,29 +114,6 @@ class FatGraph:
     def word(self, text):
         return CyclicWord(self, tuple(map(self.letter, text.split())))
 
-    def boundary_components(self):
-        """Boundary cycles of the thickened surface, as letter lists; the
-        count feeds the genus bookkeeping."""
-        succ = dict(zip(self.order, self.order[1:] + self.order[:1]))
-        seen = set()
-        out = []
-        for start in self.order:
-            if start in seen:
-                continue
-            cycle = []
-            x = start
-            while x not in seen:
-                seen.add(x)
-                cycle.append(x)
-                x = succ[-x]
-            out.append(cycle)
-        return out
-
-    def genus(self):
-        chi = 1 - len(self.names)
-        b = len(self.boundary_components())
-        return (2 - b - chi) // 2
-
 
 def _letter(names, token):
     inv = token.endswith(_INV_SUFFIX)
@@ -215,10 +192,6 @@ class CyclicWord:
     @property
     def letters(self):
         return tuple(map(self.graph.letter_of.__getitem__, self.key))
-
-    def inverse(self):
-        graph = self.graph
-        return _wrap(graph, _least_rotation(self.key[::-1].translate(graph.inv_table)))
 
     def tokens(self):
         return tuple(map(self.graph.tok.__getitem__, self.key))

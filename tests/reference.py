@@ -33,19 +33,26 @@ from loopspace import checks, coderivations
 from loopspace.checks import IDENTITIES, add_into, ksign
 from loopspace.checks import apply_map as apply_table
 from loopspace.gca import AlgebraError, Derivation, GradedElement
-from loopspace.goldman import cyclic_reduce, goldman_bracket, random_reduced_cyclic_word
+from loopspace.goldman import (
+    CyclicWord,
+    cyclic_reduce,
+    goldman_bracket,
+    random_reduced_cyclic_word,
+)
 from loopspace.homology import ChainMap, ChainMapError
 from loopspace.structures import StructureError, StructureTable
 
 
 def reference_basis(alg, n):
     """Canonical monomials of degree n by brute force: every exponent vector
-    of degree n (at most 1 on odd generators), sorted lexicographically."""
-    ranges = [range(2 if d % 2 else n // d + 1) for d in alg.degrees]
-    vectors = sorted(
-        v for v in itertools.product(*ranges)
-        if sum(e * d for e, d in zip(v, alg.degrees)) == n
-    )
+    of degree n (at most 1 on odd generators), sorted lexicographically.
+    Vectors grow one generator at a time, and those already above degree n
+    are dropped."""
+    partial = [((), 0)]
+    for d in alg.degrees:
+        partial = [(v + (e,), s + e * d) for v, s in partial
+                   for e in range(2 if d % 2 else n // d + 1) if s + e * d <= n]
+    vectors = sorted(v for v, s in partial if s == n)
     return [tuple((g, e) for g, e in enumerate(v) if e) for v in vectors]
 
 
@@ -184,6 +191,38 @@ def graded_commutator(d1, d2):
 def span_contains(tracker, vec):
     """Whether vec lies in the span a SpanTracker holds."""
     return not tracker.reduce(vec)[0]
+
+
+def boundary_components(graph):
+    """Boundary cycles of a FatGraph's thickened surface, as letter lists:
+    after half-edge x the boundary runs on from the one that follows x^-
+    counterclockwise."""
+    succ = dict(zip(graph.order, graph.order[1:] + graph.order[:1]))
+    seen = set()
+    out = []
+    for start in graph.order:
+        if start in seen:
+            continue
+        cycle = []
+        x = start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = succ[-x]
+        out.append(cycle)
+    return out
+
+
+def genus(graph):
+    """Genus of the thickened surface, from its Euler characteristic
+    1 - (number of generators) and its boundary count."""
+    chi = 1 - len(graph.names)
+    return (2 - len(boundary_components(graph)) - chi) // 2
+
+
+def inverse(word):
+    """The class of the loop run backwards."""
+    return CyclicWord(word.graph, tuple(-x for x in reversed(word.letters)))
 
 
 def min_rotation(graph, letters):

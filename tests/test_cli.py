@@ -37,8 +37,8 @@ def test_betti_based_space(capsys, data_path):
 
 
 def test_many_generators(capsys, tmp_path):
-    # the basis walk recurses once per factor of a monomial, not once per
-    # generator, so 2400 loop generators stay within the recursion limit
+    # bases are built degree by degree without recursion, so 2400 loop
+    # generators cannot reach the recursion limit
     path = tmp_path / "many.min"
     path.write_text("".join(f"gen g{i} 3\n" for i in range(1200)))
     argv = ("betti", "--space", "loop", "--model", str(path), "--cutoff", "1")

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopspace.gca import (
@@ -59,6 +59,19 @@ def test_basis_order_equals_reference(name, data_path):
     for alg in (loop.algebra, equivariant_model(loop).algebra):
         for n in range(15):
             assert alg.basis(n) == reference_basis(alg, n), (alg, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=7), st.permutations(range(13)))
+@example(degrees=[2, 2, 3, 1, 6, 5, 4], order=list(range(12, -1, -1)))
+def test_basis_built_in_any_order_equals_reference(degrees, order):
+    # each degree is built from lower ones, so asking for them in any order,
+    # highest first included, must give the same lists, each built once
+    alg = GradedAlgebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+    first = {n: alg.basis(n) for n in order}
+    for n in order:
+        assert alg.basis(n) is first[n]
+        assert first[n] == reference_basis(alg, n), (degrees, n)
 
 
 def test_basis_content_low_degrees():

@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace.goldman import FatGraph, goldman_bracket, load_fat_graph, random_reduced_cyclic_word
+from loopspace.goldman import (
+    FatGraph,
+    goldman_bracket,
+    jacobi_fuzz,
+    load_fat_graph,
+    random_reduced_cyclic_word,
+)
+
+from reference import reference_bracket
 
 
 def intersection_form(graph):
@@ -95,13 +103,29 @@ def test_bracket_is_a_lie_map_to_homology_on_fixtures(name, data_path):
 
 @st.composite
 def one_vertex_surfaces(draw):
-    """A FatGraph on 1-4 generators with a random cyclic order."""
-    n = draw(st.integers(1, 4))
+    """A FatGraph on 1-5 generators with a random cyclic order."""
+    n = draw(st.integers(1, 5))
     order = draw(st.permutations([s * k for k in range(1, n + 1) for s in (1, -1)]))
-    return FatGraph("abcd"[:n], order)
+    return FatGraph("abcde"[:n], order)
 
 
 @settings(max_examples=60, deadline=None)
 @given(one_vertex_surfaces(), st.randoms(use_true_random=False))
 def test_bracket_is_a_lie_map_to_homology_on_random_surfaces(graph, rng):
     assert homology_mismatches(graph, _pairs(graph, rng, 30, 10)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_vertex_surfaces(), st.randoms(use_true_random=False))
+def test_bracket_is_antisymmetric_and_matches_reference_on_random_surfaces(graph, rng):
+    for v, w in _pairs(graph, rng, 30, 10):
+        vw = goldman_bracket(v, w)
+        assert vw == {term: -c for term, c in goldman_bracket(w, v).items()}, (v, w)
+        want = reference_bracket(graph, v.letters, w.letters)
+        assert {term.letters: c for term, c in vw.items()} == want, (v, w)
+
+
+@settings(max_examples=20, deadline=None)
+@given(one_vertex_surfaces())
+def test_jacobi_fuzz_is_clean_on_random_surfaces(graph):
+    assert jacobi_fuzz(graph, trials=30, max_len=8) is None
