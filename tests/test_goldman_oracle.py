@@ -8,7 +8,9 @@ Hamiltonian flows of surface group representations", Invent. Math. 85,
 1986).  So every term of [v, w] has abelianisation ab(v) + ab(w), and the
 coefficients of [v, w] sum to ab(v)^T J ab(w).  J is read off the cyclic
 order alone, and ab off the letters; the oracle cannot see errors that
-cancel inside one homology class.
+cancel inside one homology class.  On random one-vertex surfaces the
+bracket is also checked for antisymmetry, against reference_bracket and by
+the Jacobi fuzz.
 """
 
 import random
