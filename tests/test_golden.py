@@ -230,8 +230,10 @@ def _scaled(text, factors):
 # they are and with their constants scaled by non-integer rationals, so
 # that the witness coefficients are fractions; a marked-point table whose
 # m2 and m3, with fractional components, fail to anticommute; five
-# structure tables that each fail one degree line, and the unusable inputs
-# of the README's exit-2 list.  None leaves {f} unwritten.
+# structure tables that each fail one degree line, the unusable inputs of
+# the README's exit-2 list, structure-file errors, structure and surface
+# files that are not UTF-8, and element expressions in a model's d line,
+# all but one of them malformed.  None leaves {f} unwritten.
 INPUTS = {
     "circle 19 bv": circle_structure(19),
     "circle 19 gerstenhaber": circle_structure(19),
@@ -259,6 +261,20 @@ INPUTS = {
     "d squared at load": "gen x 2\ngen y 3\ngen z 4\nd x = y\nd y = z\n",
     "unknown generator": "gen x 2\ngen y 3\nd y = q^2\n",
     "invalid generator name": "gen x 2\ngen y-z 3\n",
+    "struct bad name": "basis a 0\nbasis a-b 0\n",
+    "struct unknown name": "basis a 0\nproduct a c = a\n",
+    "struct zero denominator": "basis a 0\nproduct a a = 1/0*a\n",
+    "struct consecutive signs": "basis a 0\nproduct a a = a + - a\n",
+    "struct no equals": "basis a 0\nproduct a a a\n",
+    "struct not utf-8": b"basis a 0\n\xff\n",
+    "surface not utf-8": b"generators a\n\xff\n",
+    "d dangling star": "gen x 2\ngen y 3\nd y = 2*\n",
+    "d dangling caret": "gen x 2\ngen y 3\nd y = x^\n",
+    "d zero denominator": "gen x 2\ngen y 3\nd y = 1/0*x^2\n",
+    "d sign after star": "gen x 2\ngen y 3\nd y = x*+x\n",
+    "d slash after name": "gen x 2\ngen y 3\nd y = x/2\n",
+    "d dangling sign": "gen x 2\ngen y 3\nd y = x +\n",
+    "d juxtaposed coefficient": "gen x 2\ngen y 3\nd y = 2x^2\n",
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -283,7 +299,9 @@ LONG_60 = (
 # keyed by rank strings; the circle 19, late jacobi and third-order delta
 # rows before the identities were evaluated a row of last names at a time;
 # the rational rows before the checkers cleared denominators; the
-# rescaled model rows before the homology path did.  The invalid
+# rescaled model rows before the homology path did; the structure-file,
+# not UTF-8 and d-line rows before one InputError carried the exit-2
+# contract and the element parser became one pass.  The invalid
 # generator name row pins the line that declares the name, where the
 # message once read line 0.
 CLI_GOLDEN = [
@@ -465,6 +483,50 @@ CLI_GOLDEN = [
     ("invalid generator name", ("betti", "--model", "{f}"), 2,
      EMPTY,
      "ff7361e731dd8128ce9fa574e624e90cbe7e1e0bacaee1531b977426249efcea"),
+    # structure-file errors, the three loaders on files that are not
+    # UTF-8, and the element parser's paths in a model's d line
+    ("struct bad name", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "50e2b3a948d15768e7791f7b97407747352ef23cab572cb348ba540a2b71078e"),
+    ("struct unknown name", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "9edb8d328bdd40b5e1af24ebaef3d92ebe46919d61d79a0e0d6cc15a8211ac66"),
+    ("struct zero denominator", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "f46438f6621c9eb95bb5d42365f7b418f806208c9d07315b2888ba0c972f769f"),
+    ("struct consecutive signs", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "e6da3376b06fa2eac9ce829a734df8621181472b1c3cbaaa5f5f028ee8dcfa80"),
+    ("struct no equals", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "e97e75b736ee7b0ee600462d4ddf502e3930585ff1c841e8806069f302c4e950"),
+    ("struct not utf-8", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "f4e92782a1d31a1439d925b995007241872cee6cbf72edccf145836e924147ea"),
+    ("surface not utf-8", ("goldman", "--surface", "{f}", "--a", "a", "--b", "a"), 2,
+     EMPTY,
+     "475873e2621e9b3257695107fd1a8cb7db3dff3cebd17cdf693a2df2a1b43350"),
+    ("d dangling star", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "14261a18db2005696167eac5878a2e8d75ec56dc46566a9e1900b295c983ce98"),
+    ("d dangling caret", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "f27e1dd7485f314f7435eb28b8ce2e5a3daf8d84a05e7f72fc956fc88e062dba"),
+    ("d zero denominator", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "c868d28ab3f23b9bcef924fd06bba489b0020dbffc29ee4532bc7a328afa7769"),
+    ("d sign after star", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "7c0327dddb1687ae2f02868c7dcb29026ea3b22df941d9167618679929e59c53"),
+    ("d slash after name", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "e652bb5c46db2b3ee6bc87e632008419b94e6f4567db3b9c116a73bb0916f5e6"),
+    ("d dangling sign", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "5daf17d4a02439361caf039c07f65f7f08eea4c00ae34ce9eb1dfb7a5ecfa454"),
+    ("d juxtaposed coefficient", ("betti", "--model", "{f}"), 0,
+     "f0efc1dcebcf37cee0ff63ba77c967f19883e6190dd95a7d9c5d2b296ab1f309",
+     EMPTY),
     (None, ("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "0"), 2,
      EMPTY,
      "f42408d67433934ff716963f71d6224e60acf34a35226afcf2417724182f8346"),
