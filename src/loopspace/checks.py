@@ -1,6 +1,11 @@
-"""What every identity checker shares: sparse combinations accumulated in
-place, the ordered report of check outcomes, and the identities
-themselves, each stated once.
+"""What every module shares: the input contract, sparse combinations
+accumulated in place, the ordered report of check outcomes, and the
+identities themselves, each stated once.
+
+An input the program cannot use raises an InputError, or one of its
+subclasses; the command line prints its message as one line and exits 2.
+LineError names the line of a file it rejects, and read_input reads every
+input file.
 
 A combination is a dict key -> coefficient that never stores a zero, so
 two combinations are equal exactly when they are equal as dicts.
@@ -29,6 +34,9 @@ import math
 from fractions import Fraction
 
 __all__ = [
+    "InputError",
+    "LineError",
+    "read_input",
     "add_into",
     "integral",
     "ksign",
@@ -40,6 +48,28 @@ __all__ = [
     "BRACKET_LAWS",
     "DEVIATION_LAWS",
 ]
+
+
+class InputError(ValueError):
+    """An input the program cannot use."""
+
+
+class LineError(InputError):
+    """An input file rejected at one of its lines."""
+
+    def __init__(self, line, message):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
+
+
+def read_input(path):
+    """The text of the UTF-8 file at path; a file that is not UTF-8 is an
+    InputError that names path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def add_into(acc, combo, scale=1):

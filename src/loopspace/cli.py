@@ -5,7 +5,8 @@ well-formed but a mathematical identity fails (a checker line reports
 FAIL, a fuzz trial finds a counterexample, an exactness row breaks), 2
 when the input itself is unusable (missing file, a file that is not
 UTF-8, parse error, a differential that does not square to zero, unknown
-names, a numeric option below its least value).
+names, a numeric option below its least value): every such error is a
+checks.InputError or an OSError, printed as one line.
 
 All reports are plain text, deterministic down to the byte for a given
 input, so repeated runs can be compared with cmp.  --out writes through a
@@ -21,20 +22,11 @@ import os
 import sys
 import tempfile
 
+from .checks import InputError
 from .coderivations import coderivation_relations, jacobi_coderivation_equiv
-from .gca import AlgebraError
-from .goldman import (
-    FatGraphError,
-    WordError,
-    format_combo,
-    goldman_bracket,
-    jacobi_fuzz,
-    load_fat_graph,
-)
-from .homology import ChainMapError, ComplexError, betti_table, format_betti_table
+from .goldman import format_combo, goldman_bracket, jacobi_fuzz, load_fat_graph
+from .homology import betti_table, format_betti_table
 from .models import (
-    ModelError,
-    ModelFileError,
     based_complex,
     equivariant_model,
     format_model_report,
@@ -44,7 +36,6 @@ from .models import (
     validate_model,
 )
 from .structures import (
-    StructureError,
     check_bv,
     check_gerstenhaber,
     load_structure_file,
@@ -52,27 +43,14 @@ from .structures import (
 )
 
 
-class UsageError(ValueError):
-    """A numeric option is below its least meaningful value."""
+class UsageError(InputError):
+    """An option has a value the command cannot use."""
 
 
 # Least value of each numeric option: fewer trials or shorter words than
 # this would check nothing and still print pass, and coderivation Jacobi
 # needs words of length 3.
 _LEAST = {"cutoff": 0, "trials": 1, "max_len": 1, "word_len": 3}
-
-_INPUT_ERRORS = (
-    UsageError,
-    ModelError,
-    ModelFileError,
-    StructureError,
-    FatGraphError,
-    WordError,
-    AlgebraError,
-    ComplexError,
-    ChainMapError,
-    OSError,
-)
 
 
 def _check_bounds(args):
@@ -161,11 +139,11 @@ def _parse_arities(text):
     try:
         arities = sorted({int(x) for x in text.split(",") if x.strip()})
     except ValueError:
-        raise StructureError(f"cannot read arity list {text!r}") from None
+        raise UsageError(f"cannot read arity list {text!r}") from None
     if not arities:
-        raise StructureError("empty arity list")
+        raise UsageError("empty arity list")
     if arities[0] < 2:
-        raise StructureError("arities must be at least 2")
+        raise UsageError("arities must be at least 2")
     return arities
 
 
@@ -256,14 +234,7 @@ def main(argv=None):
         _check_bounds(args)
         text, code = args.handler(args)
         _emit(text, args.out)
-    except UnicodeDecodeError as e:
-        # every subcommand reads exactly one input file
-        path = next(
-            getattr(args, k) for k in ("model", "surface", "structure") if k in args
-        )
-        print(f"error: {path}: {e}", file=sys.stderr)
-        return 2
-    except _INPUT_ERRORS as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .checks import add_into, apply_map, integral
+from .checks import InputError, add_into, apply_map, integral
 
 __all__ = [
     "AlgebraError",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^]")
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*/^])")
 
 # A monomial is a tuple of (generator index, exponent) pairs, indices strictly
 # increasing, exponents >= 1 and equal to 1 on odd generators.  The empty
@@ -52,11 +52,11 @@ _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^]")
 Monomial = tuple
 
 
-class AlgebraError(ValueError):
+class AlgebraError(InputError):
     """Structurally invalid operation: mixed algebras, bad generator data."""
 
 
-class ElementSyntaxError(ValueError):
+class ElementSyntaxError(InputError):
     """Malformed element expression."""
 
 
@@ -238,86 +238,68 @@ class GradedAlgebra:
         coefficient ``p`` or ``p/q``; ``^1`` may be dropped, the coefficient
         may be dropped, and the constant monomial is written ``1``.
         Whitespace is ignored everywhere, so ``1 x^2`` and ``1*x^2`` agree.
+        One pass over the tokens: each term is a coefficient and a monomial,
+        multiplied factor by factor through mono_mul, and added into the
+        result.
         """
         toks = _tokenize(text)
         if not toks:
             raise ElementSyntaxError("empty element expression")
-        result = self.zero()
-        p = 0
-        first = True
-        while p < len(toks):
-            kind, val, pos = toks[p]
-            sign = 1
-            if kind == "op" and val in "+-":
-                sign = -1 if val == "-" else 1
-                p += 1
-            elif not first:
-                raise ElementSyntaxError(
-                    f"expected '+' or '-' at position {pos}, got {val!r}"
-                )
-            term, p = self._parse_term(toks, p)
-            result = result + (sign * term)
-            first = False
-        return result
-
-    def _parse_term(self, toks, p):
-        coeff = Fraction(1)
-        mono = self.one()
-        prev_numeric = False
-        saw = False
+        toks.append(("end", "", None))
+        out, p = {}, 0
         while True:
-            if p >= len(toks):
-                if saw:
-                    break
-                raise ElementSyntaxError("dangling operator at end of expression")
-            kind, val, pos = toks[p]
-            if kind == "num":
-                n = int(val)
+            # a term: its sign, which only the first may leave out, then
+            # factors joined by '*' or by a coefficient directly before a name
+            coeff, mono = Fraction(-1 if toks[p][1] == "-" else 1), ()
+            p += toks[p][1] in ("+", "-")
+            while True:
+                kind, val, pos = toks[p]
                 p += 1
-                if p < len(toks) and toks[p][0] == "op" and toks[p][1] == "/":
-                    p += 1
-                    if p >= len(toks) or toks[p][0] != "num":
-                        raise ElementSyntaxError("expected denominator after '/'")
-                    den = int(toks[p][1])
-                    if den == 0:
-                        raise ElementSyntaxError("zero denominator")
-                    coeff *= Fraction(n, den)
-                    p += 1
-                else:
+                if kind == "num":
+                    n = int(val)
+                    if toks[p][1] == "/":
+                        kind, den, _ = toks[p + 1]
+                        if kind != "num":
+                            raise ElementSyntaxError("expected denominator after '/'")
+                        if not int(den):
+                            raise ElementSyntaxError("zero denominator")
+                        n, p = Fraction(n, int(den)), p + 2
                     coeff *= n
-                prev_numeric = True
-            elif kind == "name":
-                i = self.index(val)  # AlgebraError on unknown names
-                e = 1
+                    if toks[p][0] == "name":
+                        continue
+                elif kind == "name":
+                    i, e = self.index(val), 1  # AlgebraError on unknown names
+                    if toks[p][1] == "^":
+                        kind, e, _ = toks[p + 1]
+                        if kind != "num":
+                            raise ElementSyntaxError("expected integer exponent after '^'")
+                        e, p = int(e), p + 2
+                    if e and coeff:
+                        # an odd generator squares to zero
+                        mono, s = self.mono_mul(mono, ((i, e),))
+                        coeff *= 0 if e > 1 and self._odd[i] else s
+                elif kind == "end":
+                    raise ElementSyntaxError("dangling operator at end of expression")
+                else:
+                    raise ElementSyntaxError(
+                        f"expected coefficient or generator at position {pos}, got {val!r}"
+                    )
+                if toks[p][1] != "*":
+                    break
                 p += 1
-                if p < len(toks) and toks[p][0] == "op" and toks[p][1] == "^":
-                    p += 1
-                    if p >= len(toks) or toks[p][0] != "num":
-                        raise ElementSyntaxError("expected integer exponent after '^'")
-                    e = int(toks[p][1])
-                    p += 1
-                if e:
-                    mono = mono * GradedElement(self, {((i, e),): Fraction(1)}) \
-                        if not (self._odd[i] and e > 1) else self.zero()
-                prev_numeric = False
-            else:
-                raise ElementSyntaxError(
-                    f"expected coefficient or generator at position {pos}, got {val!r}"
-                )
-            saw = True
-            if p < len(toks) and toks[p][0] == "op" and toks[p][1] == "*":
-                p += 1
-                if p >= len(toks):
+                if toks[p][0] == "end":
                     raise ElementSyntaxError("dangling '*' at end of expression")
-                continue
-            # juxtaposition: a coefficient directly followed by a name
-            if p < len(toks) and toks[p][0] == "name" and prev_numeric:
-                continue
-            break
-        return coeff * mono, p
+            add_into(out, {mono: coeff})
+            kind, val, pos = toks[p]
+            if kind == "end":
+                return GradedElement(self, out)
+            if val not in ("+", "-"):
+                raise ElementSyntaxError(f"expected '+' or '-' at position {pos}, got {val!r}")
 
 
 def _tokenize(text):
+    """The tokens of text with its whitespace removed, as (kind, text,
+    position), kind "num", "name" or "op"."""
     s = "".join(text.split())
     toks = []
     pos = 0
@@ -325,13 +307,7 @@ def _tokenize(text):
         m = _TOKEN_RE.match(s, pos)
         if not m:
             raise ElementSyntaxError(f"unexpected character {s[pos]!r} at position {pos}")
-        t = m.group()
-        if t[0].isdigit():
-            toks.append(("num", t, pos))
-        elif _NAME_RE.fullmatch(t):
-            toks.append(("name", t, pos))
-        else:
-            toks.append(("op", t, pos))
+        toks.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     return toks
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import re
 
-from .checks import add_into
+from .checks import InputError, add_into, read_input
 
 __all__ = [
     "FatGraphError",
@@ -45,11 +45,11 @@ __all__ = [
 ]
 
 
-class FatGraphError(ValueError):
+class FatGraphError(InputError):
     """Surface description rejected."""
 
 
-class WordError(ValueError):
+class WordError(InputError):
     """Word uses letters the surface does not have."""
 
 
@@ -71,15 +71,7 @@ class FatGraph:
     """
 
     def __init__(self, names, order):
-        names = tuple(names)
-        if not names:
-            raise FatGraphError("surface needs at least one generator")
-        for n in names:
-            if not _NAME_RE.match(n):
-                raise FatGraphError(f"bad generator name {n!r}")
-        if len(set(names)) != len(names):
-            raise FatGraphError("duplicate generator name")
-        self.names = names
+        self.names = names = _generator_names(names)
         order = tuple(order)
         expected = {s * k for k in range(1, len(names) + 1) for s in (1, -1)}
         seen = set()
@@ -115,6 +107,20 @@ class FatGraph:
         return CyclicWord(self, tuple(map(self.letter, text.split())))
 
 
+def _generator_names(names):
+    """names as a tuple, once they are checked to name the generators of a
+    surface."""
+    names = tuple(names)
+    if not names:
+        raise FatGraphError("surface needs at least one generator")
+    for n in names:
+        if not _NAME_RE.match(n):
+            raise FatGraphError(f"bad generator name {n!r}")
+    if len(set(names)) != len(names):
+        raise FatGraphError("duplicate generator name")
+    return names
+
+
 def _letter(names, token):
     inv = token.endswith(_INV_SUFFIX)
     name = token[: -len(_INV_SUFFIX)] if inv else token
@@ -126,39 +132,36 @@ def _letter(names, token):
 
 
 def parse_fat_graph(text):
-    names = None
-    order_tokens = None
+    """The FatGraph of a surface file: one ``generators`` line and one
+    ``cyclic-order`` line; ``#`` starts a comment.  An error in either
+    line names it."""
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if fields[0] == "generators":
-            if names is not None:
-                raise FatGraphError(f"line {lineno}: second generators line")
-            names = fields[1:]
-            if not names:
-                raise FatGraphError(f"line {lineno}: empty generators line")
-        elif fields[0] == "cyclic-order":
-            if order_tokens is not None:
-                raise FatGraphError(f"line {lineno}: second cyclic-order line")
-            order_tokens = fields[1:]
-        else:
-            raise FatGraphError(f"line {lineno}: unrecognized declaration {fields[0]!r}")
-    if names is None:
-        raise FatGraphError("missing generators line")
-    if order_tokens is None:
-        raise FatGraphError("missing cyclic-order line")
+        kind, *fields = line.split()
+        if kind not in ("generators", "cyclic-order"):
+            raise FatGraphError(f"line {lineno}: unrecognized declaration {kind!r}")
+        if kind in lines:
+            raise FatGraphError(f"line {lineno}: second {kind} line")
+        if kind == "generators" and not fields:
+            raise FatGraphError(f"line {lineno}: empty generators line")
+        lines[kind] = lineno, fields
+    for kind in ("generators", "cyclic-order"):
+        if kind not in lines:
+            raise FatGraphError(f"missing {kind} line")
+    lineno, names = lines["generators"]
     try:
-        letters = [_letter(names, tok) for tok in order_tokens]
-    except WordError as e:
-        raise FatGraphError(str(e)) from None
-    return FatGraph(names, letters)
+        names = _generator_names(names)
+        lineno, tokens = lines["cyclic-order"]
+        return FatGraph(names, [_letter(names, tok) for tok in tokens])
+    except (FatGraphError, WordError) as e:
+        raise FatGraphError(f"line {lineno}: {e}") from None
 
 
 def load_fat_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fat_graph(fh.read())
+    return parse_fat_graph(read_input(path))
 
 
 def cyclic_reduce(letters):

@@ -34,9 +34,10 @@ times the multiplier that the reduction reports.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
-from .checks import add_into, apply_map
+from .checks import InputError, add_into, apply_map
 from .gca import GradedElement
 from .linalg import MatrixSlice, SpanTracker
 
@@ -54,11 +55,11 @@ __all__ = [
 ]
 
 
-class ComplexError(ValueError):
+class ComplexError(InputError):
     """Differential fails a structural requirement (degree or square)."""
 
 
-class ChainMapError(ValueError):
+class ChainMapError(InputError):
     """Map does not commute with the differentials as its degree requires."""
 
 
@@ -87,16 +88,13 @@ class CochainComplex:
         return f"differential does not square to zero at {name!r}: d(d({name})) = {val}"
 
     def dim(self, n):
-        if n < 0:
-            return 0
         return len(self.algebra.basis(n))
 
     def slice(self, n):
         """Matrix of scale * d from degree n to degree n+1, with int
         entries."""
         if n not in self._slices:
-            src = self.algebra.basis(n) if n >= 0 else []
-            tgt = self.algebra.basis(n + 1) if n + 1 >= 0 else []
+            src, tgt = self.algebra.basis(n), self.algebra.basis(n + 1)
             index = {m: k for k, m in enumerate(tgt)}
             entries = {}
             for j, mono in enumerate(src):
@@ -111,9 +109,7 @@ class CochainComplex:
         return self._ranks[n]
 
     def betti(self, n):
-        if n < 0:
-            return 0
-        return self.dim(n) - self.rank(n) - (self.rank(n - 1) if n > 0 else 0)
+        return self.dim(n) - self.rank(n) - self.rank(n - 1)
 
     def cocycles(self, n):
         """Kernel basis of d in degree n; the same pass records rank(n)."""
@@ -125,7 +121,7 @@ class CochainComplex:
     def boundary_columns(self, n):
         """Images of the degree n-1 basis under d, nonzero columns only,
         as sparse {index: value} dicts over basis(n)."""
-        if n < 1 or self.dim(n) == 0:
+        if self.dim(n) == 0:
             return []
         return [col for col in self.slice(n - 1).column_vectors() if col]
 
@@ -190,12 +186,6 @@ class ChainMap:
         self.image = image
         self.name = name
 
-    @classmethod
-    def from_derivation(cls, src, tgt, deriv, name=""):
-        if deriv.algebra != src.algebra or deriv.algebra != tgt.algebra:
-            raise ChainMapError("derivation map: algebra mismatch")
-        return cls(src, tgt, deriv.degree, deriv.image, name=name)
-
 
 def _indexed(f, n, img, index):
     """An image of f from degree n, as a sparse column over index's basis."""
@@ -250,24 +240,9 @@ def verify_chain_map(f, cutoff):
     return None
 
 
-class MapDegreeReport:
-    """Induced map on cohomology in one source degree: one sparse column
-    over the target representatives per source representative."""
-
-    __slots__ = ("degree", "src_betti", "tgt_betti", "rank", "columns")
-
-    def __init__(self, degree, src_betti, tgt_betti, rank, columns):
-        self.degree = degree
-        self.src_betti = src_betti
-        self.tgt_betti = tgt_betti
-        self.rank = rank
-        self.columns = columns
-
-    def __repr__(self):
-        return (
-            f"MapDegreeReport(degree={self.degree}, src={self.src_betti}, "
-            f"tgt={self.tgt_betti}, rank={self.rank})"
-        )
+# Induced map on cohomology in one source degree: one sparse column over
+# the target representatives per source representative.
+MapDegreeReport = namedtuple("MapDegreeReport", "degree src_betti tgt_betti rank columns")
 
 
 def induced_map(f, n):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import re
 
-from .checks import CheckReport, apply_map
-from .gca import _NAME_RE, AlgebraError, Derivation, GradedAlgebra
+from .checks import CheckReport, InputError, LineError, apply_map, read_input
+from .gca import _NAME_RE, Derivation, GradedAlgebra
 from .homology import (
     ChainMap,
     ChainMapError,
@@ -51,16 +51,12 @@ BAR_SUFFIX = "b"
 CIRCLE_CLASS = "u"
 
 
-class ModelError(ValueError):
+class ModelError(InputError):
     """Model violates a structural requirement."""
 
 
-class ModelFileError(ValueError):
+class ModelFileError(ModelError, LineError):
     """Model file rejected; carries the offending line number."""
-
-    def __init__(self, line, message):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 class Model:
@@ -88,9 +84,10 @@ def parse_model(text):
     generator; ``d <name> = <element>`` sets its differential (omitted means
     zero).  ``#`` starts a comment.  Differentials may only use generators
     already declared somewhere in the file.  A generator with an invalid
-    name or below degree 2 is rejected on its line.  A differential off its
-    degree, or one that does not square to zero on some generator
-    (CochainComplex.check_differential on the model's complex), raises
+    name or below degree 2, and a differential that does not parse or is
+    off its degree, are rejected on their line.  A differential that does
+    not square to zero on some generator
+    (CochainComplex.check_differential on the model's complex) raises
     ModelError.
     """
     gens = []
@@ -131,12 +128,10 @@ def parse_model(text):
             raise ModelFileError(lineno, f"duplicate differential for {name!r}")
         try:
             diffs[name] = algebra.parse(expr)
-        except (AlgebraError, ValueError) as e:
+            Derivation(algebra, 1, {name: diffs[name]})  # checks its degree
+        except ValueError as e:  # an InputError, or an int past the digit limit
             raise ModelFileError(lineno, str(e)) from e
-    try:
-        model = Model(algebra, Derivation(algebra, 1, diffs))
-    except AlgebraError as e:
-        raise ModelError(str(e)) from e
+    model = Model(algebra, Derivation(algebra, 1, diffs))
     bad = model.complex.check_differential()
     if bad is not None:
         raise ModelError(bad)
@@ -144,8 +139,7 @@ def parse_model(text):
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    return parse_model(read_input(path))
 
 
 def _bar_name(name):
@@ -348,7 +342,7 @@ def gysin_maps(string):
         ChainMap(S, L, 0, restrict, name="restriction"),
         ChainMap(S, S, 2, times_u, name="multiplication by the degree-2 class"),
         ChainMap(L, S, -1, connect, name="connecting map"),
-        ChainMap.from_derivation(L, L, loop.delta, name="rotation"),
+        ChainMap(L, L, -1, loop.delta.image, name="rotation"),
     )
 
 

@@ -21,10 +21,13 @@ from .checks import (
     DEVIATION_LAWS,
     PRODUCT_LAWS,
     CheckReport,
+    InputError,
+    LineError,
     Tabulation,
     add_into,
     apply_map,
     ksign,
+    read_input,
 )
 from .coderivations import CoderivationRep
 
@@ -42,14 +45,12 @@ __all__ = [
 ]
 
 
-class StructureError(ValueError):
+class StructureError(InputError):
     """Structure table unusable for the requested check."""
 
 
-class StructureFileError(StructureError):
-    def __init__(self, line, message):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class StructureFileError(StructureError, LineError):
+    """Structure file rejected; carries the offending line number."""
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -262,8 +263,7 @@ def parse_structure_file(text):
 
 
 def load_structure_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_structure_file(fh.read())
+    return parse_structure_file(read_input(path))
 
 
 def _degree_witness(src, tgt, table, extra, op):

@@ -18,7 +18,9 @@ time on ints.  The canonical wedge words are kept as filtered
 combinations of one length, where the library grows each length from the
 one before, and the graded symmetry of the marked-point operations is
 walked here from arity 2, where the library starts at arity 3 because
-bracket antisymmetry is the arity-2 condition.  The deviation bracket of
+bracket antisymmetry is the arity-2 condition.  The element parser is
+kept as it was written before it became one pass: a term parser beside
+a sum parser, with a GradedElement per factor.  The deviation bracket of
 a BV table and the truncated Euler identity, which only tests use, are
 kept here too, with a rational change of basis of a structure table and a
 switch that runs the checkers on Fractions throughout.
@@ -27,12 +29,13 @@ switch that runs the checkers on Fractions throughout.
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 from loopspace import checks, coderivations
 from loopspace.checks import IDENTITIES, add_into, ksign
 from loopspace.checks import apply_map as apply_table
-from loopspace.gca import AlgebraError, Derivation, GradedElement
+from loopspace.gca import AlgebraError, Derivation, ElementSyntaxError, GradedElement
 from loopspace.goldman import (
     CyclicWord,
     cyclic_reduce,
@@ -54,6 +57,111 @@ def reference_basis(alg, n):
                    for e in range(2 if d % 2 else n // d + 1) if s + e * d <= n]
     vectors = sorted(v for v, s in partial if s == n)
     return [tuple((g, e) for g, e in enumerate(v) if e) for v in vectors]
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^]")
+
+
+def _tokenize(text):
+    s = "".join(text.split())
+    toks = []
+    pos = 0
+    while pos < len(s):
+        m = _TOKEN_RE.match(s, pos)
+        if not m:
+            raise ElementSyntaxError(f"unexpected character {s[pos]!r} at position {pos}")
+        t = m.group()
+        if t[0].isdigit():
+            toks.append(("num", t, pos))
+        elif _NAME_RE.fullmatch(t):
+            toks.append(("name", t, pos))
+        else:
+            toks.append(("op", t, pos))
+        pos = m.end()
+    return toks
+
+
+def reference_parse(alg, text):
+    """alg.parse(text) as a signed sum of terms, each term parsed by
+    _parse_term and added as an element."""
+    toks = _tokenize(text)
+    if not toks:
+        raise ElementSyntaxError("empty element expression")
+    result = alg.zero()
+    p = 0
+    first = True
+    while p < len(toks):
+        kind, val, pos = toks[p]
+        sign = 1
+        if kind == "op" and val in "+-":
+            sign = -1 if val == "-" else 1
+            p += 1
+        elif not first:
+            raise ElementSyntaxError(
+                f"expected '+' or '-' at position {pos}, got {val!r}"
+            )
+        term, p = _parse_term(alg, toks, p)
+        result = result + (sign * term)
+        first = False
+    return result
+
+
+def _parse_term(alg, toks, p):
+    coeff = Fraction(1)
+    mono = alg.one()
+    prev_numeric = False
+    saw = False
+    while True:
+        if p >= len(toks):
+            if saw:
+                break
+            raise ElementSyntaxError("dangling operator at end of expression")
+        kind, val, pos = toks[p]
+        if kind == "num":
+            n = int(val)
+            p += 1
+            if p < len(toks) and toks[p][0] == "op" and toks[p][1] == "/":
+                p += 1
+                if p >= len(toks) or toks[p][0] != "num":
+                    raise ElementSyntaxError("expected denominator after '/'")
+                den = int(toks[p][1])
+                if den == 0:
+                    raise ElementSyntaxError("zero denominator")
+                coeff *= Fraction(n, den)
+                p += 1
+            else:
+                coeff *= n
+            prev_numeric = True
+        elif kind == "name":
+            i = alg.index(val)  # AlgebraError on unknown names
+            e = 1
+            p += 1
+            if p < len(toks) and toks[p][0] == "op" and toks[p][1] == "^":
+                p += 1
+                if p >= len(toks) or toks[p][0] != "num":
+                    raise ElementSyntaxError("expected integer exponent after '^'")
+                e = int(toks[p][1])
+                p += 1
+            if e:
+                mono = mono * GradedElement(alg, {((i, e),): Fraction(1)}) \
+                    if not (alg._odd[i] and e > 1) else alg.zero()
+            prev_numeric = False
+        else:
+            raise ElementSyntaxError(
+                f"expected coefficient or generator at position {pos}, got {val!r}"
+            )
+        saw = True
+        if p < len(toks) and toks[p][0] == "op" and toks[p][1] == "*":
+            p += 1
+            if p >= len(toks):
+                raise ElementSyntaxError("dangling '*' at end of expression")
+            continue
+        # juxtaposition: a coefficient directly followed by a name
+        if p < len(toks) and toks[p][0] == "name" and prev_numeric:
+            continue
+        break
+    return coeff * mono, p
 
 
 def apply_monomial(deriv, mono):

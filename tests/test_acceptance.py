@@ -68,7 +68,7 @@ def test_sphere_loop_ranks_all_one(capsys):
 def test_sphere_rotation_rank_parity():
     started = time.monotonic()
     lm = loop_model(load_model(_data("s2.min")))
-    rot = ChainMap.from_derivation(lm.complex, lm.complex, lm.delta, name="rotation")
+    rot = ChainMap(lm.complex, lm.complex, lm.delta.degree, lm.delta.image, name="rotation")
     ok = True
     for m in range(1, 16):
         rank = induced_map(rot, m).rank

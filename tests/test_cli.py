@@ -1,9 +1,17 @@
 """Command line behavior: exit codes, report layout, determinism."""
 
+import contextlib
+import io
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from conftest import DATA_DIR
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopspace.cli import main
 from loopspace.homology import betti_table, format_betti_table
@@ -212,6 +220,62 @@ def test_unusable_input_exit_2(capsys, data_path, tmp_path):
 
 def _one_error_line(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# Tokens a mutation may swap in: a zero denominator, a negative exponent,
+# words no parser knows, a lone caret and an overlong name.
+SWAPS = [b"1/0", b"x^-1", b"nan", "\u00e9".encode(), b"^", b"q" * 300]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A file of tests/data with one to three lines deleted, duplicated or
+    with one token swapped, or with a \\xff byte inserted, and the command
+    line that reads it, at a small size."""
+    name = draw(st.sampled_from(sorted(os.listdir(DATA_DIR))))
+    with open(os.path.join(DATA_DIR, name), "rb") as fh:
+        data = fh.read()
+    for _ in range(draw(st.integers(1, 3))):
+        lines = data.splitlines(keepends=True)
+        how = draw(st.sampled_from(["delete", "duplicate", "swap", "byte"]))
+        if how == "byte" or not lines:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + b"\xff" + data[at:]
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if how == "delete":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = list(re.finditer(rb"\S+", lines[i]))
+            if tokens:
+                t = tokens[draw(st.integers(0, len(tokens) - 1))]
+                lines[i] = lines[i][:t.start()] + draw(st.sampled_from(SWAPS)) + lines[i][t.end():]
+        data = b"".join(lines)
+    if name.endswith(".min"):
+        argv = ["gysin", "--model", "{f}", "--cutoff", str(draw(st.integers(0, 4)))]
+    elif name.endswith(".fat"):
+        argv = ["jacobi-fuzz", "--surface", "{f}", "--trials", "5"]
+    else:
+        argv = ["verify", "coderivations", "--structure", "{f}", "--word-len", "3"]
+    return data, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_mutated_inputs_keep_the_exit_code_contract(case):
+    data, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.replace("{f}", path) for a in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert _one_error_line(code, out.getvalue(), err.getvalue()), err.getvalue()
 
 
 @pytest.mark.parametrize("where, reason", [

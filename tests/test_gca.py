@@ -13,7 +13,7 @@ from loopspace.gca import (
     GradedAlgebra,
 )
 from loopspace.models import equivariant_model, load_model, loop_model
-from reference import algebra_element, graded_commutator, reference_basis
+from reference import algebra_element, graded_commutator, reference_basis, reference_parse
 
 LOOP_GENS = [("xb", 1), ("x", 2), ("yb", 2), ("y", 3)]
 
@@ -131,6 +131,43 @@ def test_parse_rejects_garbage():
     with pytest.raises(AlgebraError):
         # whitespace never separates factors, so this is one unknown name
         alg.parse("x y")
+
+
+# odd a and b, even x and y; q is unknown and $ no token at all.  An
+# expression alternates an operand, mostly a name or a number, with a
+# joiner, an operator or a space, which juxtaposes, so that runs like
+# b*a, a^2 and x^2 y are common.
+PARSE_ALGEBRA = GradedAlgebra([("a", 1), ("b", 3), ("x", 2), ("y", 4)])
+PARSE_OPERAND = st.one_of(
+    st.sampled_from(["a", "b", "x", "y"]),
+    st.sampled_from([str(n) for n in range(13)]),
+    st.sampled_from(["q", "$", "+", "-", "*", "/", "^", " "]),
+)
+PARSE_JOINER = st.sampled_from(["+", "-", "*", "/", "^", " "])
+PARSE_TOKENS = st.lists(st.tuples(PARSE_OPERAND, PARSE_JOINER), max_size=6).map(
+    lambda pairs: [t for pair in pairs for t in pair][:-1])
+
+
+def _parsed(parse, text):
+    """The terms of parse(text), or the type and message of the error it
+    raises."""
+    try:
+        return parse(PARSE_ALGEBRA, text).terms
+    except (AlgebraError, ElementSyntaxError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PARSE_TOKENS)
+@example(["b", "*", "a"])            # two odd factors swap
+@example(["2", "a", "^", "2", "+", "x"])  # an odd square is zero
+@example(["x", "^", "2", "y"])       # only a coefficient stands before a name
+def test_parse_matches_reference(tokens):
+    text = "".join(tokens)
+    got = _parsed(GradedAlgebra.parse, text)
+    assert got == _parsed(reference_parse, text)
+    if isinstance(got, dict):
+        assert all(type(c) is Fraction for c in got.values())
 
 
 def test_algebra_rejects_bad_generators():

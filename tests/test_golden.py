@@ -232,8 +232,10 @@ def _scaled(text, factors):
 # m2 and m3, with fractional components, fail to anticommute; five
 # structure tables that each fail one degree line, the unusable inputs of
 # the README's exit-2 list, structure-file errors, structure and surface
-# files that are not UTF-8, and element expressions in a model's d line,
-# all but one of them malformed.  None leaves {f} unwritten.
+# files that are not UTF-8, element expressions in a model's d line, all
+# but one of them malformed, a d line off its degree, and surface files
+# whose generators or cyclic-order line is wrong.  None leaves {f}
+# unwritten.
 INPUTS = {
     "circle 19 bv": circle_structure(19),
     "circle 19 gerstenhaber": circle_structure(19),
@@ -275,6 +277,13 @@ INPUTS = {
     "d slash after name": "gen x 2\ngen y 3\nd y = x/2\n",
     "d dangling sign": "gen x 2\ngen y 3\nd y = x +\n",
     "d juxtaposed coefficient": "gen x 2\ngen y 3\nd y = 2x^2\n",
+    "d off its degree": "gen x 2\ngen y 3\nd y = x\n",
+    "surface bad name": "generators a b-c\ncyclic-order a b-c a^- b-c^-\n",
+    "surface duplicate name": "generators a a\ncyclic-order a a^- a a^-\n",
+    "surface unknown generator": "generators a b\ncyclic-order a b c a^- b^-\n",
+    "surface duplicate half-edge": "generators a b\ncyclic-order a a b a^- b^-\n",
+    "surface missing half-edge":
+        "# torus, one half-edge short\ngenerators a b\ncyclic-order a b a^-\n",
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -303,7 +312,8 @@ LONG_60 = (
 # not UTF-8 and d-line rows before one InputError carried the exit-2
 # contract and the element parser became one pass.  The invalid
 # generator name row pins the line that declares the name, where the
-# message once read line 0.
+# message once read line 0; the d off its degree and surface rows pin
+# the line that their messages once left out.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -527,6 +537,24 @@ CLI_GOLDEN = [
     ("d juxtaposed coefficient", ("betti", "--model", "{f}"), 0,
      "f0efc1dcebcf37cee0ff63ba77c967f19883e6190dd95a7d9c5d2b296ab1f309",
      EMPTY),
+    ("d off its degree", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "f12a25192b70e700d0f5230eeddd67efa4facfdf2e01c1ce00488343a30f0e13"),
+    ("surface bad name", ("goldman", "--surface", "{f}", "--a", "a", "--b", "b"), 2,
+     EMPTY,
+     "909cfbcca15eb0b5bdee3963b1a7180d72f2cd13312dde6a56b67da6b878b081"),
+    ("surface duplicate name", ("goldman", "--surface", "{f}", "--a", "a", "--b", "a"), 2,
+     EMPTY,
+     "71fc1511da82b0c92e44fa926ba69a9253ee18c8e5ae3e7449f61d2c78ef91d1"),
+    ("surface unknown generator", ("goldman", "--surface", "{f}", "--a", "a", "--b", "b"), 2,
+     EMPTY,
+     "e2a157a034848d637df7e7dfb92dcff72def481b739f8be2da1728bd2848dc62"),
+    ("surface duplicate half-edge", ("goldman", "--surface", "{f}", "--a", "a", "--b", "b"), 2,
+     EMPTY,
+     "cd4fe578353948391ee7ab92828d3828ceaec7c49f64c024475d578967ee1070"),
+    ("surface missing half-edge", ("goldman", "--surface", "{f}", "--a", "a", "--b", "b"), 2,
+     EMPTY,
+     "007d48f385e175d8c3306cc627701b7711fcd21d0a1273567a9e711ea47a858e"),
     (None, ("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "0"), 2,
      EMPTY,
      "f42408d67433934ff716963f71d6224e60acf34a35226afcf2417724182f8346"),

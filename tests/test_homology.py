@@ -119,7 +119,7 @@ def test_identity_chain_map_induces_identity(data_path):
 def test_rotation_is_a_chain_map_and_squares_to_zero(data_path):
     lm = loop_model(load_model(data_path("s2.min")))
     cx = lm.complex
-    rot = ChainMap.from_derivation(cx, cx, lm.delta, name="rotation")
+    rot = ChainMap(cx, cx, lm.delta.degree, lm.delta.image, name="rotation")
     assert rot.degree == -1
     assert verify_chain_map(rot, 9) is None
     for n in range(2, 8):
@@ -136,7 +136,7 @@ def test_rotation_is_a_chain_map_and_squares_to_zero(data_path):
 def test_composition_matches_matrix_product(data_path):
     lm = loop_model(load_model(data_path("s2.min")))
     cx = lm.complex
-    rot = ChainMap.from_derivation(cx, cx, lm.delta, name="rotation")
+    rot = ChainMap(cx, cx, lm.delta.degree, lm.delta.image, name="rotation")
     left = compose(identity_map(cx), rot)
     for n in range(6):
         assert induced_map(left, n).columns == induced_map(rot, n).columns

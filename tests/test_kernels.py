@@ -82,7 +82,7 @@ def _negated_rotation(loop, name):
         if v:
             values[g] = -v if g == name else v
     deriv = Derivation(alg, -1, values)
-    return ChainMap.from_derivation(loop.complex, loop.complex, deriv)
+    return ChainMap(loop.complex, loop.complex, deriv.degree, deriv.image)
 
 
 @pytest.mark.parametrize("name", FIXTURES + tuple(INLINE))
