@@ -31,12 +31,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 __all__ = [
     "InputError",
     "LineError",
     "read_input",
+    "NAME_RE",
     "add_into",
     "integral",
     "ksign",
@@ -70,6 +72,10 @@ def read_input(path):
             return fh.read()
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: {e}") from None
+
+
+# What a generator, basis element or surface generator may be named.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def add_into(acc, combo, scale=1):

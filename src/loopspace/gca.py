@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .checks import InputError, add_into, apply_map, integral
+from .checks import NAME_RE, InputError, add_into, apply_map, integral
 
 __all__ = [
     "AlgebraError",
@@ -43,8 +43,7 @@ __all__ = [
     "Derivation",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*/^])")
+_TOKEN_RE = re.compile(rf"(?P<num>\d+)|(?P<name>{NAME_RE.pattern})|(?P<op>[+\-*/^])")
 
 # A monomial is a tuple of (generator index, exponent) pairs, indices strictly
 # increasing, exponents >= 1 and equal to 1 on odd generators.  The empty
@@ -68,7 +67,7 @@ class GradedAlgebra:
         seen = set()
         for name, degree in generators:
             degree = int(degree)
-            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+            if not isinstance(name, str) or not NAME_RE.fullmatch(name):
                 raise AlgebraError(f"invalid generator name {name!r}")
             if degree < 1:
                 raise AlgebraError(

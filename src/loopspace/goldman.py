@@ -25,12 +25,12 @@ can be made disjoint and contribute nothing.
 from __future__ import annotations
 
 import random
-import re
 
-from .checks import InputError, add_into, read_input
+from .checks import NAME_RE, InputError, LineError, add_into, read_input
 
 __all__ = [
     "FatGraphError",
+    "FatGraphFileError",
     "WordError",
     "FatGraph",
     "parse_fat_graph",
@@ -49,11 +49,14 @@ class FatGraphError(InputError):
     """Surface description rejected."""
 
 
+class FatGraphFileError(FatGraphError, LineError):
+    """Surface file rejected; carries the offending line number."""
+
+
 class WordError(InputError):
     """Word uses letters the surface does not have."""
 
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INV_SUFFIX = "^-"
 
 
@@ -114,7 +117,7 @@ def _generator_names(names):
     if not names:
         raise FatGraphError("surface needs at least one generator")
     for n in names:
-        if not _NAME_RE.match(n):
+        if not NAME_RE.fullmatch(n):
             raise FatGraphError(f"bad generator name {n!r}")
     if len(set(names)) != len(names):
         raise FatGraphError("duplicate generator name")
@@ -142,11 +145,11 @@ def parse_fat_graph(text):
             continue
         kind, *fields = line.split()
         if kind not in ("generators", "cyclic-order"):
-            raise FatGraphError(f"line {lineno}: unrecognized declaration {kind!r}")
+            raise FatGraphFileError(lineno, f"unrecognized declaration {kind!r}")
         if kind in lines:
-            raise FatGraphError(f"line {lineno}: second {kind} line")
+            raise FatGraphFileError(lineno, f"second {kind} line")
         if kind == "generators" and not fields:
-            raise FatGraphError(f"line {lineno}: empty generators line")
+            raise FatGraphFileError(lineno, "empty generators line")
         lines[kind] = lineno, fields
     for kind in ("generators", "cyclic-order"):
         if kind not in lines:
@@ -157,7 +160,7 @@ def parse_fat_graph(text):
         lineno, tokens = lines["cyclic-order"]
         return FatGraph(names, [_letter(names, tok) for tok in tokens])
     except (FatGraphError, WordError) as e:
-        raise FatGraphError(f"line {lineno}: {e}") from None
+        raise FatGraphFileError(lineno, str(e)) from None
 
 
 def load_fat_graph(path):

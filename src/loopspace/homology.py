@@ -144,8 +144,8 @@ class CochainComplex:
 
     def class_of(self, n, vec):
         """Class of a sparse vector over basis(n), as sparse coordinates
-        over the representatives of H^n; None when vec is no cocycle.
-        Call cohomology(n) first."""
+        over the representatives of H^n; None when vec is no cocycle."""
+        self.cohomology(n)
         tracker = self._cohomology[n][0]
         rem, m = tracker.reduce(vec)
         if any(c < tracker.dim for c in rem):
@@ -169,22 +169,13 @@ def betti_table(cx, cutoff):
     return BettiTable(cx.betti(i) for i in range(cutoff + 1))
 
 
-class ChainMap:
-    """A linear map between complexes, given by its sparse image function.
-
-    ``image(mono)`` returns f(mono) as a {monomial: coefficient} dict over
-    the target algebra, computed on each call and never stored.
-    ``degree`` is the shift: a monomial of degree n maps into degree
-    n + degree of the target.  The chain condition is
-    d_target(f(m)) = (-1)^degree f(d_source(m)); verify_chain_map checks it.
-    """
-
-    def __init__(self, src, tgt, degree, image, name=""):
-        self.src = src
-        self.tgt = tgt
-        self.degree = int(degree)
-        self.image = image
-        self.name = name
+# A linear map between complexes, given by its sparse image function:
+# image(mono) returns f(mono) as a {monomial: coefficient} dict over the
+# target algebra, computed on each call and never stored.  degree is the
+# shift: a monomial of degree n maps into degree n + degree of the target.
+# The chain condition is d_target(f(m)) = (-1)^degree f(d_source(m));
+# verify_chain_map checks it.
+ChainMap = namedtuple("ChainMap", "src tgt degree image name", defaults=("",))
 
 
 def _indexed(f, n, img, index):
@@ -240,9 +231,9 @@ def verify_chain_map(f, cutoff):
     return None
 
 
-# Induced map on cohomology in one source degree: one sparse column over
-# the target representatives per source representative.
-MapDegreeReport = namedtuple("MapDegreeReport", "degree src_betti tgt_betti rank columns")
+# Induced map on cohomology in one source degree: its rank, and one sparse
+# column over the target representatives per source representative.
+MapDegreeReport = namedtuple("MapDegreeReport", "rank columns")
 
 
 def induced_map(f, n):
@@ -251,13 +242,11 @@ def induced_map(f, n):
     over the target representatives."""
     src, tgt = f.src, f.tgt
     t = n + f.degree
-    src_reps = src.cohomology(n)
-    tgt_reps = tgt.cohomology(t)
     basis = src.algebra.basis(n)
     index = {m: i for i, m in enumerate(tgt.algebra.basis(t))}
     columns = []
-    span = SpanTracker(len(tgt_reps))
-    for vec in src_reps:
+    span = SpanTracker(len(tgt.cohomology(t)))
+    for vec in src.cohomology(n):
         img = apply_map(lambda k: f.image(basis[k]), vec)
         col = tgt.class_of(t, _indexed(f, n, img, index))
         if col is None:
@@ -266,7 +255,7 @@ def induced_map(f, n):
             )
         columns.append(col)
         span.add(col)
-    return MapDegreeReport(n, len(src_reps), len(tgt_reps), span.rank(), columns)
+    return MapDegreeReport(span.rank(), columns)
 
 
 def format_betti_table(table):

@@ -20,9 +20,10 @@ check it again on the complex or model they are given.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
-from .checks import CheckReport, InputError, LineError, apply_map, read_input
-from .gca import _NAME_RE, Derivation, GradedAlgebra
+from .checks import NAME_RE, CheckReport, InputError, LineError, apply_map, read_input
+from .gca import Derivation, GradedAlgebra
 from .homology import (
     ChainMap,
     ChainMapError,
@@ -99,7 +100,10 @@ def parse_model(text):
             continue
         m = _GEN_LINE.match(line)
         if m:
-            name, deg = m.group(1), int(m.group(2))
+            try:
+                name, deg = m.group(1), int(m.group(2))
+            except ValueError as e:  # an int past the digit limit
+                raise ModelFileError(lineno, str(e)) from None
             if name in seen:
                 raise ModelFileError(lineno, f"duplicate generator {name!r}")
             if deg < 2:
@@ -108,7 +112,7 @@ def parse_model(text):
                     f"generator {name!r} has degree {deg}; "
                     "generators must have degree 2 or higher",
                 )
-            if not _NAME_RE.fullmatch(name):
+            if not NAME_RE.fullmatch(name):
                 raise ModelFileError(lineno, f"invalid generator name {name!r}")
             seen.add(name)
             gens.append((name, deg))
@@ -255,16 +259,12 @@ def format_model_report(obj, rep):
     return "".join(line + "\n" for line in lines) + rep.text()
 
 
-class GysinReport:
+class GysinReport(namedtuple("GysinReport", "cutoff rows factor_rotation factor_zero")):
     """Rank table of the long exact sequence linking the equivariant and
-    free-loop models, plus the two factorization verdicts."""
+    free-loop models, plus the two factorization verdicts.  rows holds
+    (degree, h_string, h_loop, rank_u, rank_restr, rank_conn, exact)."""
 
-    def __init__(self, cutoff, rows, factor_rotation, factor_zero):
-        self.cutoff = cutoff
-        # rows: (degree, h_string, h_loop, rank_u, rank_restr, rank_conn, exact)
-        self.rows = rows
-        self.factor_rotation = factor_rotation
-        self.factor_zero = factor_zero
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -349,8 +349,6 @@ def gysin_maps(string):
 def _after(outer, inner):
     """Sparse columns of the composite outer after inner of two induced
     maps, one per source representative of inner."""
-    if inner.tgt_betti != outer.src_betti:
-        raise ChainMapError("induced-map composition: dimension mismatch")
     return [apply_map(outer.columns.__getitem__, col) for col in inner.columns]
 
 
@@ -372,7 +370,10 @@ def gysin_report(string, cutoff):
     the connecting map and the rotation through cutoff, multiplication by
     the degree-2 class through cutoff - 1.  The chain condition in degrees
     k - 1 and k carries both the cocycles and the coboundaries of degree k
-    to the target, so no slice above cutoff + 1 is built.
+    to the target, so no slice above cutoff + 1 is built.  Multiplication
+    by the degree-2 class is induced from source degree -2 and restriction
+    from -1, where both are zero maps out of zero spaces, so every row and
+    both factorizations read one formula.
     """
     loop = string.loop
     for obj, tag in ((loop, "loop model"), (string, "string model")):
@@ -384,43 +385,37 @@ def gysin_report(string, cutoff):
     L = loop.complex
     restr, mult_u, conn, rot = gysin_maps(string)
 
-    def induced(f, top):
-        w = verify_chain_map(f, top)
+    def induced(f, degrees):
+        w = verify_chain_map(f, degrees[-1])
         if w is not None:
             raise ChainMapError(
                 f"{f.name}: chain condition fails in degree {w[0]} "
                 f"on {f.src.algebra.monomial_str(w[1])}"
             )
-        return {i: induced_map(f, i) for i in range(top + 1)}
+        return {i: induced_map(f, i) for i in degrees}
 
-    restr_at = induced(restr, cutoff + 1)
-    mult_at = induced(mult_u, cutoff - 1)
-    conn_at = induced(conn, cutoff)
-    rot_at = induced(rot, cutoff)
+    restr_at = induced(restr, range(-1, cutoff + 2))
+    mult_at = induced(mult_u, range(-2, cutoff))
+    conn_at = induced(conn, range(cutoff + 1))
+    rot_at = induced(rot, range(cutoff + 1))
 
     rows = []
     factor_rotation = []
     factor_zero = []
     for i in range(cutoff + 1):
-        h_s = S.betti(i)
-        h_l = L.betti(i)
-        u_in, u_out = mult_at.get(i - 2), mult_at.get(i - 1)
-        rank_u = u_in.rank if u_in is not None else 0
-        rank_restr = restr_at[i].rank
-        rank_conn = conn_at[i].rank
-        factor_zero.append(_vanishes(conn_at[i], restr_at[i]))
+        h_s, h_l = S.betti(i), L.betti(i)
+        u_in, u_out = mult_at[i - 2], mult_at[i - 1]
+        restr_i, conn_i = restr_at[i], conn_at[i]
+        factor_zero.append(_vanishes(conn_i, restr_i))
         exact = (
-            rank_u + rank_restr == h_s
-            and rank_restr + rank_conn == h_l
-            and rank_conn + (u_out.rank if u_out is not None else 0) == S.betti(i - 1)
+            u_in.rank + restr_i.rank == h_s
+            and restr_i.rank + conn_i.rank == h_l
+            and conn_i.rank + u_out.rank == S.betti(i - 1)
             and factor_zero[-1]
-            and (u_in is None or _vanishes(restr_at[i], u_in))
-            and (u_out is None or _vanishes(u_out, conn_at[i]))
+            and _vanishes(restr_i, u_in)
+            and _vanishes(u_out, conn_i)
         )
-        rows.append((i, h_s, h_l, rank_u, rank_restr, rank_conn, exact))
-        if i >= 1:
-            factor_rotation.append(_after(restr_at[i - 1], conn_at[i]) == rot_at[i].columns)
-        else:
-            factor_rotation.append(rot_at[i].rank == 0)
+        rows.append((i, h_s, h_l, u_in.rank, restr_i.rank, conn_i.rank, exact))
+        factor_rotation.append(_after(restr_at[i - 1], conn_i) == rot_at[i].columns)
 
     return GysinReport(cutoff, rows, factor_rotation, factor_zero)

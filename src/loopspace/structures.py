@@ -19,6 +19,7 @@ from fractions import Fraction
 from .checks import (
     BRACKET_LAWS,
     DEVIATION_LAWS,
+    NAME_RE,
     PRODUCT_LAWS,
     CheckReport,
     InputError,
@@ -53,15 +54,12 @@ class StructureFileError(StructureError, LineError):
     """Structure file rejected; carries the offending line number."""
 
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_TERM_RE = re.compile(
-    r"^(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?([A-Za-z_][A-Za-z0-9_]*)$"
-)
+_TERM_RE = re.compile(rf"^(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?({NAME_RE.pattern})$")
 
 
 def _name_problem(name, taken):
     """Why name cannot join a basis whose names are taken; None if it can."""
-    if not _NAME_RE.match(name):
+    if not NAME_RE.fullmatch(name):
         return f"bad basis name {name!r}"
     if name in taken:
         return f"duplicate basis name {name!r}"
@@ -247,7 +245,7 @@ def parse_structure_file(text):
         seen_keys[(kind, key)] = lineno
         try:
             combo = val_space.parse_combo(rhs, where=f"{kind} {' '.join(args)}")
-        except StructureError as e:
+        except ValueError as e:  # a StructureError, or an int past the digit limit
             raise StructureFileError(lineno, str(e)) from None
         if combo:
             tables[kind][key] = combo

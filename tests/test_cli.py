@@ -223,8 +223,9 @@ def _one_error_line(code, out, err):
 
 
 # Tokens a mutation may swap in: a zero denominator, a negative exponent,
-# words no parser knows, a lone caret and an overlong name.
-SWAPS = [b"1/0", b"x^-1", b"nan", "\u00e9".encode(), b"^", b"q" * 300]
+# words no parser knows, a lone caret, an overlong name and a numeral past
+# Python's 4 300-digit conversion limit.
+SWAPS = [b"1/0", b"x^-1", b"nan", "\u00e9".encode(), b"^", b"q" * 300, b"1" * 5000]
 
 
 @st.composite

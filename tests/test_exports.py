@@ -1,8 +1,9 @@
 """Every name that loopspace and its library modules export resolves, so a
 deletion cannot leave a dangling entry in an ``__all__``; the runtime
-imports nothing outside the standard library; and every error class it
-defines for unusable input derives from the one InputError that the
-command line turns into exit 2."""
+imports nothing outside the standard library, and no module of it imports
+a private name of another; every error class it defines for unusable
+input derives from the one InputError that the command line turns into
+exit 2; and every file error that names a line is a LineError."""
 
 import ast
 import importlib
@@ -13,7 +14,12 @@ import sys
 import pytest
 
 import loopspace
-from loopspace.checks import InputError
+from loopspace.checks import InputError, LineError
+from loopspace.goldman import FatGraphError, parse_fat_graph
+from loopspace.models import ModelError, parse_model
+from loopspace.structures import StructureError, parse_structure_file
+
+SOURCES = sorted(pathlib.Path(loopspace.__file__).parent.glob("*.py"))
 
 # cli and __main__ are entry points and export nothing
 MODULES = ["loopspace"] + [
@@ -33,7 +39,7 @@ def test_all_names_resolve(module_name):
 
 def test_runtime_imports_only_the_standard_library():
     outside = []
-    for path in sorted(pathlib.Path(loopspace.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -57,3 +63,37 @@ def test_every_value_error_is_an_input_error():
     errors = [cls for cls in defined if issubclass(cls, ValueError)]
     assert len(errors) >= 10
     assert [cls for cls in errors if not issubclass(cls, InputError)] == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.partition(".")[0] == "loopspace"
+            ):
+                private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
+@pytest.mark.parametrize("parse, family, text, line", [
+    (parse_model, ModelError, "gen x 2\n\ngen x 3\n", 3),
+    (parse_model, ModelError, "gen x 2\ngen y 3\nd y = x\n", 3),
+    (parse_structure_file, StructureError, "basis a 0\n# c\nproduct a c = a\n", 3),
+    (parse_structure_file, StructureError, "basis a 0\nproduct a a = 1/0*a\n", 2),
+    (parse_fat_graph, FatGraphError, "generators a\nsurface\n", 2),
+    (parse_fat_graph, FatGraphError, "generators a\ngenerators b\n", 2),
+    (parse_fat_graph, FatGraphError, "# none\ngenerators\n", 2),
+    (parse_fat_graph, FatGraphError, "generators a b-c\ncyclic-order a a^-\n", 1),
+    (parse_fat_graph, FatGraphError, "generators a\ncyclic-order a a^- b\n", 2),
+], ids=["model duplicate", "model d degree", "struct unknown name", "struct zero denominator",
+        "surface unrecognized", "surface second line", "surface empty", "surface bad name",
+        "surface unknown letter"])
+def test_file_errors_are_line_errors(parse, family, text, line):
+    # each file format's line errors share LineError's line attribute and
+    # message prefix, and stay errors of their own module
+    with pytest.raises(LineError) as err:
+        parse(text)
+    assert isinstance(err.value, family)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")

@@ -225,6 +225,11 @@ def _scaled(text, factors):
     return "".join(lines)
 
 
+# A product table alone: every check that needs another table, or an
+# sbasis, rejects it.
+NO_TABLES = "basis a 0\nproduct a a = a\n"
+
+
 # Inputs written to a temporary file {f}: the 40-element circle table; the
 # two tables whose first failure is an arity-3 law late in the walk, as
 # they are and with their constants scaled by non-integer rationals, so
@@ -234,8 +239,9 @@ def _scaled(text, factors):
 # the README's exit-2 list, structure-file errors, structure and surface
 # files that are not UTF-8, element expressions in a model's d line, all
 # but one of them malformed, a d line off its degree, and surface files
-# whose generators or cyclic-order line is wrong.  None leaves {f}
-# unwritten.
+# whose generators or cyclic-order line is wrong, further exit-2 paths of
+# the three file formats and the checks, and numerals past the digit
+# limit.  None leaves {f} unwritten.
 INPUTS = {
     "circle 19 bv": circle_structure(19),
     "circle 19 gerstenhaber": circle_structure(19),
@@ -284,6 +290,19 @@ INPUTS = {
     "surface duplicate half-edge": "generators a b\ncyclic-order a a b a^- b^-\n",
     "surface missing half-edge":
         "# torus, one half-edge short\ngenerators a b\ncyclic-order a b a^-\n",
+    "duplicate differential": "gen x 2\ngen y 3\nd y = x^2\nd y = x^2\n",
+    "barred name collision": "gen x 3\ngen xb 2\n",
+    "reserved u gysin": "gen u 2\n",
+    "reserved u string-model": "gen u 2\n",
+    "surface empty generators": "generators\ncyclic-order a a^-\n",
+    "struct basis without degree": "basis a\n",
+    "struct product of one": "basis a 0\nproduct a = a\n",
+    "bv without delta": NO_TABLES,
+    "gerstenhaber without bracket": NO_TABLES,
+    "string-brackets without sbasis": NO_TABLES,
+    "coderivations without sbasis": NO_TABLES,
+    "model long degree": "gen x 2\ngen y " + "1" * 5000 + "\n",
+    "struct long coefficient": "basis a 0\nproduct a a = " + "1" * 5000 + "*a\n",
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -313,7 +332,9 @@ LONG_60 = (
 # contract and the element parser became one pass.  The invalid
 # generator name row pins the line that declares the name, where the
 # message once read line 0; the d off its degree and surface rows pin
-# the line that their messages once left out.
+# the line that their messages once left out.  The two long-numeral rows
+# pin the line that names a number past the digit limit, where a
+# traceback once exited 1.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -555,6 +576,47 @@ CLI_GOLDEN = [
     ("surface missing half-edge", ("goldman", "--surface", "{f}", "--a", "a", "--b", "b"), 2,
      EMPTY,
      "007d48f385e175d8c3306cc627701b7711fcd21d0a1273567a9e711ea47a858e"),
+    # exit-2 paths that no other test reaches, and numerals past the
+    # digit limit in a model's gen line and a structure file's table
+    ("duplicate differential", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "7a4fd0cece2726e6771b29ba7e363fa7c903a98fe6531d10a29bfc1d48f0c196"),
+    ("barred name collision", ("loop-model", "--model", "{f}"), 2,
+     EMPTY,
+     "b14da12d8750f7fb213b0b22b9e7d17d6905e5f2a1b263e0a04e37416178804c"),
+    ("reserved u gysin", ("gysin", "--model", "{f}"), 2,
+     EMPTY,
+     "2a49c310d59a6e1af85d7068d2d47959e5490dcee9496fc7a0fd3a9205eca0b0"),
+    ("reserved u string-model", ("string-model", "--model", "{f}"), 2,
+     EMPTY,
+     "2a49c310d59a6e1af85d7068d2d47959e5490dcee9496fc7a0fd3a9205eca0b0"),
+    ("surface empty generators", ("goldman", "--surface", "{f}", "--a", "a", "--b", "a"), 2,
+     EMPTY,
+     "8ad1e31e02bb3e69487ee8ca2560c1ceb96692b50aef4164d0307c2a788d39eb"),
+    ("struct basis without degree", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "09ef2abbc2ab091d8eb0e1228aed1d4d3db5a3a455c083ed162d01f5c80eb98a"),
+    ("struct product of one", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "6f7c08d20a7ffd5a83f140ad88f30467ba3ba45476ae5cceea3c2256d1762884"),
+    ("bv without delta", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "76c5238c7409ee1e92fcfc356202c7ba9983780aeca6152239f785c85b31ba91"),
+    ("gerstenhaber without bracket", ("verify", "gerstenhaber", "--structure", "{f}"), 2,
+     EMPTY,
+     "88034a886da24c6d9afa16aef05d9cc78562456e2dc1b24a4c6ff127ccb889e9"),
+    ("string-brackets without sbasis", ("verify", "string-brackets", "--structure", "{f}"), 2,
+     EMPTY,
+     "194a6cdf9c4fb1153404b42479414c82a07ca776366f540df361bee5412f3b6d"),
+    ("coderivations without sbasis", ("verify", "coderivations", "--structure", "{f}"), 2,
+     EMPTY,
+     "194a6cdf9c4fb1153404b42479414c82a07ca776366f540df361bee5412f3b6d"),
+    ("model long degree", ("betti", "--model", "{f}"), 2,
+     EMPTY,
+     "c7199d0a1e0f7cc8b2bea2d34780452a0449aa2395ddb2986448e66ec4c4362d"),
+    ("struct long coefficient", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY,
+     "c7199d0a1e0f7cc8b2bea2d34780452a0449aa2395ddb2986448e66ec4c4362d"),
     (None, ("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "0"), 2,
      EMPTY,
      "f42408d67433934ff716963f71d6224e60acf34a35226afcf2417724182f8346"),

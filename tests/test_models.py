@@ -11,6 +11,7 @@ from loopspace.models import (
     based_complex,
     equivariant_model,
     format_model_report,
+    gysin_report,
     load_model,
     loop_model,
     parse_model,
@@ -134,6 +135,16 @@ def test_validator_catches_broken_rotation(data_path):
     rep = validate_model(_broken_rotation(data_path))
     assert not rep.ok
     assert dict(rep.lines)["rotation squares to zero"] == "at x -> 1"
+
+
+def test_gysin_report_rejects_a_broken_loop_model(data_path):
+    # the generator checks run before any chain map is built, and the
+    # first failure names its check and its generator
+    em = equivariant_model(loop_model(load_model(data_path("s2.min"))))
+    em.loop = _broken_rotation(data_path)
+    with pytest.raises(ModelError) as err:
+        gysin_report(em, 2)
+    assert str(err.value) == "loop model: rotation squares to zero fails at x"
 
 
 def test_validator_catches_degree_violation(data_path):
