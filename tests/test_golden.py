@@ -301,6 +301,8 @@ INPUTS = {
     "gerstenhaber without bracket": NO_TABLES,
     "string-brackets without sbasis": NO_TABLES,
     "coderivations without sbasis": NO_TABLES,
+    "string-brackets without E and M": "basis a 0\nsbasis s 0\nproduct a a = a\n",
+    "string-brackets without product": "basis a 0\nsbasis s 0\nE a = s\nM s = a\n",
     "model long degree": "gen x 2\ngen y " + "1" * 5000 + "\n",
     "struct long coefficient": "basis a 0\nproduct a a = " + "1" * 5000 + "*a\n",
 }
@@ -611,6 +613,21 @@ CLI_GOLDEN = [
     ("coderivations without sbasis", ("verify", "coderivations", "--structure", "{f}"), 2,
      EMPTY,
      "194a6cdf9c4fb1153404b42479414c82a07ca776366f540df361bee5412f3b6d"),
+    ("string-brackets without E and M", ("verify", "string-brackets", "--structure", "{f}"), 2,
+     EMPTY,
+     "3ecd8fa05c4819292f49ca98079b7f182ed12b7367d51b9a82340efcaee574ef"),
+    ("string-brackets without product", ("verify", "string-brackets", "--structure", "{f}"), 2,
+     EMPTY,
+     "6854298030b469053186104e7c29487fced589173ed6eb7f1810ec22fd24e4ab"),
+    (None, ("verify", "string-brackets", "--structure", "{d}/circle.struct", "--arities", ","), 2,
+     EMPTY,
+     "be309376e0573068035f326abe4e57cf63dd381bb2bd23979a581fe8eaaa93b0"),
+    (None, ("verify", "string-brackets", "--structure", "{d}/circle.struct", "--arities", "1,2"), 2,
+     EMPTY,
+     "ec8b202b492c2f05795bba06e68cd4cb19dccd5cf712158af22d8469bbd51ed2"),
+    (None, ("verify", "coderivations", "--structure", "{d}/circle.struct", "--arities", "2,x"), 2,
+     EMPTY,
+     "a596040426558c9ebc5fac77bd43bc465ab3f23af51b493cc9eeb56306f1924a"),
     ("model long degree", ("betti", "--model", "{f}"), 2,
      EMPTY,
      "c7199d0a1e0f7cc8b2bea2d34780452a0449aa2395ddb2986448e66ec4c4362d"),
