@@ -10,7 +10,9 @@ whose first failure is an arity-3 law late in the walk, the same two with
 fractional constants, five tables that each fail one degree line, and one
 command per unusable input that exits 2; `verify string-brackets` and
 `verify coderivations` on one table with fractional components whose m2
-and m3 fail to anticommute; `betti --space string` and `gysin` on
+and m3 fail to anticommute, on the 40-element circle table and the torus
+file at higher arities, and on one table whose graded symmetry fails
+first at arity 4; `betti --space string` and `gysin` on
 s2xs3 and cp2 rescaled to rational differentials, and `string-model` on
 the rescaled s2xs3, whose printed d keeps its fractions.
 
@@ -173,6 +175,18 @@ def test_symmetry_mutant_witness(data_path, tmp_path, capsys):
 
 
 
+def test_late_arity_4_symmetry_witness(tmp_path, capsys):
+    path = tmp_path / "late.struct"
+    path.write_text(LATE_ARITY_4, encoding="utf-8")
+    assert main(["verify", "string-brackets", "--structure", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "string-brackets", "--structure", str(path),
+                 "--arities", "2,3,4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5] == ("check inputs are graded symmetric: "
+                        "FAIL op(s s s r) = t, expected 0")
+
+
 # Sixteen basis names with no structure, ahead of the names that fail, so
 # that a table's first failing tuple comes late in the walk.
 PADDING = "".join(f"basis p_{i} 0\n" for i in range(16))
@@ -201,6 +215,17 @@ RATIONAL_M2_M3 = (
     "product a a = a2\nproduct a a2 = a3\nproduct a2 a = a3\n"
     "product a u = v\nproduct u a = v\n"
     "E a3 = 2/3*t\nE v = w\nM s = a\nM t = -5/7*u\ndelta a3 = -10/21*u\n"
+)
+
+# Marked-point operations that are graded symmetric through arity 3 and
+# fail first at arity 4, on a pair whose own product is zero: M(s s r s)
+# stops at a2 * b = 0, while its swap s s s r reaches x = a a a b, which
+# erases to t.  The walk meets s s r s first, since r precedes s.
+LATE_ARITY_4 = (
+    "basis a 2\nbasis b 2\nbasis a2 4\nbasis a3 6\nbasis x 8\n"
+    "sbasis r 1\nsbasis s 1\nsbasis u 4\nsbasis t 8\n"
+    "product a a = a2\nproduct a2 a = a3\nproduct a3 b = x\n"
+    "E a2 = u\nE x = t\nM s = a\nM r = b\n"
 )
 
 
@@ -234,7 +259,9 @@ NO_TABLES = "basis a 0\nproduct a a = a\n"
 # two tables whose first failure is an arity-3 law late in the walk, as
 # they are and with their constants scaled by non-integer rationals, so
 # that the witness coefficients are fractions; a marked-point table whose
-# m2 and m3, with fractional components, fail to anticommute; five
+# m2 and m3, with fractional components, fail to anticommute; the
+# 40-element circle table and a table whose graded symmetry fails first
+# at arity 4, for the marked-point operations; five
 # structure tables that each fail one degree line, the unusable inputs of
 # the README's exit-2 list, structure-file errors, structure and surface
 # files that are not UTF-8, element expressions in a model's d line, all
@@ -245,6 +272,9 @@ NO_TABLES = "basis a 0\nproduct a a = a\n"
 INPUTS = {
     "circle 19 bv": circle_structure(19),
     "circle 19 gerstenhaber": circle_structure(19),
+    "circle 19 string-brackets": circle_structure(19),
+    "circle 19 coderivations": circle_structure(19),
+    "late arity-4 symmetry": LATE_ARITY_4,
     "late jacobi": LATE_JACOBI,
     "third-order delta": THIRD_ORDER_DELTA,
     "rational late jacobi": _scaled(LATE_JACOBI, {"bracket": Fraction(2, 3)}),
@@ -305,6 +335,9 @@ INPUTS = {
     "string-brackets without product": "basis a 0\nsbasis s 0\nE a = s\nM s = a\n",
     "model long degree": "gen x 2\ngen y " + "1" * 5000 + "\n",
     "struct long coefficient": "basis a 0\nproduct a a = " + "1" * 5000 + "*a\n",
+    "model duplicate generator": "gen x 2\ngen x 3\n",
+    "surface second generators line": "generators a\ngenerators b\ncyclic-order a a^-\n",
+    "d unexpected character": "gen x 2\ngen y 3\nd y = x$\n",
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -336,7 +369,9 @@ LONG_60 = (
 # message once read line 0; the d off its degree and surface rows pin
 # the line that their messages once left out.  The two long-numeral rows
 # pin the line that names a number past the digit limit, where a
-# traceback once exited 1.
+# traceback once exited 1.  The marked-point rows at arities up to 4 and
+# 5 were recorded before the operations were tabulated over nonzero
+# prefix products only.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -447,6 +482,20 @@ CLI_GOLDEN = [
     ("circle 19 gerstenhaber", ("verify", "gerstenhaber", "--structure", "{f}"), 0,
      "1076146cb8e3a7b9c3156ddc6bfb9649320633d080981c6f44a9669c498e6967",
      EMPTY),
+    # the marked-point operations through arity 4 on the 40-element circle
+    # and through arity 5 on the torus, and a symmetry failure at arity 4
+    ("circle 19 string-brackets",
+     ("verify", "string-brackets", "--structure", "{f}", "--arities", "2,3,4"), 0,
+     "255c37f4dca0621cb8ae5787e1ccd0ab993b0f03757e5e648f243931998d4085", EMPTY),
+    ("circle 19 coderivations",
+     ("verify", "coderivations", "--structure", "{f}", "--arities", "2,3,4"), 0,
+     "60f38a2e3eda9f5ceaa593579bb571f7a24026bbf4429257d9aaa5047cb1a292", EMPTY),
+    (None, ("verify", "string-brackets", "--structure", "{d}/torus_bracket.struct",
+            "--arities", "2,5"), 0,
+     "ddee7b4edc5497546f4a66a401447a5740378331b63a5fedfe07a8e00a63f14d", EMPTY),
+    ("late arity-4 symmetry",
+     ("verify", "string-brackets", "--structure", "{f}", "--arities", "2,3,4"), 1,
+     "11023bcabd4bb530be27db6e7bf078a0ec07ca6695247edc1e7658b71888d474", EMPTY),
     ("late jacobi", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
      "b85e50c905ff187ebfa1f9e6efeb3bf45a810d71e40ebae8444ae271c1656605",
      EMPTY),
@@ -634,6 +683,12 @@ CLI_GOLDEN = [
     ("struct long coefficient", ("verify", "bv", "--structure", "{f}"), 2,
      EMPTY,
      "c7199d0a1e0f7cc8b2bea2d34780452a0449aa2395ddb2986448e66ec4c4362d"),
+    ("model duplicate generator", ("betti", "--model", "{f}"), 2,
+     EMPTY, "07d3fce66c056c4268b92ea05ca9b4ea8cf8bff5f218dd3c156b8d0cef4c5d1d"),
+    ("surface second generators line", ("goldman", "--surface", "{f}", "--a", "a", "--b", "a"), 2,
+     EMPTY, "3edec0c844bded8fa0882b5150bb59d46e8d45c3c5d9818359e2bbc9c7fcd3c3"),
+    ("d unexpected character", ("betti", "--model", "{f}"), 2,
+     EMPTY, "a45ec33ddd03015b3cc6e2337fa9f00c1a3fa11899d4ccb55777ab632f9f7674"),
     (None, ("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "0"), 2,
      EMPTY,
      "f42408d67433934ff716963f71d6224e60acf34a35226afcf2417724182f8346"),
