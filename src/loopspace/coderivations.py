@@ -89,19 +89,15 @@ class CoderivationRep:
         self.comps = comps
 
     @classmethod
-    def from_operation(cls, space, k, op):
-        """The arity-k component of op, a map from name tuples of space to
-        name-keyed combinations, on the degrees of space shifted by one."""
-        names = space.names
-        sdegs = tuple(space.degree(a) + 1 for a in names)
-        index = {a: i for i, a in enumerate(names)}
-        comps = {}
-        for word in wedge_words(sdegs, k):
-            if len(word) == k:
-                combo = op(tuple(names[i] for i in word))
-                if combo:
-                    comps[word] = {index[x]: c for x, c in combo.items()}
-        return cls(sdegs, k, comps)
+    def from_operation(cls, space, k, values):
+        """The arity-k component, on the degrees of space shifted by one, of
+        the operation whose nonzero name-keyed values on index tuples are
+        values: the canonical words among its keys, in their order."""
+        sdegs = tuple(space.degree(a) + 1 for a in space.names)
+        index = {a: i for i, a in enumerate(space.names)}
+        return cls(sdegs, k, {word: {index[x]: c for x, c in combo.items()}
+                              for word, combo in values.items()
+                              if wedge_sort(word, sdegs)[0] == word})
 
     def apply_word(self, word):
         """Coderivation extension on a single canonical word."""
@@ -321,8 +317,10 @@ def jacobi_coderivation_equiv(space, bracket, word_len, relations=None):
     else:
         # the symmetric form takes (a, b) to (-1)^|a| [a,b], here on the
         # tabulation's int rows, so tab.scale times the exact form
-        m2 = CoderivationRep.from_operation(space, 2, lambda ab: add_into(
-            {}, tab.br[ab[0]].get(ab[1], {}), ksign(tab.deg[ab[0]])))
+        index = {a: i for i, a in enumerate(space.names)}
+        m2 = CoderivationRep.from_operation(space, 2, {
+            (index[a], index[b]): add_into({}, ab, ksign(tab.deg[a]))
+            for a, row in tab.br.items() for b, ab in row.items()})
         image = functools.cache(m2.apply_word)
         square = _residue_witness(wedge_words(m2.sdegs, word_len),
                                   lambda word: apply_map(image, image(word)), space.names,

@@ -11,8 +11,6 @@ with the first offending tuple spelled out.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import re
 from fractions import Fraction
 
@@ -221,7 +219,7 @@ def parse_structure_file(text):
         else:
             raise StructureFileError(lineno, f"unrecognized declaration {kind!r}")
     if not basis_pairs:
-        raise StructureFileError(0, "no basis lines")
+        raise StructureError("no basis lines")
     space = BasisSpace(basis_pairs)
     string_space = BasisSpace(sbasis_pairs) if sbasis_pairs else None
 
@@ -365,11 +363,10 @@ def string_brackets(t, max_arity=3):
     mark after marking gives zero, and marking after erasing is the basis
     rotation.  Only then are the operations themselves formed and tested.
 
-    The arity-k operation takes s1..sk to E(M(s1)...M(sk)).  Each of its
-    values is computed once and kept until this call returns; the memo
-    holds at most the n^2 + ... + n^max_arity input tuples, over the n
-    marked-point basis names, that the bracket and the symmetry walk visit
-    anyway.
+    The arity-k operation takes s1..sk to E(M(s1)...M(sk)).  One table per
+    arity, built from the nonzero products of the arity before, keeps the
+    index tuples with a nonzero value; the bracket, the symmetry walk and
+    the coderivation components all read it.
     """
     if t.string_space is None or not t.string_space.names:
         raise StructureError("string bracket check needs an sbasis")
@@ -412,45 +409,49 @@ def string_brackets(t, max_arity=3):
     if not rep.add("erase then mark equals delta", me_witness()):
         return out
 
-    marked = {s: t.mark.get(s, {}) for s in ss.names}
-    deg = ss.degree
+    # ops[k]: index tuples with a nonzero value E(M(s1)...M(sk)).  mult is
+    # bilinear and runs from the left, so a prefix whose product is 0 gives
+    # 0 for every extension, and each arity extends only nonzero products.
+    names, deg = ss.names, ss.degree
+    marked = [(i, t.mark[s]) for i, s in enumerate(names) if t.mark.get(s)]
+    prods = {(i,): m for i, m in marked}
+    ops = {}
+    for k in range(2, max_arity + 1):
+        prods = {tup + (i,): p for tup, acc in prods.items() for i, m in marked
+                 if (p := t.mult(acc, m))}
+        ops[k] = {tup: v for tup, acc in prods.items() if (v := apply_map(t.erase.get, acc))}
 
-    @functools.cache
-    def op_value(names):
-        acc = marked[names[0]]
-        for s in names[1:]:
-            acc = t.mult(acc, marked[s])
-        return apply_map(t.erase.get, acc)
-
-    for pair in itertools.product(ss.names, repeat=2):
-        combo = add_into({}, op_value(pair), ksign(deg(pair[0])))
-        if combo:
-            out.bracket[pair] = combo
-
+    out.bracket = {(names[i], names[j]): add_into({}, v, ksign(deg(names[i])))
+                   for (i, j), v in ops[2].items()}
     if not Tabulation(ss, bracket=out.bracket, shift=0).add_laws(rep, BRACKET_LAWS):
         return out
 
+    def swap(tup, p):
+        return tup[:p] + (tup[p + 1], tup[p]) + tup[p + 2:]
+
     def symmetry_witness():
-        # inputs carry their marked degree, one more than the file degree;
-        # adjacent swaps generate all permutations, so sorted input tuples
-        # suffice.  Arity 2 is the antisymmetry just passed: with [a,b] =
-        # (-1)^|a| op(a,b) it reads op(b,a) = (-1)^((|a|+1)(|b|+1)) op(a,b)
+        # inputs carry their marked degree, one more than the file degree,
+        # and adjacent swaps generate all permutations.  Arity 2 is the
+        # antisymmetry just passed: with [a,b] = (-1)^|a| op(a,b) it reads
+        # op(b,a) = (-1)^((|a|+1)(|b|+1)) op(a,b).  A swap with both sides 0
+        # passes, so only the pairs with a side in ops[k] are walked, in the
+        # order of a walk over every tuple.
         for k in range(3, max_arity + 1):
-            for tup in itertools.product(ss.names, repeat=k):
-                for p in range(k - 1):
-                    swapped = tup[:p] + (tup[p + 1], tup[p]) + tup[p + 2:]
-                    sign = ksign((deg(tup[p]) + 1) * (deg(tup[p + 1]) + 1))
-                    lhs = op_value(swapped)
-                    rhs = add_into({}, op_value(tup), sign)
-                    if lhs != rhs:
-                        args = " ".join(swapped)
-                        return (f"op({args}) = {ss.render(lhs)}, "
-                                f"expected {ss.render(rhs)}")
+            op = ops[k]
+            for tup, p in sorted({(u, p) for w in op for p in range(k - 1)
+                                  for u in (w, swap(w, p))}):
+                swapped = swap(tup, p)
+                sign = ksign((deg(names[tup[p]]) + 1) * (deg(names[tup[p + 1]]) + 1))
+                lhs = op.get(swapped, {})
+                rhs = add_into({}, op.get(tup, {}), sign)
+                if lhs != rhs:
+                    args = " ".join(names[i] for i in swapped)
+                    return (f"op({args}) = {ss.render(lhs)}, "
+                            f"expected {ss.render(rhs)}")
         return None
 
     if not rep.add("inputs are graded symmetric", symmetry_witness()):
         return out
 
-    out.reps = {k: CoderivationRep.from_operation(ss, k, op_value)
-                for k in range(2, max_arity + 1)}
+    out.reps = {k: CoderivationRep.from_operation(ss, k, op) for k, op in ops.items()}
     return out

@@ -175,18 +175,6 @@ def test_symmetry_mutant_witness(data_path, tmp_path, capsys):
 
 
 
-def test_late_arity_4_symmetry_witness(tmp_path, capsys):
-    path = tmp_path / "late.struct"
-    path.write_text(LATE_ARITY_4, encoding="utf-8")
-    assert main(["verify", "string-brackets", "--structure", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["verify", "string-brackets", "--structure", str(path),
-                 "--arities", "2,3,4"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[5] == ("check inputs are graded symmetric: "
-                        "FAIL op(s s s r) = t, expected 0")
-
-
 # Sixteen basis names with no structure, ahead of the names that fail, so
 # that a table's first failing tuple comes late in the walk.
 PADDING = "".join(f"basis p_{i} 0\n" for i in range(16))
@@ -338,6 +326,7 @@ INPUTS = {
     "model duplicate generator": "gen x 2\ngen x 3\n",
     "surface second generators line": "generators a\ngenerators b\ncyclic-order a a^-\n",
     "d unexpected character": "gen x 2\ngen y 3\nd y = x$\n",
+    "struct no basis lines": "sbasis s -1\n",
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -683,12 +672,16 @@ CLI_GOLDEN = [
     ("struct long coefficient", ("verify", "bv", "--structure", "{f}"), 2,
      EMPTY,
      "c7199d0a1e0f7cc8b2bea2d34780452a0449aa2395ddb2986448e66ec4c4362d"),
+    # three more exit-2 messages of the model, surface and element parsers
     ("model duplicate generator", ("betti", "--model", "{f}"), 2,
      EMPTY, "07d3fce66c056c4268b92ea05ca9b4ea8cf8bff5f218dd3c156b8d0cef4c5d1d"),
     ("surface second generators line", ("goldman", "--surface", "{f}", "--a", "a", "--b", "a"), 2,
      EMPTY, "3edec0c844bded8fa0882b5150bb59d46e8d45c3c5d9818359e2bbc9c7fcd3c3"),
     ("d unexpected character", ("betti", "--model", "{f}"), 2,
      EMPTY, "a45ec33ddd03015b3cc6e2337fa9f00c1a3fa11899d4ccb55777ab632f9f7674"),
+    # a structure file without a basis line, whose message once named line 0
+    ("struct no basis lines", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "ca19a4d71ff0e2a5c8399f32cdc1858c0392db6b89c92d013d280a8cd8c1f68e"),
     (None, ("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "0"), 2,
      EMPTY,
      "f42408d67433934ff716963f71d6224e60acf34a35226afcf2417724182f8346"),
