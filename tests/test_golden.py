@@ -29,6 +29,7 @@ for a deliberate report change, and say why.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -342,6 +343,29 @@ LONG_60 = (
     "c^- a d^- c d a c^- d^- d^- d^-"
 )
 
+
+def _genus2_word(seed, length):
+    """A cyclically reduced word of exactly length letters on genus2.fat,
+    drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    alphabet = [t for g in "abcd" for t in (g, g + "^-")]
+
+    def inverse(t):
+        return t[:-2] if t.endswith("^-") else t + "^-"
+
+    word = []
+    while len(word) < length:
+        banned = {inverse(word[-1])} if word else set()
+        if len(word) == length - 1:
+            banned.add(inverse(word[0]))
+        word.append(rng.choice([t for t in alphabet if t not in banned]))
+    return " ".join(word)
+
+
+# words of 60 and 120 letters, the lengths of the benchmark's bracket pair
+GENUS2_60 = _genus2_word(60, 60)
+GENUS2_120 = _genus2_word(120, 120)
+
 # (input from INPUTS or None, command with {d} for tests/data, {f} for the
 # input and {t} for the temporary directory, exit code, sha256 of stdout,
 # sha256 of stderr); both streams are hashed with the paths put back as
@@ -360,7 +384,9 @@ LONG_60 = (
 # pin the line that names a number past the digit limit, where a
 # traceback once exited 1.  The marked-point rows at arities up to 4 and
 # 5 were recorded before the operations were tabulated over nonzero
-# prefix products only.
+# prefix products only; the 60- and 120-letter goldman rows, the max-len
+# 16 fuzz and the near-power rows before the bracket read its crossing
+# signs from per-surface rows.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -411,6 +437,20 @@ CLI_GOLDEN = [
     (None, ("jacobi-fuzz", "--surface", "{d}/genus2.fat", "--trials", "100", "--max-len", "10"), 0,
      "9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2",
      EMPTY),
+    # words of 60 and 120 letters in both orders, a fuzz out to 16 letters,
+    # and near-powers whose shared run spans a whole word, so that the term
+    # is reduced whole
+    (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", GENUS2_60, "--b", GENUS2_120), 0,
+     "371b25155c4aeab6a5af632fdd68a3fb8f2148dfa39130a45d6f8cb9542f75b6", EMPTY),
+    (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", GENUS2_120, "--b", GENUS2_60), 0,
+     "7103fc685bf7e2d4bfb4523e4f1a5bc5670c959eda284496ade663a47976737e", EMPTY),
+    (None, ("jacobi-fuzz", "--surface", "{d}/genus2.fat", "--trials", "20", "--max-len", "16",
+            "--seed", "1"), 0,
+     "9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2", EMPTY),
+    (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", "a a a a a b", "--b", "a^- a^- a^-"), 0,
+     "863731b24a84c936db64e40ac20a10fe1199d3e1be0c2e3b84c34f472d9c591e", EMPTY),
+    (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", "a^- a^- a^-", "--b", "a a a a a b"), 0,
+     "63651a133536344be967111557c2450139ee8991a16b64c71122e9a747dca35a", EMPTY),
     (None, ("loop-model", "--model", "{d}/s2.min"), 0,
      "d1e01ff03410714cea0d1c57931a8b672d76e80e7efc90b776b109399563db7f",
      EMPTY),
