@@ -19,7 +19,10 @@ strands that share a run of bands would be detected once per shared vertex,
 so pairs whose overlap extends backward are skipped: every geometric
 crossing is counted exactly once, at the visit where the overlap starts.
 That skip also covers words that run along the same periodic line, which
-can be made disjoint and contribute nothing.
+can be made disjoint and contribute nothing.  Save for walks along shared
+runs, a visit depends only on the letters on both sides of each basepoint,
+so the surface keeps one row of outcomes per such pair of w, built on first
+use, and a bracket reads all of v's positions from it with one translate.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class FatGraph:
     ranks compare like token sequences; words are stored so.  A rank's
     token is ``tok``, its letter ``letter_of``, its inverse's rank ``inv``
     (``inv_table`` for ``str.translate``), and the position of its
-    half-edge in the cyclic order ``at``.
+    half-edge in the cyclic order ``at``; ``rows`` keeps _crossing_row's.
     """
 
     def __init__(self, names, order):
@@ -98,6 +101,7 @@ class FatGraph:
         self.inv = {r: self.rank[-x] for x, r in self.rank.items()}
         self.inv_table = str.maketrans(self.inv)
         self.at = {self.rank[x]: k for k, x in enumerate(order)}
+        self.rows = {}
 
     def token(self, letter):
         name = self.names[abs(letter) - 1]
@@ -239,17 +243,17 @@ def _same_surface(g, h):
     return g is h or (g.order == h.order and g.names == h.names)
 
 
-def _least_rotation(key):
-    """The least rotation of a string.  Only positions holding its least
-    character can start it; their rotations are compared as slices of the
-    doubled string, in C: quadratic for a power of one letter, yet faster
-    than Booth's or Duval's linear loop in Python on words of a few
-    hundred letters."""
+def _least_rotation(key, low=None):
+    """The least rotation of a string; low, if given, is its least
+    character.  Only positions holding that character can start it; their
+    rotations are compared as slices of the doubled string, in C: quadratic
+    for a power of one letter, yet faster than Booth's or Duval's linear
+    loop in Python on words of a few hundred letters."""
     if not key:
         return key
     n = len(key)
     twice = key + key
-    low = min(key)
+    low = low or min(key)
     r = key.index(low)
     least = twice[r:r + n]
     while True:
@@ -286,51 +290,77 @@ def goldman_bracket(w, v):
     return {_wrap(graph, term): c for term, c in _bracket(graph, w.key, v.key).items()}
 
 
+def _pair_codes(graph, key):
+    """Per position of a key, its forward and backward letters f, b as size*f + b."""
+    size = graph.size
+    backs = (key[-1:] + key[:-1]).translate(graph.inv_table)
+    return "".join([chr(size * ord(f) + ord(b)) for f, b in zip(key, backs)])
+
+
+def _crossing_row(graph, code):
+    """Outcomes of the visits from a position of w whose pair code is code
+    (fa, ba), one per pair code (fb, bb) of v's position; kept in graph.rows.
+    '.': no term, as the overlap extends backward (a crossing is counted
+    where the overlap starts) or fb and bb lie on one side of the chord
+    fa-ba.  '+', '-': a term of that sign.  'F', 'f' where fb is fa and 'B',
+    'b' where bb is: _pair_order places that ray, and there is a term where
+    it lies opposite the other, upper case where the term's sign is +1.  No
+    reduced word has a pair with fb == bb."""
+    size, at = graph.size, graph.at
+    fa, ba = map(chr, divmod(ord(code), size))
+    pa, side = at[fa], (at[ba] - at[fa]) % size
+    sign = {x: 1 if (at[x] - pa) % size < side else -1 for x in at}
+    cells = []
+    for fb, bb in (map(chr, divmod(c, size)) for c in range(size * size)):
+        if ba == bb or ba == fb:
+            cells.append(".")
+        elif fa == fb:
+            cells.append("F" if sign[bb] < 0 else "f")
+        elif fa == bb:
+            cells.append("B" if sign[fb] > 0 else "b")
+        else:
+            o1, o2 = sign[fb], sign[bb]
+            cells.append("." if o1 == o2 else "+" if o1 > 0 else "-")
+    row = graph.rows[code] = "".join(cells)
+    return row
+
+
 def _bracket(graph, a, b):
     """[a, b] for the keys of two classes of graph, as {key: coefficient}
     with no zero coefficient."""
     m, n = len(a), len(b)
     # the ray along v backward from position j reads ib forward from n - j
     ib = b[::-1].translate(graph.inv_table)
-    inv, at, size = graph.inv, graph.at, graph.size
     tails = [b[j:] + b[:j] for j in range(n)]
-    backs = [inv[b[j - 1]] for j in range(n)]
+    codes = _pair_codes(graph, b)
     acc = {}
     limit = 2 * (m + n) + 4
     short = min(m, n)
-    for i in range(m):
-        fa = a[i]
-        ba = inv[a[i - 1]]
-        pa = at[fa]
-        side = (at[ba] - pa) % size
+    low = min(a + b, default="")
+    for i, code in enumerate(_pair_codes(graph, a)):
         head = a[i:] + a[:i]
-        for j, fb, bb, tail in zip(range(n), b, backs, tails):
-            # skip visits where the strand overlap extends backward: the
-            # crossing, if any, is counted where the overlap starts
-            if ba == bb or ba == fb:
+        row = graph.rows.get(code) or _crossing_row(graph, code)
+        for j, cell in enumerate(codes.translate(row)):
+            if cell == ".":
                 continue
-            # orientations of (fa, fb, ba) and (fa, bb, ba): a first letter
-            # distinct from fa is placed by its side of the chord fa-ba, one
-            # equal to fa by where its ray leaves the ray along w
-            if fa == fb:
-                o1 = _pair_order(graph, a, i, b, j, limit)[0]
-            else:
-                o1 = 1 if (at[fb] - pa) % size < side else -1
-            if fa == bb:
+            o = 1 if cell in "+FB" else -1
+            k = 0
+            if cell in "Ff" and _pair_order(graph, a, i, b, j, limit)[0] != o:
+                continue
+            elif cell in "Bb":
                 o2, k = _pair_order(graph, a, i, ib, n - j, limit)
+                if o2 == o:
+                    continue
+            # v's backward ray runs along w for k letters, which cancel where v
+            # ends and w starts (nothing cancels where w ends, as ba != fb): the
+            # cut term is reduced unless k spans a word; an uncut one holds low
+            if not k:
+                term = _least_rotation(head + tails[j], low)
+            elif k < short:
+                term = _least_rotation(head[k:] + tails[j][:n - k])
             else:
-                o2 = 1 if (at[bb] - pa) % size < side else -1
-                k = 0
-            if o1 == o2:
-                continue
-            # the ray along v backward runs along w for k letters: they cancel
-            # where v ends and w starts, nothing cancels where w ends (ba !=
-            # fb), so cutting them leaves the term reduced unless k spans a word
-            if k < short:
-                term = _least_rotation(head[k:] + tail[:n - k])
-            else:
-                term = _canonical(graph, map(graph.letter_of.__getitem__, head + tail))
-            c = acc.pop(term, 0) + o1
+                term = _canonical(graph, map(graph.letter_of.__getitem__, head + tails[j]))
+            c = acc.pop(term, 0) + o
             if c:
                 acc[term] = c
     return acc

@@ -328,6 +328,18 @@ INPUTS = {
     "surface second generators line": "generators a\ngenerators b\ncyclic-order a a^-\n",
     "d unexpected character": "gen x 2\ngen y 3\nd y = x$\n",
     "struct no basis lines": "sbasis s -1\n",
+    "d slash before name": "gen x 2\ngen y 3\nd y = 1/x\n",
+    "d for undeclared generator": "gen x 2\nd y = x\n",
+    "surface unrecognized declaration": "generators a\nedges a a^-\n",
+    "surface missing generators": "cyclic-order a a^-\n",
+    "struct unreadable term": "basis a 0\nproduct a a = $\n",
+    "struct unknown name in value": "basis a 0\nproduct a a = c\n",
+    "struct dangling sign": "basis a 0\nproduct a a = a +\n",
+    "struct empty combination": "basis a 0\nproduct a a =\n",
+    "struct bad degree": "basis a x\n",
+    "struct unrecognized declaration": "basis a 0\nfrob a\n",
+    "struct E without sbasis": "basis a 0\nE a = a\n",
+    "struct duplicate entry": "basis a 0\nproduct a a = a\nproduct a a = a\n",
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -722,6 +734,31 @@ CLI_GOLDEN = [
     # a structure file without a basis line, whose message once named line 0
     ("struct no basis lines", ("verify", "bv", "--structure", "{f}"), 2,
      EMPTY, "ca19a4d71ff0e2a5c8399f32cdc1858c0392db6b89c92d013d280a8cd8c1f68e"),
+    # raise sites that no other row reached, one row each
+    ("d slash before name", ("betti", "--model", "{f}"), 2,
+     EMPTY, "de25fa622c252fc14c76a5ecb021d2f212eb31e3ac5adc900bb1e44fc1fbd100"),
+    ("d for undeclared generator", ("betti", "--model", "{f}"), 2,
+     EMPTY, "06c2f58a78e763452b082c999b645895de3bd54a95b4102be9b13f0327630e50"),
+    ("surface unrecognized declaration", ("goldman", "--surface", "{f}", "--a", "a", "--b", "a"), 2,
+     EMPTY, "9c3833a879901680152565536f780b1e9f65e24af9ac742fb8b4b0e7dd12d77c"),
+    ("surface missing generators", ("goldman", "--surface", "{f}", "--a", "a", "--b", "a"), 2,
+     EMPTY, "7820e296522a969e1a040c24147137f4468405a029529121f673552980960b6d"),
+    ("struct unreadable term", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "4a0dc71a247761a7d9ecd6c2f1d49a566333f0453d4195d1d15420e7465e905f"),
+    ("struct unknown name in value", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "48bf241ace9dfcd121dc4cd85ae3e9bbae2354d616a7185c3020b03131b2964c"),
+    ("struct dangling sign", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "c74f5071faf534e2dbf04f562c45fcd1464685acbecb19d3afbb5310e16c04dc"),
+    ("struct empty combination", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "72e812f783085edcefb05ede054a90c2f3a697b910e251d737b70cb0ec5db76e"),
+    ("struct bad degree", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "75428e93aed4c364ec152e2b9d54b2a4060416777bc942e8d67e0b2a8844b59d"),
+    ("struct unrecognized declaration", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "eea47b0ba671daf6fe29a6fa10072ac4eab3d8e54130044a2d15b08f85648d33"),
+    ("struct E without sbasis", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "11b30143f874baf5b11e9090299175bd4dd93a82e4148dfc5b5839cdb9d1820b"),
+    ("struct duplicate entry", ("verify", "bv", "--structure", "{f}"), 2,
+     EMPTY, "b115fa26730dc27f2f98896d442a83c62e16b5cf9760bd82af4b631fa2828721"),
     (None, ("jacobi-fuzz", "--surface", "{d}/torus.fat", "--trials", "0"), 2,
      EMPTY,
      "f42408d67433934ff716963f71d6224e60acf34a35226afcf2417724182f8346"),

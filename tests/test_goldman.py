@@ -430,6 +430,49 @@ def test_bracket_matches_reference(torus, genus2, annulus):
     assert goldman_bracket(a, b) == {torus.word("b"): 1}
 
 
+def _run_word(graph, rng, root, most):
+    """A reduced word of root repeated 2 to most times, inverted or not,
+    then up to 3 random letters: strands on it share long runs with any
+    other word built on the same root."""
+    letters = root if rng.random() < 0.5 else tuple(-x for x in reversed(root))
+    tail = random_reduced_cyclic_word(graph, rng, 3).letters[:rng.randint(0, 3)]
+    return CyclicWord(graph, letters * rng.randint(2, most) + tail)
+
+
+def test_long_words_match_reference(genus2, monkeypatch):
+    # words of 20-60 letters and words built from long repeated runs on
+    # genus 2, then random surfaces on up to 6 generators; every shared
+    # run is walked by _pair_order, whose longest walk is recorded
+    walks = []
+    pair_order = goldman._pair_order
+
+    def recorded(*args):
+        out = pair_order(*args)
+        walks.append(out[1])
+        return out
+
+    monkeypatch.setattr(goldman, "_pair_order", recorded)
+    rng = random.Random(43)
+    pairs = []
+    for _ in range(10):
+        pairs.append((genus2, long_word(genus2, rng, 20), long_word(genus2, rng, 20)))
+    for _ in range(20):
+        root = random_reduced_cyclic_word(genus2, rng, 3).letters
+        pairs.append((genus2, _run_word(genus2, rng, root, 12), _run_word(genus2, rng, root, 12)))
+    for n in range(1, 7):
+        order = [s * k for k in range(1, n + 1) for s in (1, -1)]
+        rng.shuffle(order)
+        graph = FatGraph("abcdef"[:n], order)
+        for _ in range(6):
+            root = random_reduced_cyclic_word(graph, rng, 4).letters
+            pairs.append((graph, random_reduced_cyclic_word(graph, rng, 30),
+                          _run_word(graph, rng, root, 6)))
+    for graph, u, v in pairs:
+        want = reference_bracket(graph, u.letters, v.letters)
+        assert {term.letters: c for term, c in goldman_bracket(u, v).items()} == want, (u, v)
+    assert max(walks) >= 12, max(walks)
+
+
 def test_traced_commands_read_words(data_path):
     # bench/tracing.py counts the letters handed to CyclicWord.__init__ and
     # reads .letters of both bracket arguments; a traced run must not fail
@@ -450,3 +493,28 @@ def test_traced_commands_read_words(data_path):
     )
     # the span covers the direct bracket only: the fuzz brackets keys
     assert run.stdout.splitlines()[-1] == "[0, 0] 14 1"
+
+
+def test_crossing_rows_stay_bounded(data_path):
+    # a surface builds no row until a bracket needs one, and then at most
+    # one per ordered pair of distinct letters, of one outcome per pair
+    genus2 = load_fat_graph(data_path("genus2.fat"))
+    assert genus2.rows == {}
+    genus2.word("a b c d")
+    assert genus2.rows == {}
+    assert jacobi_fuzz(genus2, trials=40, max_len=10, seed=1) is None
+    size = genus2.size
+    assert 0 < len(genus2.rows) <= size * (size - 1)
+    assert all(len(row) == size * size for row in genus2.rows.values())
+
+
+@pytest.mark.parametrize("order", [(1, -1), (-1, 1)])
+def test_one_generator_surface_matches_reference(order):
+    graph = FatGraph(["a"], order)
+    rng = random.Random(47)
+    for _ in range(30):
+        u = random_reduced_cyclic_word(graph, rng, 8)
+        v = random_reduced_cyclic_word(graph, rng, 8)
+        got = {term.letters: c for term, c in goldman_bracket(u, v).items()}
+        assert got == reference_bracket(graph, u.letters, v.letters), (u, v)
+    assert len(graph.rows) <= 2 and all(len(row) == 4 for row in graph.rows.values())
