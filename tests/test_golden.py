@@ -6,8 +6,9 @@ other subcommand is pinned by stdout, stderr and exit code in CLI_GOLDEN:
 `goldman` and `jacobi-fuzz` on the three surfaces, `loop-model` and
 `string-model` on the four models, `verify bv` and `verify gerstenhaber`
 on every structure file and on the 40-element circle table, two tables
-whose first failure is an arity-3 law late in the walk, the same two with
-fractional constants, five tables that each fail one degree line, and one
+whose first failure is an arity-3 law late in the walk, three edits of
+the circle table whose first failure has a nonzero right side, the same
+five with fractional constants, five tables that each fail one degree line, and one
 command per unusable input that exits 2; `verify string-brackets` and
 `verify coderivations` on one table with fractional components whose m2
 and m3 fail to anticommute, on the 40-element circle table and the torus
@@ -233,10 +234,31 @@ def _scaled(text, factors):
         kind = line.split()[0]
         if kind in factors and not line.endswith(" = 0"):
             lhs, rhs = line.split(" = ")
-            sign = -1 if rhs.startswith("-") else 1
-            line = f"{lhs} = {sign * factors[kind]}*{rhs.lstrip('-')}"
+            coeff, _, name = rhs.rpartition("*")
+            if not coeff and name.startswith("-"):
+                coeff, name = "-1", name[1:]
+            line = f"{lhs} = {Fraction(coeff or 1) * factors[kind]}*{name}"
         lines.append(line + "\n")
     return "".join(lines)
+
+
+def _circle_with(entries):
+    """circle_structure(4) with the right side of each entry named in
+    entries, by its left side, replaced."""
+    lines = []
+    for line in circle_structure(4).splitlines():
+        lhs = line.partition(" = ")[0]
+        lines.append(f"{lhs} = {entries[lhs]}\n" if lhs in entries else line + "\n")
+    return "".join(lines)
+
+
+# Edits of the winding-4 circle whose first failing tuple has a nonzero
+# right side: delta(A_4) = 2*T_0 on all three deviation laws, and two
+# antisymmetric bracket pairs that break the Jacobi identity and the
+# Leibniz rule.
+DELTA_EDIT = _circle_with({"delta A_4": "2*T_0"})
+JACOBI_EDIT = _circle_with({"bracket T_2 A_0": "2*T_3", "bracket A_0 T_2": "-2*T_3"})
+LEIBNIZ_EDIT = _circle_with({"bracket A_3 A_1": "-A_4", "bracket A_1 A_3": "A_4"})
 
 
 # A product table alone: every check that needs another table, or an
@@ -247,7 +269,9 @@ NO_TABLES = "basis a 0\nproduct a a = a\n"
 # Inputs written to a temporary file {f}: the 40-element circle table; the
 # two tables whose first failure is an arity-3 law late in the walk, as
 # they are and with their constants scaled by non-integer rationals, so
-# that the witness coefficients are fractions; a marked-point table whose
+# that the witness coefficients are fractions; three edits of the circle
+# table whose first failure has a nonzero right side, the same two ways; a
+# marked-point table whose
 # m2 and m3, with fractional components, fail to anticommute; the
 # 40-element circle table and a table whose graded symmetry fails first
 # at arity 4, for the marked-point operations; five
@@ -269,6 +293,14 @@ INPUTS = {
     "rational late jacobi": _scaled(LATE_JACOBI, {"bracket": Fraction(2, 3)}),
     "rational third-order delta": _scaled(
         THIRD_ORDER_DELTA, {"product": Fraction(2, 3), "delta": Fraction(-5, 7)}),
+    "circle delta edit": DELTA_EDIT,
+    "circle jacobi edit": JACOBI_EDIT,
+    "circle leibniz edit": LEIBNIZ_EDIT,
+    "rational circle delta edit": _scaled(
+        DELTA_EDIT, {"product": Fraction(2, 3), "delta": Fraction(-5, 7)}),
+    "rational circle jacobi edit": _scaled(JACOBI_EDIT, {"bracket": Fraction(2, 3)}),
+    "rational circle leibniz edit": _scaled(
+        LEIBNIZ_EDIT, {"product": Fraction(-3, 4), "bracket": Fraction(2, 3)}),
     "rational m2 m3 string-brackets": RATIONAL_M2_M3,
     "rational m2 m3 coderivations": RATIONAL_M2_M3,
     "rescaled s2xs3 betti": RESCALED_S2XS3,
@@ -398,7 +430,8 @@ GENUS2_120 = _genus2_word(120, 120)
 # 5 were recorded before the operations were tabulated over nonzero
 # prefix products only; the 60- and 120-letter goldman rows, the max-len
 # 16 fuzz and the near-power rows before the bracket read its crossing
-# signs from per-surface rows.
+# signs from per-surface rows; the circle edit rows before combinations
+# were accumulated in place.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -549,6 +582,19 @@ CLI_GOLDEN = [
     ("rational third-order delta", ("verify", "bv", "--structure", "{f}"), 1,
      "259cbca92b6cd6bcd97c38ba3cab37a7c4069fc4efa47dd0067924697cdde90c",
      EMPTY),
+    # failures whose right side is not zero
+    ("circle delta edit", ("verify", "bv", "--structure", "{f}"), 1,
+     "7c958cb02793befb84d49c2ac905304df1318ea3c52ce8091778da6b604eb761", EMPTY),
+    ("circle jacobi edit", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
+     "4791ab1580c339599f7c10485e01f45cc32a12dea01796d5fdbfe208dbceae43", EMPTY),
+    ("circle leibniz edit", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
+     "492d91baad4bbeda5cc03888c4b17da9e72ef127f64878467c1c907f8b2f1352", EMPTY),
+    ("rational circle delta edit", ("verify", "bv", "--structure", "{f}"), 1,
+     "f3eb6dc67917e74a39c813ba6038e5de666e8f942f669aa317f9d6a6e2da64b5", EMPTY),
+    ("rational circle jacobi edit", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
+     "2daa87911ead0843b890c6c825958f46b14d5ca1e8ec1a73b2d56ccba7411392", EMPTY),
+    ("rational circle leibniz edit", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
+     "6929daff09ec70ef446f151e1e519d994231fee71b2fef9daa82b84d1d4d471f", EMPTY),
     ("rational m2 m3 string-brackets", ("verify", "string-brackets", "--structure", "{f}"), 0,
      "65e69cb042c9fa7d6e90065125a49b8203efc9b44c72095c20fd7cdcec8095b8",
      EMPTY),
