@@ -9,6 +9,10 @@ input file.
 
 A combination is a dict key -> coefficient that never stores a zero, so
 two combinations are equal exactly when they are equal as dicts.
+add_into and apply_map add a scaled combination, or a linear map's image
+of one, into an accumulator the caller passes, in one pass and with no
+intermediate dict, so a composite such as g(f(x)) sums straight into its
+result.
 
 An identity of arity k is a method of Tabulation that takes the first k-1
 names of a basis tuple and returns both sides for every last name, as
@@ -79,24 +83,17 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def add_into(acc, combo, scale=1):
-    """acc += scale * combo, in place, dropping every coefficient that is
-    or becomes zero; returns acc."""
-    if scale == 1:
-        terms = combo.items()
-    elif scale == -1:
-        terms = [(key, -v) for key, v in combo.items()]
-    elif scale:
-        terms = [(key, scale * v) for key, v in combo.items()]
-    else:
-        return acc
-    for key, v in terms:
-        c = acc.get(key)
-        if c is not None:
-            v = c + v
-        if v:
-            acc[key] = v
-        else:
-            acc.pop(key, None)
+    """acc += scale * combo, in place and in one pass over combo, dropping
+    every coefficient that is or becomes zero; returns acc.  acc must not
+    be combo, whose items the pass reads while it writes acc."""
+    if scale:
+        get = acc.get
+        for key, v in combo.items():
+            v = get(key, 0) + scale * v
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
     return acc
 
 
@@ -117,16 +114,18 @@ def ksign(e):
     return -1 if e % 2 else 1
 
 
-def apply_map(f, combo):
-    """The linear map taking each key x to the combination f(x), on a
-    combination; f(x) may be empty or None for zero.  f is a table's get,
-    a list's __getitem__ or an image function."""
-    out = {}
+def apply_map(f, combo, acc=None, scale=1):
+    """acc += scale * F(combo), in place, where F is the linear map taking
+    each key x to the combination f(x); returns acc, a new dict when acc
+    is None.  f(x) may be empty or None for zero; f is a table's get, a
+    list's __getitem__ or an image function.  acc must not be combo."""
+    if acc is None:
+        acc = {}
     for x, cx in combo.items():
         row = f(x)
         if row:
-            add_into(out, row, cx)
-    return out
+            add_into(acc, row, scale * cx)
+    return acc
 
 
 class CheckReport:
@@ -177,7 +176,7 @@ def _mix(acc, rows, combo, sign=1):
 def _compose(acc, f, rows, sign=1):
     """acc[c] += sign * f(rows[c]) for every c of rows; f as in apply_map."""
     for c, combo in rows.items():
-        add_into(acc.setdefault(c, {}), apply_map(f, combo), sign)
+        apply_map(f, combo, acc.setdefault(c, {}), sign)
     return acc
 
 
@@ -284,8 +283,8 @@ class Tabulation:
         rhs = _compose({}, prod[a].get, dev[b])
         # dev(a,c)*b, whose sign depends on c
         for c, combo in dev[a].items():
-            add_into(rhs.setdefault(c, {}), apply_map(lambda x: prod[x].get(b), combo),
-                     ksign(deg[b] * (deg[c] + 1)))
+            apply_map(lambda x: prod[x].get(b), combo, rhs.setdefault(c, {}),
+                      ksign(deg[b] * (deg[c] + 1)))
         return _nonzero(_mix({}, dev, prod[a].get(b, {}))), _nonzero(rhs)
 
     def second_arg(self, a, b):

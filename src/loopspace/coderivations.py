@@ -215,7 +215,7 @@ def coderivation_relations(reps, word_len, names):
         def of(word):
             acc = {}
             for outer, inner in pairs:
-                add_into(acc, apply_map(image[outer], image[inner](word)))
+                apply_map(image[outer], image[inner](word), acc)
             return acc
         return _residue_witness(words, of, names, scale ** 2)
 

@@ -23,7 +23,11 @@ kept as it was written before it became one pass: a term parser beside
 a sum parser, with a GradedElement per factor.  The deviation bracket of
 a BV table and the truncated Euler identity, which only tests use, are
 kept here too, with a rational change of basis of a structure table and a
-switch that runs the checkers on Fractions throughout.
+switch that runs the checkers on Fractions throughout.  Every combination
+here is added by this module's own add_into, which forms all the sums
+before it drops the zeros, where the library's add_into and apply_map add
+in one pass into the caller's accumulator; the reference shares no
+combination arithmetic with the code it checks.
 """
 
 import functools
@@ -33,8 +37,7 @@ import re
 from fractions import Fraction
 
 from loopspace import checks, coderivations
-from loopspace.checks import IDENTITIES, add_into, ksign
-from loopspace.checks import apply_map as apply_table
+from loopspace.checks import IDENTITIES, ksign
 from loopspace.gca import AlgebraError, Derivation, ElementSyntaxError, GradedElement
 from loopspace.goldman import (
     CyclicWord,
@@ -44,6 +47,25 @@ from loopspace.goldman import (
 )
 from loopspace.homology import ChainMap, ChainMapError
 from loopspace.structures import StructureError, StructureTable
+
+
+def add_into(acc, combo, scale=1):
+    """acc += scale * combo in exact arithmetic: every sum formed first,
+    then the keys whose sums are zero deleted; returns acc."""
+    for key, v in combo.items():
+        acc[key] = acc.get(key, 0) + scale * v
+    for key in [key for key in combo if not acc[key]]:
+        del acc[key]
+    return acc
+
+
+def apply_table(f, combo):
+    """The linear map taking each key x to the combination f(x), or to
+    zero where f(x) is empty or None, on a combination."""
+    out = {}
+    for x, cx in combo.items():
+        add_into(out, f(x) or {}, cx)
+    return out
 
 
 def reference_basis(alg, n):

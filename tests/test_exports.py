@@ -3,7 +3,9 @@ deletion cannot leave a dangling entry in an ``__all__``; the runtime
 imports nothing outside the standard library, and no module of it imports
 a private name of another; every error class it defines for unusable
 input derives from the one InputError that the command line turns into
-exit 2; and every file error that names a line is a LineError."""
+exit 2; every file error that names a line is a LineError; and
+tests/reference.py imports no combination helper, so that it stays an
+independent oracle for them."""
 
 import ast
 import importlib
@@ -74,6 +76,19 @@ def test_no_module_imports_a_private_name_of_another():
             ):
                 private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_reference_imports_no_combination_helper():
+    # tests/reference.py is the oracle for the combination arithmetic of
+    # loopspace.checks, so it keeps its own add and apply
+    helpers = {"add_into", "apply_map"}
+    tree = ast.parse((pathlib.Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    shared = [a.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("loopspace")
+              for a in node.names if a.name in helpers]
+    shared += [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in helpers]
+    assert shared == []
 
 
 @pytest.mark.parametrize("parse, family, text, line", [

@@ -9,7 +9,9 @@ import pytest
 from conftest import DATA_DIR, circle_structure
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import add_into as reference_add
 from reference import (
+    apply_table,
     derived_bracket,
     reference_symmetry_witness,
     reference_witness,
@@ -24,6 +26,8 @@ from loopspace.checks import (
     IDENTITIES,
     PRODUCT_LAWS,
     Tabulation,
+    add_into,
+    apply_map,
     integral,
 )
 from loopspace.structures import (
@@ -540,6 +544,46 @@ def test_identities_match_reference_on_rational_tables(name, data_path):
         witnesses += [got for _, got, _ in rows if got is not None]
     assert len(witnesses) >= 10
     assert any("/" in w for w in witnesses)
+
+
+@st.composite
+def accumulations(draw):
+    """(acc, combo, scale, table) over four keys: two combinations with
+    int and Fraction coefficients, where acc holds -scale times combo on
+    some keys so that those pairs cancel, and a table taking a key to a
+    combination, to {} or to None, or leaving it out."""
+    keys = st.sampled_from("abcd")
+    coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)])
+    combo = draw(st.dictionaries(keys, coeffs, max_size=4))
+    acc = draw(st.dictionaries(keys, coeffs, max_size=4))
+    scale = draw(st.sampled_from([0, 1, -1, 3, Fraction(-3, 2)]))
+    if combo and scale:
+        for key in draw(st.sets(st.sampled_from(sorted(combo)))):
+            acc[key] = -scale * combo[key]
+    rows = st.one_of(st.none(), st.just({}), st.dictionaries(keys, coeffs, min_size=1, max_size=3))
+    return acc, combo, scale, draw(st.dictionaries(keys, rows))
+
+
+@given(accumulations())
+@settings(max_examples=300)
+def test_combination_helpers_match_reference(case):
+    # add_into and apply_map add in one pass into the caller's accumulator;
+    # the reference forms every sum first and drops the zeros after
+    acc, combo, scale, table = case
+    f = table.get
+    before = dict(combo)
+    want = reference_add(dict(acc), combo, scale)
+    got = add_into(dict(acc), combo, scale)
+    assert got == want and 0 not in got.values()
+    into = dict(acc)
+    assert add_into(into, combo, scale) is into
+    assert apply_map(f, combo) == apply_table(f, combo)
+    want = reference_add(dict(acc), apply_table(f, combo), scale)
+    into = dict(acc)
+    got = apply_map(f, combo, into, scale)
+    assert got is into and got == want and 0 not in got.values()
+    assert got == add_into(dict(acc), apply_map(f, combo), scale)
+    assert combo == before
 
 
 def test_identities_are_homogeneous_of_their_degree():
