@@ -252,9 +252,7 @@ def _coproduct_witness(rep, image, words, names, scale):
         # word and on both blocks of every split, so both sides are 0
         if not any(sub in rep.comps for sub in itertools.combinations(word, rep.k)):
             continue
-        lhs = {}
-        for w2, c in image(word).items():
-            add_into(lhs, coproduct(w2, sdegs), c)
+        lhs = apply_map(lambda w2: coproduct(w2, sdegs), image(word))
         rhs = {}
         for (left, right), s in coproduct(word, sdegs).items():
             for w2, c in image(left).items():

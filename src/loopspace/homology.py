@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .checks import InputError, add_into, apply_map
+from .checks import InputError, apply_map
 from .gca import GradedElement
 from .linalg import MatrixSlice, SpanTracker
 
@@ -217,11 +217,8 @@ def verify_chain_map(f, cutoff):
         d_tgt = tgt.slice(n + f.degree).column_vectors()
         d_src = src.slice(n).column_vectors()
         for j, mono in enumerate(src.algebra.basis(n)):
-            lhs, rhs = {}, {}
-            for i, c in cur[j].items():
-                add_into(lhs, d_tgt[i], src.scale * c)
-            for k, c in d_src[j].items():
-                add_into(rhs, nxt[k], sign * tgt.scale * c)
+            lhs = apply_map(d_tgt.__getitem__, cur[j], scale=src.scale)
+            rhs = apply_map(nxt.__getitem__, d_src[j], scale=sign * tgt.scale)
             if lhs != rhs:
                 basis = tgt.algebra.basis(n + f.degree + 1)
                 lhs, rhs = (GradedElement(tgt.algebra, {
