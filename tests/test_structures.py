@@ -572,17 +572,16 @@ def test_combination_helpers_match_reference(case):
     acc, combo, scale, table = case
     f = table.get
     before = dict(combo)
-    want = reference_add(dict(acc), combo, scale)
-    got = add_into(dict(acc), combo, scale)
-    assert got == want and 0 not in got.values()
     into = dict(acc)
-    assert add_into(into, combo, scale) is into
+    got = add_into(into, combo, scale)
+    assert got is into and got == reference_add(dict(acc), combo, scale)
+    assert 0 not in got.values()
     assert apply_map(f, combo) == apply_table(f, combo)
-    want = reference_add(dict(acc), apply_table(f, combo), scale)
     into = dict(acc)
     got = apply_map(f, combo, into, scale)
-    assert got is into and got == want and 0 not in got.values()
+    assert got is into and got == reference_add(dict(acc), apply_table(f, combo), scale)
     assert got == add_into(dict(acc), apply_map(f, combo), scale)
+    assert 0 not in got.values()
     assert combo == before
 
 
