@@ -15,7 +15,9 @@ and m3 fail to anticommute, on the 40-element circle table and the torus
 file at higher arities, and on one table whose graded symmetry fails
 first at arity 4; `betti --space string` and `gysin` on
 s2xs3 and cp2 rescaled to rational differentials, and `string-model` on
-the rescaled s2xs3, whose printed d keeps its fractions.
+the rescaled s2xs3, whose printed d keeps its fractions; and one
+commented model, structure and surface file, each of which must report
+as its fixture does.
 
 The betti and gysin digests were recorded before the sparse derivation
 and chain-map kernels replaced GradedElement arithmetic on the homology
@@ -266,6 +268,25 @@ LEIBNIZ_EDIT = _circle_with({"bracket A_3 A_1": "-A_4", "bracket A_1 A_3": "A_4"
 NO_TABLES = "basis a 0\nproduct a a = a\n"
 
 
+# One file of each format with a comment-only line, a comment after a
+# declaration and blank lines: s2xs3.min, ext_odd_bad.struct and torus.fat.
+COMMENTED_MODEL = (
+    "# product of the two\n\ngen x 2  # the class of S^2\n"
+    "# y kills x^2, z is the class of S^3\ngen y 3\ngen z 3\n\n"
+    "d y = x^2 # the only relation\n\n"
+)
+COMMENTED_STRUCT = (
+    "# the bracket entry lands in the wrong degree\n\nbasis one 0\n"
+    "basis e -1  # odd\n\nproduct one one = one\nproduct one e = e\n"
+    "product e one = e\n# degree -2, where degree 0 is declared\n"
+    "bracket e e = one   # wrong\ndelta e = one\n"
+)
+COMMENTED_SURFACE = (
+    "# the torus\n\ngenerators a b  # two bands\n\n"
+    "cyclic-order a b a^- b^- # counterclockwise\n"
+)
+
+
 # Inputs written to a temporary file {f}: the 40-element circle table; the
 # two tables whose first failure is an arity-3 law late in the walk, as
 # they are and with their constants scaled by non-integer rationals, so
@@ -280,8 +301,8 @@ NO_TABLES = "basis a 0\nproduct a a = a\n"
 # files that are not UTF-8, element expressions in a model's d line, all
 # but one of them malformed, a d line off its degree, and surface files
 # whose generators or cyclic-order line is wrong, further exit-2 paths of
-# the three file formats and the checks, and numerals past the digit
-# limit.  None leaves {f} unwritten.
+# the three file formats and the checks, numerals past the digit limit,
+# and one commented file of each format.  None leaves {f} unwritten.
 INPUTS = {
     "circle 19 bv": circle_structure(19),
     "circle 19 gerstenhaber": circle_structure(19),
@@ -372,6 +393,9 @@ INPUTS = {
     "struct unrecognized declaration": "basis a 0\nfrob a\n",
     "struct E without sbasis": "basis a 0\nE a = a\n",
     "struct duplicate entry": "basis a 0\nproduct a a = a\nproduct a a = a\n",
+    "model comments": COMMENTED_MODEL,
+    "struct comments": COMMENTED_STRUCT,
+    "surface comments": COMMENTED_SURFACE,
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -431,7 +455,8 @@ GENUS2_120 = _genus2_word(120, 120)
 # prefix products only; the 60- and 120-letter goldman rows, the max-len
 # 16 fuzz and the near-power rows before the bracket read its crossing
 # signs from per-surface rows; the circle edit rows before combinations
-# were accumulated in place.
+# were accumulated in place; the wraparound and commented-file rows before
+# one reducer, one printer and one comment rule served every module.
 CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a", "--b", "b"), 0,
      "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5",
@@ -496,6 +521,21 @@ CLI_GOLDEN = [
      "863731b24a84c936db64e40ac20a10fe1199d3e1be0c2e3b84c34f472d9c591e", EMPTY),
     (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", "a^- a^- a^-", "--b", "a a a a a b"), 0,
      "63651a133536344be967111557c2450139ee8991a16b64c71122e9a747dca35a", EMPTY),
+    # a pair whose whole-cancellation term (the shared run spans the
+    # shorter word) still cancels across the wraparound once freely reduced:
+    # c^- b d b^- c reduces to d
+    (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", "b c^-", "--b", "b^- c d"), 0,
+     "4e2ae1078c0138b9cee6c814e37952385435a310280b8f25fad8b85b292ad1bc", EMPTY),
+    (None, ("goldman", "--surface", "{d}/genus2.fat", "--a", "b^- c d", "--b", "b c^-"), 0,
+     "9d2ad4624f03ebdfc9151948a706266a8dbce9e1cc406558444f0ad851739625", EMPTY),
+    # one file of each format with comments and blank lines reports as its
+    # fixture without them does
+    ("model comments", ("string-model", "--model", "{f}"), 0,
+     "98f4bb605e0efde8ce92de675ceb81e05efae86967f1591b5079e4ef4e827066", EMPTY),
+    ("struct comments", ("verify", "gerstenhaber", "--structure", "{f}"), 1,
+     "be85c789f5d538ec6e664b342a25858b78c68ba495237c092ec8412e09966adb", EMPTY),
+    ("surface comments", ("goldman", "--surface", "{f}", "--a", "a b a", "--b", "b a^-"), 0,
+     "b42b79b5bad3942e224fd8b88b1ce26eeaa10d5bc0a5c11791fa14811875f272", EMPTY),
     (None, ("loop-model", "--model", "{d}/s2.min"), 0,
      "d1e01ff03410714cea0d1c57931a8b672d76e80e7efc90b776b109399563db7f",
      EMPTY),
