@@ -1,14 +1,16 @@
 """What every module shares: the input contract, sparse combinations
-accumulated in place, the ordered report of check outcomes, and the
-identities themselves, each stated once.
+accumulated in place and how they print, the ordered report of check
+outcomes, and the identities themselves, each stated once.
 
 An input the program cannot use raises an InputError, or one of its
 subclasses; the command line prints its message as one line and exits 2.
-LineError names the line of a file it rejects, and read_input reads every
-input file.
+LineError names the line of a file it rejects, read_input reads every
+input file, and content_lines yields the lines of all three file formats
+with their ``#`` comments cut off.
 
 A combination is a dict key -> coefficient that never stores a zero, so
-two combinations are equal exactly when they are equal as dicts.
+two combinations are equal exactly when they are equal as dicts;
+format_terms prints every rational combination.
 add_into and apply_map add a scaled combination, or a linear map's image
 of one, into an accumulator the caller passes, in one pass and with no
 intermediate dict, so a composite such as g(f(x)) sums straight into its
@@ -42,8 +44,10 @@ __all__ = [
     "InputError",
     "LineError",
     "read_input",
+    "content_lines",
     "NAME_RE",
     "add_into",
+    "format_terms",
     "integral",
     "ksign",
     "apply_map",
@@ -78,6 +82,15 @@ def read_input(path):
         raise InputError(f"{path}: {e}") from None
 
 
+def content_lines(text):
+    """(line number from 1, line) for each line of text that holds
+    anything once a ``#`` and what follows it are cut off, stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 # What a generator, basis element or surface generator may be named.
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -95,6 +108,21 @@ def add_into(acc, combo, scale=1):
             else:
                 acc.pop(key, None)
     return acc
+
+
+def format_terms(terms):
+    """The printed form of a rational combination given as its (name,
+    coefficient) terms in order, such as ``-a + 2*b - 1/2*c``; ``0`` when
+    there are none.  A name of None stands for a constant."""
+    pieces = []
+    for name, c in terms:
+        a = abs(c)
+        body = str(a) if name is None else name if a == 1 else f"{a}*{name}"
+        pieces.append((" - " if c < 0 else " + ") + body)
+    text = "".join(pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def integral(tables):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .checks import NAME_RE, InputError, add_into, apply_map, integral
+from .checks import NAME_RE, InputError, add_into, apply_map, format_terms, integral
 
 __all__ = [
     "AlgebraError",
@@ -379,25 +379,9 @@ class GradedElement:
     # -- display ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         alg = self.algebra
         items = sorted(self.terms.items(), key=lambda mc: alg._mono_sort_key(mc[0]))
-        pieces = []
-        for k, (mono, c) in enumerate(items):
-            neg = c < 0
-            a = -c if neg else c
-            if mono == ():
-                body = str(a)
-            elif a == 1:
-                body = alg.monomial_str(mono)
-            else:
-                body = f"{a}*{alg.monomial_str(mono)}"
-            if k == 0:
-                pieces.append(("-" if neg else "") + body)
-            else:
-                pieces.append((" - " if neg else " + ") + body)
-        return "".join(pieces)
+        return format_terms((alg.monomial_str(m) if m else None, c) for m, c in items)
 
     def __repr__(self):
         return f"<{self}>"

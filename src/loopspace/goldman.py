@@ -5,10 +5,11 @@ generator, attached in the cyclic order read counterclockwise around the
 disk.  Free homotopy classes are cyclically reduced cyclic words in the
 generators.  The bracket of two classes is a signed sum over basepoint
 pairs: each transversal crossing of taut representatives contributes the
-concatenated class with the sign of the crossing.  On one surface a class
-is its key, a rank string: the bracket, its bilinear extension and the
-Jacobi fuzz add {key: coefficient} combinations, and a CyclicWord is made
-only where a word enters or leaves.
+concatenated class with the sign of the crossing.  On one surface a word
+is a rank string and a class is its key: words are reduced, rotated and
+bracketed as strings, the bracket, its bilinear extension and the Jacobi
+fuzz add {key: coefficient} combinations, and int letters and CyclicWords
+appear only where a word enters or leaves.
 
 Crossing detection works on the four rays leaving a merged basepoint (both
 words forward and backward).  The directions of rays that leave along the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import random
 
-from .checks import NAME_RE, InputError, LineError, add_into, read_input
+from .checks import NAME_RE, InputError, LineError, add_into, content_lines, read_input
 
 __all__ = [
     "FatGraphError",
@@ -38,7 +39,6 @@ __all__ = [
     "FatGraph",
     "parse_fat_graph",
     "load_fat_graph",
-    "cyclic_reduce",
     "CyclicWord",
     "goldman_bracket",
     "bracket_combo",
@@ -143,10 +143,7 @@ def parse_fat_graph(text):
     ``cyclic-order`` line; ``#`` starts a comment.  An error in either
     line names it."""
     lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         kind, *fields = line.split()
         if kind not in ("generators", "cyclic-order"):
             raise FatGraphFileError(lineno, f"unrecognized declaration {kind!r}")
@@ -171,19 +168,6 @@ def load_fat_graph(path):
     return parse_fat_graph(read_input(path))
 
 
-def cyclic_reduce(letters):
-    """Free reduction followed by reduction across the wraparound."""
-    stack = []
-    for x in letters:
-        if stack and stack[-1] == -x:
-            stack.pop()
-        else:
-            stack.append(x)
-    while len(stack) >= 2 and stack[0] == -stack[-1]:
-        stack = stack[1:-1]
-    return tuple(stack)
-
-
 class CyclicWord:
     """Cyclically reduced cyclic word in canonical rotation.
 
@@ -197,7 +181,7 @@ class CyclicWord:
 
     def __init__(self, graph, letters):
         self.graph = graph
-        self.key = _canonical(graph, letters)
+        self.key = _least_rotation(_reduce(graph, "".join(map(graph.rank.__getitem__, letters))))
 
     @property
     def letters(self):
@@ -234,13 +218,22 @@ def _wrap(graph, key):
     return word
 
 
-def _canonical(graph, letters):
-    """The key of the class of a sequence of letters."""
-    return _least_rotation("".join(map(graph.rank.__getitem__, cyclic_reduce(letters))))
-
-
 def _same_surface(g, h):
     return g is h or (g.order == h.order and g.names == h.names)
+
+
+def _reduce(graph, word):
+    """A rank string freely reduced, then reduced across the wraparound."""
+    inv = graph.inv
+    stack = []
+    for r in word:
+        if stack and stack[-1] == inv[r]:
+            stack.pop()
+        else:
+            stack.append(r)
+    while len(stack) >= 2 and stack[0] == inv[stack[-1]]:
+        stack = stack[1:-1]
+    return "".join(stack)
 
 
 def _least_rotation(key, low=None):
@@ -297,9 +290,10 @@ def _pair_codes(graph, key):
     return "".join([chr(size * ord(f) + ord(b)) for f, b in zip(key, backs)])
 
 
-def _crossing_row(graph, code):
-    """Outcomes of the visits from a position of w whose pair code is code
-    (fa, ba), one per pair code (fb, bb) of v's position; kept in graph.rows.
+def _crossing_row(graph, fa, ba):
+    """Outcomes of the visits from a position of w whose forward and
+    backward letters are fa and ba, one per pair code (fb, bb) of v's
+    position; kept in graph.rows under fa + ba.
     '.': no term, as the overlap extends backward (a crossing is counted
     where the overlap starts) or fb and bb lie on one side of the chord
     fa-ba.  '+', '-': a term of that sign.  'F', 'f' where fb is fa and 'B',
@@ -307,7 +301,6 @@ def _crossing_row(graph, code):
     it lies opposite the other, upper case where the term's sign is +1.  No
     reduced word has a pair with fb == bb."""
     size, at = graph.size, graph.at
-    fa, ba = map(chr, divmod(ord(code), size))
     pa, side = at[fa], (at[ba] - at[fa]) % size
     sign = {x: 1 if (at[x] - pa) % size < side else -1 for x in at}
     cells = []
@@ -321,7 +314,7 @@ def _crossing_row(graph, code):
         else:
             o1, o2 = sign[fb], sign[bb]
             cells.append("." if o1 == o2 else "+" if o1 > 0 else "-")
-    row = graph.rows[code] = "".join(cells)
+    row = graph.rows[fa + ba] = "".join(cells)
     return row
 
 
@@ -333,13 +326,14 @@ def _bracket(graph, a, b):
     ib = b[::-1].translate(graph.inv_table)
     tails = [b[j:] + b[:j] for j in range(n)]
     codes = _pair_codes(graph, b)
+    backs = (a[-1:] + a[:-1]).translate(graph.inv_table)
     acc = {}
     limit = 2 * (m + n) + 4
     short = min(m, n)
     low = min(a + b, default="")
-    for i, code in enumerate(_pair_codes(graph, a)):
+    for i, (fa, ba) in enumerate(zip(a, backs)):
         head = a[i:] + a[:i]
-        row = graph.rows.get(code) or _crossing_row(graph, code)
+        row = graph.rows.get(fa + ba) or _crossing_row(graph, fa, ba)
         for j, cell in enumerate(codes.translate(row)):
             if cell == ".":
                 continue
@@ -354,12 +348,10 @@ def _bracket(graph, a, b):
             # v's backward ray runs along w for k letters, which cancel where v
             # ends and w starts (nothing cancels where w ends, as ba != fb): the
             # cut term is reduced unless k spans a word; an uncut one holds low
-            if not k:
-                term = _least_rotation(head + tails[j], low)
-            elif k < short:
-                term = _least_rotation(head[k:] + tails[j][:n - k])
+            if k < short:
+                term = _least_rotation(head[k:] + tails[j][:n - k], None if k else low)
             else:
-                term = _canonical(graph, map(graph.letter_of.__getitem__, head + tails[j]))
+                term = _least_rotation(_reduce(graph, head + tails[j]))
             c = acc.pop(term, 0) + o
             if c:
                 acc[term] = c

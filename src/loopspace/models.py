@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .checks import NAME_RE, CheckReport, InputError, LineError, apply_map, read_input
+from .checks import (NAME_RE, CheckReport, InputError, LineError, apply_map,
+                     content_lines, read_input)
 from .gca import Derivation, GradedAlgebra
 from .homology import (
     ChainMap,
@@ -94,10 +95,7 @@ def parse_model(text):
     gens = []
     seen = set()
     d_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         m = _GEN_LINE.match(line)
         if m:
             try:

@@ -25,6 +25,8 @@ from .checks import (
     Tabulation,
     add_into,
     apply_map,
+    content_lines,
+    format_terms,
     ksign,
     read_input,
 )
@@ -89,20 +91,7 @@ class BasisSpace:
         return len(self.names)
 
     def render(self, combo):
-        if not combo:
-            return "0"
-        parts = []
-        for name in self.names:
-            if name not in combo:
-                continue
-            c = combo[name]
-            mag = -c if c < 0 else c
-            body = name if mag == 1 else f"{mag}*{name}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_terms((name, combo[name]) for name in self.names if name in combo)
 
     def parse_combo(self, text, where="combination"):
         s = text.strip()
@@ -181,10 +170,7 @@ def parse_structure_file(text):
     sbasis_pairs = []
     declared = {}  # name -> "basis" or "sbasis"
     op_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         fields = line.split(None, 1)
         kind = fields[0]
         rest = fields[1] if len(fields) > 1 else ""

@@ -9,7 +9,8 @@ the chain-map check that evaluates both differentials per monomial.  The
 Goldman bracket is kept here too, on letter tuples: the library builds
 each term from slices of rank strings and cuts the letters that cancel
 where the two words join, while the reference reduces every whole
-concatenation and tries every rotation.  The Jacobi fuzz is kept on
+concatenation with its own stack of int letters, where the library
+reduces rank strings, and tries every rotation.  The Jacobi fuzz is kept on
 CyclicWord combinations, where the library adds {key: coefficient}
 combinations of one surface.  The Gerstenhaber and BV identities are kept
 here tuple by tuple on pair tables of the exact Fraction tables, where
@@ -39,12 +40,7 @@ from fractions import Fraction
 from loopspace import checks, coderivations
 from loopspace.checks import IDENTITIES, ksign
 from loopspace.gca import AlgebraError, Derivation, ElementSyntaxError, GradedElement
-from loopspace.goldman import (
-    CyclicWord,
-    cyclic_reduce,
-    goldman_bracket,
-    random_reduced_cyclic_word,
-)
+from loopspace.goldman import CyclicWord, goldman_bracket, random_reduced_cyclic_word
 from loopspace.homology import ChainMap, ChainMapError
 from loopspace.structures import StructureError, StructureTable
 
@@ -355,6 +351,20 @@ def inverse(word):
     return CyclicWord(word.graph, tuple(-x for x in reversed(word.letters)))
 
 
+def reference_reduce(letters):
+    """Free reduction of a letter tuple with a stack, then reduction across
+    the wraparound."""
+    stack = []
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    while len(stack) >= 2 and stack[0] == -stack[-1]:
+        stack = stack[1:-1]
+    return tuple(stack)
+
+
 def min_rotation(graph, letters):
     """The rotation of a word whose token list is least, trying them all."""
     if not letters:
@@ -386,7 +396,7 @@ def _pair_order(pos, w1, i1, w2, i2):
 def reference_bracket(graph, w, v):
     """[w, v] for cyclically reduced letter tuples, as {least-rotation
     letter tuple: coefficient}.  Each basepoint pair whose strands cross
-    contributes the whole concatenation, reduced by cyclic_reduce."""
+    contributes the whole concatenation, reduced by reference_reduce."""
     pos = {x: k for k, x in enumerate(graph.order)}
     m, n = len(w), len(v)
     iv = tuple(-x for x in reversed(v))
@@ -406,7 +416,7 @@ def reference_bracket(graph, w, v):
             else:
                 o2 = _ccw3(pos, fa, bb, ba)
             if o1 != o2:
-                term = min_rotation(graph, cyclic_reduce(w[i:] + w[:i] + v[j:] + v[:j]))
+                term = min_rotation(graph, reference_reduce(w[i:] + w[:i] + v[j:] + v[:j]))
                 out[term] = out.get(term, 0) + o1
     return {term: c for term, c in out.items() if c}
 

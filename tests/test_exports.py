@@ -4,8 +4,8 @@ imports nothing outside the standard library, and no module of it imports
 a private name of another; every error class it defines for unusable
 input derives from the one InputError that the command line turns into
 exit 2; every file error that names a line is a LineError; and
-tests/reference.py imports no combination helper, so that it stays an
-independent oracle for them."""
+tests/reference.py imports no combination helper and no word reducer,
+so that it stays an independent oracle for them."""
 
 import ast
 import importlib
@@ -78,17 +78,28 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
-def test_reference_imports_no_combination_helper():
-    # tests/reference.py is the oracle for the combination arithmetic of
-    # loopspace.checks, so it keeps its own add and apply
-    helpers = {"add_into", "apply_map"}
+def _reference_uses(helpers):
+    """The names among helpers that tests/reference.py imports from
+    loopspace or reads as an attribute."""
     tree = ast.parse((pathlib.Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
     shared = [a.name for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("loopspace")
               for a in node.names if a.name in helpers]
-    shared += [node.attr for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute) and node.attr in helpers]
-    assert shared == []
+    return shared + [node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr in helpers]
+
+
+def test_reference_imports_no_combination_helper():
+    # tests/reference.py is the oracle for the combination arithmetic of
+    # loopspace.checks, so it keeps its own add and apply
+    assert _reference_uses({"add_into", "apply_map"}) == []
+
+
+def test_reference_imports_no_word_reducer():
+    # reference_bracket reduces and rotates its terms on int letters, so it
+    # takes no reducer or canonicaliser of rank strings from loopspace.goldman
+    helpers = {"cyclic_reduce", "_reduce", "_canonical", "_least_rotation"}
+    assert _reference_uses(helpers) == []
 
 
 @pytest.mark.parametrize("parse, family, text, line", [

@@ -10,7 +10,8 @@ coefficients of [v, w] sum to ab(v)^T J ab(w).  J is read off the cyclic
 order alone, and ab off the letters; the oracle cannot see errors that
 cancel inside one homology class.  On random one-vertex surfaces the
 bracket is also checked for antisymmetry, against reference_bracket and by
-the Jacobi fuzz.
+the Jacobi fuzz, and the library's reducer of rank strings against
+reference_reduce on int letters.
 """
 
 import random
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopspace import goldman
 from loopspace.goldman import (
     FatGraph,
     goldman_bracket,
@@ -27,7 +29,7 @@ from loopspace.goldman import (
     random_reduced_cyclic_word,
 )
 
-from reference import reference_bracket
+from reference import reference_bracket, reference_reduce
 
 
 def intersection_form(graph):
@@ -131,3 +133,20 @@ def test_bracket_is_antisymmetric_and_matches_reference_on_random_surfaces(graph
 @given(one_vertex_surfaces())
 def test_jacobi_fuzz_is_clean_on_random_surfaces(graph):
     assert jacobi_fuzz(graph, trials=30, max_len=8) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_vertex_surfaces(), st.data())
+def test_reducer_matches_reference_on_random_surfaces(graph, data):
+    # any word u; p p^-, which cancels whole; and p u p^-, which for a
+    # reduced u cancels only across the wraparound
+    letters = st.lists(st.sampled_from(graph.order), max_size=12).map(tuple)
+    p, u = data.draw(letters), data.draw(letters)
+    inv_p = tuple(-x for x in reversed(p))
+
+    def ranks(word):
+        return "".join(graph.rank[x] for x in word)
+
+    assert goldman._reduce(graph, ranks(p + inv_p)) == ""
+    for word in (u, p + u + inv_p):
+        assert goldman._reduce(graph, ranks(word)) == ranks(reference_reduce(word)), word

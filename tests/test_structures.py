@@ -28,8 +28,10 @@ from loopspace.checks import (
     Tabulation,
     add_into,
     apply_map,
+    format_terms,
     integral,
 )
+from loopspace.gca import GradedAlgebra
 from loopspace.structures import (
     BasisSpace,
     StructureTable,
@@ -64,6 +66,29 @@ def test_parse_combo_roundtrip():
     assert space.parse_combo("T_1 + T_1") == {"T_1": Fraction(2)}
     assert space.parse_combo("T_1 - T_1") == {}
     assert space.parse_combo("0*T_1") == {}  # a zero term is not stored
+
+
+@pytest.mark.parametrize("terms, text", [
+    ([], "0"),
+    ([(None, Fraction(3))], "3"),
+    ([(None, Fraction(-1, 2))], "-1/2"),
+    ([("a", 1), ("b", -1), ("c", 2), ("d", Fraction(-1, 2))], "a - b + 2*c - 1/2*d"),
+    ([("a", -1), ("b", 1)], "-a + b"),
+    ([("a", Fraction(-3, 2)), ("c", 1)], "-3/2*a + c"),
+    ([(None, 3), ("z", 2), ("y", -1), ("x", 1), ("x*y", Fraction(-1, 2))],
+     "3 + 2*z - y + x - 1/2*x*y"),
+    ([(None, 1), ("x", -1)], "1 - x"),
+])
+def test_one_printer_for_basis_spaces_and_elements(terms, text):
+    # the strings are those BasisSpace.render and GradedElement.__str__
+    # printed before both called format_terms
+    assert format_terms(terms) == text
+    if all(name for name, _ in terms):
+        space = BasisSpace([(name, 0) for name, _ in terms])
+        assert space.render({name: Fraction(c) for name, c in terms}) == text
+    alg = GradedAlgebra([("x", 2), ("y", 2), ("z", 2)])
+    if all(name in (None, "x", "y", "z", "x*y") for name, _ in terms):
+        assert str(alg.parse(text)) == text
 
 
 def test_parse_combo_errors():
