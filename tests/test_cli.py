@@ -299,6 +299,21 @@ def test_out_errors_name_the_out_path(where, reason, capsys, data_path, tmp_path
     assert not list(tmp_path.rglob(".loopspace-*"))
 
 
+def test_out_failed_rename_removes_the_temporary_file(capsys, data_path, tmp_path,
+                                                     monkeypatch):
+    # the report is written in full but the rename fails: exit 2 names the
+    # target, and the temporary file beside it is removed
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out_path = str(tmp_path / "report.tsv")
+    code, out, err = run(capsys, "betti", "--model", data_path("s2.min"), "--out", out_path)
+    assert _one_error_line(code, out, err), err
+    assert err == f"error: {out_path}: Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

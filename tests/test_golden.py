@@ -15,9 +15,12 @@ and m3 fail to anticommute, on the 40-element circle table and the torus
 file at higher arities, and on one table whose graded symmetry fails
 first at arity 4; `betti --space string` and `gysin` on
 s2xs3 and cp2 rescaled to rational differentials, and `string-model` on
-the rescaled s2xs3, whose printed d keeps its fractions; and one
+the rescaled s2xs3, whose printed d keeps its fractions; one
 commented model, structure and surface file, each of which must report
-as its fixture does.
+as its fixture does; two marked-point tables that each fail one
+precondition of `verify string-brackets`; and two `goldman` words on the
+torus, one freed of a cancelling pair and one that reduces to the
+trivial class.
 
 The betti and gysin digests were recorded before the sparse derivation
 and chain-map kernels replaced GradedElement arithmetic on the homology
@@ -396,6 +399,12 @@ INPUTS = {
     "model comments": COMMENTED_MODEL,
     "struct comments": COMMENTED_STRUCT,
     "surface comments": COMMENTED_SURFACE,
+    "mark then erase fails": (
+        "basis a 0\nbasis b 1\nsbasis s 0\nsbasis t 1\nproduct a a = a\nM s = b\nE b = t\n"
+    ),
+    "erase then mark fails": (
+        "basis a 0\nbasis b 1\nsbasis s 0\nproduct a a = a\nE a = s\nM s = b\n"
+    ),
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -851,6 +860,17 @@ CLI_GOLDEN = [
     (None, ("betti", "--model", "{d}/s2.min", "--out", "{t}"), 2,
      EMPTY,
      "a831d4bbdc07eab467eb7c2fc4f1a02efcdef4076b2d04c1e26286de25114b4c"),
+    # the two string-bracket precondition FAIL lines, a bracket term freed
+    # of a cancelling pair, and a word that reduces to the trivial class
+    ("mark then erase fails", ("verify", "string-brackets", "--structure", "{f}"), 1,
+     "8a201764d151bcde40e94d2ae48839c1e837ecd1226b26a60b2f419c340da7ee", EMPTY),
+    ("erase then mark fails", ("verify", "string-brackets", "--structure", "{f}"), 1,
+     "ba6838fa2c55dbacdc642711bd131816cb3a26a5f27220185b2dc4743916f033", EMPTY),
+    (None, ("goldman", "--surface", "{d}/torus.fat", "--a", "a b b^-", "--b", "b"), 0,
+     "288f69638b6c9900107d54c50e65c9008f4fa0e9a3ba68f533f0461c8695a9e5", EMPTY),
+    (None, ("goldman", "--surface", "{d}/torus.fat",
+            "--a", "a b a^- b^- b a b^- a^-", "--b", "b"), 0,
+     EMPTY, EMPTY),
 ]
 
 

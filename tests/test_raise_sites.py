@@ -1,5 +1,7 @@
 """Every raise statement in src/loopspace is reached by a golden row that
 exits 2, or is named in UNREACHABLE with the reason no command reaches it.
+The library guards that no command reaches still raise their InputError
+subclass with their message when called directly.
 
 The sites are read from the modules' syntax trees.  The exit-2 rows of
 test_golden.CLI_GOLDEN run under sys.settrace, which records the lines
@@ -12,7 +14,13 @@ import functools
 import os
 import sys
 
+import pytest
+
 import loopspace
+from loopspace.gca import AlgebraError, Derivation, GradedAlgebra
+from loopspace.goldman import FatGraph, FatGraphError
+from loopspace.homology import ChainMap, ChainMapError, CochainComplex, ComplexError, induced_map
+from loopspace.structures import BasisSpace, StructureError, StructureTable
 
 from test_golden import CLI_GOLDEN, _golden_streams
 
@@ -146,3 +154,68 @@ def test_every_raise_site_is_reached_or_unreachable(tmp_path, capsys):
     missing = sorted(site for site in sites if site not in reached | listed)
     assert not missing, [f"{m}:{line}: {sites[m, line].splitlines()[0].strip()}"
                          for m, line in missing]
+
+
+X2 = GradedAlgebra([("x", 2), ("y", 3)])
+X4 = GradedAlgebra([("x", 4)])
+
+
+def _non_cocycle_image():
+    # x is a cocycle of degree 2, and its image y has d y = x^2
+    cx = CochainComplex(X2, Derivation(X2, 1, {"y": "x^2"}))
+    x, y = X2.gen("x"), X2.gen("y")
+    f = ChainMap(cx, cx, 1, lambda m: dict(y.terms) if m in x.terms else {}, name="shift")
+    induced_map(f, 2)
+
+
+GUARDS = {
+    "transfer foreign element": (
+        lambda: X4.transfer(X2.gen("x"), X2), AlgebraError,
+        "element does not belong to this algebra"),
+    "transfer changes degree": (
+        lambda: X2.transfer(X2.gen("x"), X4), AlgebraError,
+        "generator 'x' changes degree under transfer"),
+    "sum across algebras": (
+        lambda: X2.gen("x") + X4.gen("x"), AlgebraError,
+        "operands live in different algebras"),
+    "derivation value not an element": (
+        lambda: Derivation(X2, 1, {"y": 5}), AlgebraError,
+        "value for 'y' is not an element"),
+    "derivation value elsewhere": (
+        lambda: Derivation(X2, 2, {"x": X4.gen("x")}), AlgebraError,
+        "value for 'x' lives in a different algebra"),
+    "derivation of a non-element": (
+        lambda: Derivation(X2, 1)(5), AlgebraError,
+        "derivations apply to elements"),
+    "derivation of a foreign element": (
+        lambda: Derivation(X2, 1)(X4.gen("x")), AlgebraError,
+        "element lives in a different algebra"),
+    "unknown half-edge": (
+        lambda: FatGraph(["a"], [1, -1, 2]), FatGraphError,
+        "unknown half-edge 2 in cyclic order"),
+    "surface without generators": (
+        lambda: FatGraph([], []), FatGraphError,
+        "surface needs at least one generator"),
+    "differential elsewhere": (
+        lambda: CochainComplex(X2, Derivation(X4, 1)), ComplexError,
+        "differential lives on a different algebra"),
+    "differential off degree +1": (
+        lambda: CochainComplex(X2, Derivation(X2, 0)), ComplexError,
+        "differential must have degree +1, got 0"),
+    "image of a cocycle not a cocycle": (
+        _non_cocycle_image, ChainMapError,
+        "shift: image of a degree-2 cocycle is not a cocycle"),
+    "duplicate basis name": (
+        lambda: BasisSpace([("a", 0), ("a", 1)]), StructureError,
+        "duplicate basis name 'a'"),
+    "product without a table": (
+        lambda: StructureTable(BasisSpace([("a", 0)])).mult({"a": 1}, {"a": 1}),
+        StructureError, "structure has no product table"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_library_guards_raise_their_input_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
