@@ -6,7 +6,8 @@ FAIL, a fuzz trial finds a counterexample, an exactness row breaks), 2
 when the input itself is unusable (missing file, a file that is not
 UTF-8, parse error, a differential that does not square to zero, unknown
 names, a numeric option below its least value): every such error is a
-checks.InputError or an OSError, printed as one line.
+checks.InputError or an OSError, printed as one line.  Handlers return
+a report and whether it holds; only main turns that into an exit code.
 
 All reports are plain text, deterministic down to the byte for a given
 input, so repeated runs can be compared with cmp.  --out writes through a
@@ -94,7 +95,7 @@ def _cmd_betti(args):
     model = load_model(args.model)
     cx = _space_complex(model, args.space)
     table = betti_table(cx, args.cutoff)
-    return format_betti_table(table), 0
+    return format_betti_table(table), True
 
 
 def _cmd_model(args):
@@ -102,20 +103,20 @@ def _cmd_model(args):
     if args.command == "string-model":
         model = equivariant_model(model)
     rep = validate_model(model)
-    return format_model_report(model, rep), 0 if rep.ok else 1
+    return format_model_report(model, rep), rep.ok
 
 
 def _cmd_gysin(args):
     em = equivariant_model(loop_model(load_model(args.model)))
     report = gysin_report(em, args.cutoff)
-    return report.text(), 0 if report.ok else 1
+    return report.text(), report.ok
 
 
 def _cmd_goldman(args):
     graph = load_fat_graph(args.surface)
     w = graph.word(args.a)
     v = graph.word(args.b)
-    return format_combo(goldman_bracket(w, v)), 0
+    return format_combo(goldman_bracket(w, v)), True
 
 
 def _cmd_jacobi_fuzz(args):
@@ -124,7 +125,7 @@ def _cmd_jacobi_fuzz(args):
         graph, trials=args.trials, max_len=args.max_len, seed=args.seed
     )
     if witness is None:
-        return "pass\n", 0
+        return "pass\n", True
     text = (
         f"FAIL trial {witness['trial']}\n"
         f"u\t{witness['u']}\n"
@@ -132,7 +133,7 @@ def _cmd_jacobi_fuzz(args):
         f"w\t{witness['w']}\n"
         "residual:\n" + format_combo(witness["residual"])
     )
-    return text, 1
+    return text, False
 
 
 def _parse_arities(text):
@@ -149,24 +150,22 @@ def _parse_arities(text):
 
 def _cmd_verify(args):
     table = load_structure_file(args.structure)
-    if args.what == "gerstenhaber":
-        rep = check_gerstenhaber(table)
-        return rep.text(), 0 if rep.ok else 1
-    if args.what == "bv":
-        rep = check_bv(table)
-        return rep.text(), 0 if rep.ok else 1
+    checker = {"gerstenhaber": check_gerstenhaber, "bv": check_bv}.get(args.what)
+    if checker:
+        rep = checker(table)
+        return rep.text(), rep.ok
     arities = _parse_arities(args.arities)
     sb = string_brackets(table, max_arity=arities[-1])
     if args.what == "string-brackets":
-        return sb.text(), 0 if sb.ok else 1
+        return sb.text(), sb.ok
     # coderivations: the bracket and operations must exist first
     if not sb.ok:
-        return sb.checks.text(), 1
+        return sb.checks.text(), False
     reps = {k: sb.reps[k] for k in arities}
     ss = table.string_space
     rep = coderivation_relations(reps, args.word_len, ss.names)
     rep.lines += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len, rep).lines
-    return rep.text(), 0 if rep.ok else 1
+    return rep.text(), rep.ok
 
 
 def _build_parser():
@@ -232,12 +231,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         _check_bounds(args)
-        text, code = args.handler(args)
+        text, holds = args.handler(args)
         _emit(text, args.out)
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return code
+    return 0 if holds else 1
 
 
 if __name__ == "__main__":

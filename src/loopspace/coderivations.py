@@ -22,6 +22,7 @@ from .checks import BRACKET_LAWS, CheckReport, Tabulation, add_into, apply_map, 
 __all__ = [
     "wedge_sort",
     "wedge_words",
+    "render_word",
     "front_sign",
     "CoderivationRep",
     "coproduct",
@@ -44,8 +45,8 @@ def wedge_sort(seq, sdegs):
                 sign = -sign
             items[j - 1], items[j] = items[j], items[j - 1]
             j -= 1
-    for p in range(len(items) - 1):
-        if items[p] == items[p + 1] and sdegs[items[p]] % 2:
+        # an equal letter in the sorted prefix ends next to the inserted one
+        if j and items[j - 1] == items[j] and sdegs[items[j]] % 2:
             return None, 0
     return tuple(items), sign
 
@@ -145,20 +146,19 @@ def coproduct(word, sdegs):
     return {key: c for key, c in out.items() if c}
 
 
-def _render_word(word, names):
+def render_word(word, names):
+    """A word as its letters' names, space-separated; the empty word as 1."""
     if not word:
         return "1"
     return " ".join(names[i] for i in word)
 
 
 def _render_combo(combo, names, unit):
-    """combo divided by unit, exactly."""
-    if not combo:
-        return "0"
+    """A nonzero combo divided by unit, exactly."""
     parts = []
     for word in sorted(combo):
         c = Fraction(combo[word], unit)
-        parts.append(f"{c}*({_render_word(word, names)})")
+        parts.append(f"{c}*({render_word(word, names)})")
     return " + ".join(parts)
 
 
@@ -172,7 +172,7 @@ def _residue_witness(words, residue, names, unit):
     for word in words:
         acc = residue(word)
         if acc:
-            return (f"word {_render_word(word, names)}: "
+            return (f"word {render_word(word, names)}: "
                     f"residue {_render_combo(acc, names, unit)}")
     return None
 
@@ -271,8 +271,8 @@ def _coproduct_witness(rep, image, words, names, scale):
             l, r = min(key for key in lhs.keys() | rhs.keys()
                        if lhs.get(key, 0) != rhs.get(key, 0))
             return (
-                f"word {_render_word(word, names)} at "
-                f"({_render_word(l, names)} | {_render_word(r, names)}): "
+                f"word {render_word(word, names)} at "
+                f"({render_word(l, names)} | {render_word(r, names)}): "
                 f"lhs {Fraction(lhs.get((l, r), 0), scale)}, "
                 f"rhs {Fraction(rhs.get((l, r), 0), scale)}"
             )

@@ -158,9 +158,8 @@ def loop_model(model):
         raise ModelError(
             f"generator names collide with barred partners: {sorted(clash)}"
         )
-    gens = list(zip(base_alg.names, base_alg.degrees))
-    gens += [(_bar_name(n), deg - 1) for n, deg in zip(base_alg.names, base_alg.degrees)]
-    algebra = GradedAlgebra(gens)
+    algebra = GradedAlgebra(base_alg.generators
+                            + tuple((_bar_name(n), deg - 1) for n, deg in base_alg.generators))
 
     delta = Derivation(
         algebra, -1, {n: algebra.gen(_bar_name(n)) for n in base_alg.names}
@@ -176,11 +175,7 @@ def loop_model(model):
 def based_complex(model):
     """Complex of the based loop space: barred generators only, zero
     differential."""
-    gens = [
-        (_bar_name(n), deg - 1)
-        for n, deg in zip(model.algebra.names, model.algebra.degrees)
-    ]
-    algebra = GradedAlgebra(gens)
+    algebra = GradedAlgebra((_bar_name(n), deg - 1) for n, deg in model.algebra.generators)
     return CochainComplex(algebra, Derivation(algebra, 1, {}))
 
 
@@ -192,8 +187,7 @@ def equivariant_model(loop):
         raise ModelError(
             f"generator name {CIRCLE_CLASS!r} is reserved for the degree-2 class"
         )
-    gens = list(zip(loop_alg.names, loop_alg.degrees)) + [(CIRCLE_CLASS, 2)]
-    algebra = GradedAlgebra(gens)
+    algebra = GradedAlgebra(loop_alg.generators + ((CIRCLE_CLASS, 2),))
     u = algebra.gen(CIRCLE_CLASS)
     d_values = {}
     for n in loop_alg.names:
@@ -243,7 +237,7 @@ def format_model_report(obj, rep):
     """Deterministic listing: generators, nonzero differentials, nonzero
     rotation values, then the validation report."""
     alg = obj.algebra
-    lines = [f"gen {n} {deg}" for n, deg in zip(alg.names, alg.degrees)]
+    lines = [f"gen {n} {deg}" for n, deg in alg.generators]
     for n in alg.names:
         v = obj.d(alg.gen(n))
         if v:

@@ -30,7 +30,7 @@ from .checks import (
     ksign,
     read_input,
 )
-from .coderivations import CoderivationRep
+from .coderivations import CoderivationRep, render_word
 
 __all__ = [
     "StructureError",
@@ -164,7 +164,6 @@ class StructureTable:
         return apply_map((self.delta or {}).get, combo)
 
 
-
 def parse_structure_file(text):
     basis_pairs = []
     sbasis_pairs = []
@@ -210,7 +209,7 @@ def parse_structure_file(text):
     string_space = BasisSpace(sbasis_pairs) if sbasis_pairs else None
 
     tables = {"product": None, "bracket": None, "delta": None, "E": None, "M": None}
-    seen_keys = {}
+    seen_keys = set()
     for lineno, kind, args, rhs in op_lines:
         if tables[kind] is None:
             tables[kind] = {}
@@ -226,7 +225,7 @@ def parse_structure_file(text):
             raise StructureFileError(
                 lineno, f"duplicate {kind} entry for {' '.join(args)}"
             )
-        seen_keys[(kind, key)] = lineno
+        seen_keys.add((kind, key))
         try:
             combo = val_space.parse_combo(rhs, where=f"{kind} {' '.join(args)}")
         except ValueError as e:  # a StructureError, or an int past the digit limit
@@ -264,6 +263,15 @@ def _degree_witness(src, tgt, table, extra, op):
     return None
 
 
+def _degree_lines(rep, t, second):
+    """Add the product's degree line to rep, then the line of the table
+    named second, which adds one to the degree; whether both pass."""
+    sp = t.space
+    return (rep.add("product respects degrees", _degree_witness(sp, sp, t.product, 0, "product"))
+            and rep.add(f"{second} respects degrees",
+                        _degree_witness(sp, sp, getattr(t, second), 1, second)))
+
+
 def check_gerstenhaber(t):
     """Odd-bracket compatibility checks, first failure wins.
 
@@ -272,15 +280,9 @@ def check_gerstenhaber(t):
     """
     if t.product is None or t.bracket is None:
         raise StructureError("gerstenhaber check needs product and bracket tables")
-    sp = t.space
     rep = CheckReport()
-    if (
-        rep.add("product respects degrees",
-                _degree_witness(sp, sp, t.product, 0, "product"))
-        and rep.add("bracket respects degrees",
-                    _degree_witness(sp, sp, t.bracket, 1, "bracket"))
-    ):
-        Tabulation(sp, product=t.product, bracket=t.bracket).add_laws(
+    if _degree_lines(rep, t, "bracket"):
+        Tabulation(t.space, product=t.product, bracket=t.bracket).add_laws(
             rep,
             PRODUCT_LAWS + BRACKET_LAWS
             + ("bracket is a graded derivation of the product",),
@@ -297,16 +299,10 @@ def check_bv(t):
     """
     if t.product is None or t.delta is None:
         raise StructureError("bv check needs product and delta tables")
-    sp = t.space
     rep = CheckReport()
-    if not (
-        rep.add("product respects degrees",
-                _degree_witness(sp, sp, t.product, 0, "product"))
-        and rep.add("delta respects degrees",
-                    _degree_witness(sp, sp, t.delta, 1, "delta"))
-    ):
+    if not _degree_lines(rep, t, "delta"):
         return rep
-    tab = Tabulation(sp, product=t.product, delta=t.delta)
+    tab = Tabulation(t.space, product=t.product, delta=t.delta)
     if not tab.add_laws(rep, PRODUCT_LAWS + ("delta squares to zero",)):
         return rep
     first, second, seven = (rep.add(label, tab.witness(label)) for label in DEVIATION_LAWS)
@@ -336,7 +332,7 @@ class StringBracketReport:
         lines = [self.checks.text()]
         lines += (f"bracket {' '.join(pair)} = {render(combo)}\n"
                   for pair, combo in self.bracket.items())
-        lines += (f"m{k} {' '.join(names[i] for i in word)} = "
+        lines += (f"m{k} {render_word(word, names)} = "
                   f"{render({names[x]: c for x, c in combo.items()})}\n"
                   for k, rep in self.reps.items() for word, combo in rep.comps.items())
         return "".join(lines)
@@ -431,8 +427,7 @@ def string_brackets(t, max_arity=3):
                 lhs = op.get(swapped, {})
                 rhs = add_into({}, op.get(tup, {}), sign)
                 if lhs != rhs:
-                    args = " ".join(names[i] for i in swapped)
-                    return (f"op({args}) = {ss.render(lhs)}, "
+                    return (f"op({render_word(swapped, names)}) = {ss.render(lhs)}, "
                             f"expected {ss.render(rhs)}")
         return None
 
