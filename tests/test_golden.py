@@ -871,6 +871,11 @@ CLI_GOLDEN = [
     (None, ("goldman", "--surface", "{d}/torus.fat",
             "--a", "a b a^- b^- b a b^- a^-", "--b", "b"), 0,
      EMPTY, EMPTY),
+    # an arity past the last nonzero product on the torus, whose component
+    # is empty; recorded before the operations stopped at that arity
+    (None, ("verify", "coderivations", "--structure", "{d}/torus_bracket.struct",
+            "--arities", "2,3,7"), 0,
+     "2175cd39218a0f8ab61945871f21eb89b48bd408ce6e42ba2573f218821b9b11", EMPTY),
 ]
 
 
