@@ -273,12 +273,23 @@ class Tabulation:
         return out
 
     # Each identity below takes all but the last name of a basis tuple and
-    # returns its two sides as {last name: nonzero combination}.
+    # returns its two sides as {last name: nonzero combination}.  Five are
+    # one of two rules on tables, each with the parity it adds to degrees.
+
+    def _swap(self, table, s, eps, a):
+        """table(b,a) against eps * (-1)^((|a|+s)(|b|+s)) table(a,b)."""
+        return ({b: row[a] for b, row in table.items() if a in row},
+                {b: add_into({}, ab, eps * ksign((self.deg[a] + s) * (self.deg[b] + s)))
+                 for b, ab in table[a].items()})
+
+    def _derivation(self, op, s, mult, t, a, b):
+        """op(a, b*c) against op(a,b)*c + (-1)^((|a|+s)(|b|+t)) b*op(a,c), * being mult."""
+        rhs = _mix({}, mult, op[a].get(b, {}))
+        _compose(rhs, mult[b].get, op[a], ksign((self.deg[a] + s) * (self.deg[b] + t)))
+        return _nonzero(_compose({}, op[a].get, mult[b])), _nonzero(rhs)
 
     def commutative(self, a):
-        prod, deg = self.prod, self.deg
-        return ({b: row[a] for b, row in prod.items() if a in row},
-                {b: add_into({}, ab, ksign(deg[a] * deg[b])) for b, ab in prod[a].items()})
+        return self._swap(self.prod, 0, 1, a)
 
     def associative(self, a, b):
         prod = self.prod
@@ -289,22 +300,13 @@ class Tabulation:
         return _nonzero(_compose({}, self.delta.get, self.delta)), {}
 
     def antisymmetric(self, a):
-        s, br, deg = self.shift, self.br, self.deg
-        return ({b: row[a] for b, row in br.items() if a in row},
-                {b: add_into({}, ab, -ksign((deg[a] + s) * (deg[b] + s)))
-                 for b, ab in br[a].items()})
+        return self._swap(self.br, self.shift, -1, a)
 
     def jacobi(self, a, b):
-        s, br, deg = self.shift, self.br, self.deg
-        rhs = _mix({}, br, br[a].get(b, {}))
-        _compose(rhs, br[b].get, br[a], ksign((deg[a] + s) * (deg[b] + s)))
-        return _nonzero(_compose({}, br[a].get, br[b])), _nonzero(rhs)
+        return self._derivation(self.br, self.shift, self.br, self.shift, a, b)
 
     def leibniz(self, a, b):
-        prod, br, deg = self.prod, self.br, self.deg
-        rhs = _mix({}, prod, br[a].get(b, {}))
-        _compose(rhs, prod[b].get, br[a], ksign(deg[b] * (deg[a] + self.shift)))
-        return _nonzero(_compose({}, br[a].get, prod[b])), _nonzero(rhs)
+        return self._derivation(self.br, self.shift, self.prod, 0, a, b)
 
     def first_arg(self, a, b):
         prod, dev, deg = self.prod, self.dev, self.deg
@@ -316,10 +318,7 @@ class Tabulation:
         return _nonzero(_mix({}, dev, prod[a].get(b, {}))), _nonzero(rhs)
 
     def second_arg(self, a, b):
-        prod, dev = self.prod, self.dev
-        rhs = _mix({}, prod, dev[a].get(b, {}))
-        _compose(rhs, prod[b].get, dev[a], ksign(self.deg[b] * (self.deg[a] + 1)))
-        return _nonzero(_compose({}, dev[a].get, prod[b])), _nonzero(rhs)
+        return self._derivation(self.dev, 1, self.prod, 0, a, b)
 
     def seven_term(self, a, b):
         """delta(a*b*c) against the six terms of a second-order operator."""

@@ -12,7 +12,7 @@ a report and whether it holds; only main turns that into an exit code.
 All reports are plain text, deterministic down to the byte for a given
 input, so repeated runs can be compared with cmp.  --out writes through a
 temporary file in the target directory and renames, so readers never see
-a half-written report.
+a half-written report, and gives it the mode a plain write would.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import shutil
 import sys
 import tempfile
 
 from .checks import InputError
-from .coderivations import coderivation_relations, jacobi_coderivation_equiv
+from .coderivations import CoderivationRep, coderivation_relations, jacobi_coderivation_equiv
 from .goldman import format_combo, goldman_bracket, jacobi_fuzz, load_fat_graph
 from .homology import betti_table, format_betti_table
 from .models import (
@@ -75,6 +76,11 @@ def _emit(text, out_path):
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            if os.path.exists(out_path):
+                shutil.copymode(out_path, tmp)
             os.replace(tmp, out_path)
         finally:
             if os.path.exists(tmp):
@@ -161,11 +167,36 @@ def _cmd_verify(args):
     # coderivations: the bracket and operations must exist first
     if not sb.ok:
         return sb.checks.text(), False
-    reps = {k: sb.reps[k] for k in arities}
+    # an arity past the last one tabulated has an empty component
     ss = table.string_space
+    reps = {k: sb.reps.get(k) or CoderivationRep.from_operation(ss, k, {}) for k in arities}
     rep = coderivation_relations(reps, args.word_len, ss.names)
     rep.lines += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len, rep).lines
     return rep.text(), rep.ok
+
+
+_REQUIRED = {"required": True}
+_MODEL, _SURFACE = ("--model", _REQUIRED), ("--surface", _REQUIRED)
+_CUTOFF = ("--cutoff", {"type": int, "default": 12})
+
+# name -> (help, handler, options besides --out, each as (flag, add_argument keywords))
+_COMMANDS = {
+    "betti": ("rank table of a loop-space complex", _cmd_betti, [
+        _MODEL, ("--space", {"choices": ["loop", "string", "based"], "default": "loop"}),
+        _CUTOFF]),
+    "loop-model": ("list the free-loop model and check it", _cmd_model, [_MODEL]),
+    "string-model": ("list the equivariant model and check it", _cmd_model, [_MODEL]),
+    "gysin": ("exactness table of the connecting sequence", _cmd_gysin, [_MODEL, _CUTOFF]),
+    "goldman": ("bracket of two loops on a surface", _cmd_goldman,
+                [_SURFACE, ("--a", _REQUIRED), ("--b", _REQUIRED)]),
+    "jacobi-fuzz": ("randomized Jacobi check on a surface", _cmd_jacobi_fuzz, [
+        _SURFACE, ("--trials", {"type": int, "default": 200}),
+        ("--max-len", {"type": int, "default": 6}), ("--seed", {"type": int, "default": 1})]),
+    "verify": ("identity checks on a structure file", _cmd_verify, [
+        ("what", {"choices": ["gerstenhaber", "bv", "string-brackets", "coderivations"]}),
+        ("--structure", _REQUIRED), ("--arities", {"default": "2,3"}),
+        ("--word-len", {"type": int, "default": 4})]),
+}
 
 
 def _build_parser():
@@ -174,56 +205,12 @@ def _build_parser():
         description="exact-arithmetic workbench for loop-space chain models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("betti", help="rank table of a loop-space complex")
-    p.add_argument("--model", required=True)
-    p.add_argument("--space", choices=["loop", "string", "based"], default="loop")
-    p.add_argument("--cutoff", type=int, default=12)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_betti)
-
-    p = sub.add_parser("loop-model", help="list the free-loop model and check it")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_model)
-
-    p = sub.add_parser("string-model", help="list the equivariant model and check it")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_model)
-
-    p = sub.add_parser("gysin", help="exactness table of the connecting sequence")
-    p.add_argument("--model", required=True)
-    p.add_argument("--cutoff", type=int, default=12)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_gysin)
-
-    p = sub.add_parser("goldman", help="bracket of two loops on a surface")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_goldman)
-
-    p = sub.add_parser("jacobi-fuzz", help="randomized Jacobi check on a surface")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_jacobi_fuzz)
-
-    p = sub.add_parser("verify", help="identity checks on a structure file")
-    p.add_argument(
-        "what",
-        choices=["gerstenhaber", "bv", "string-brackets", "coderivations"],
-    )
-    p.add_argument("--structure", required=True)
-    p.add_argument("--arities", default="2,3")
-    p.add_argument("--word-len", type=int, default=4)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--out")
+        p.set_defaults(handler=handler)
     return parser
 
 

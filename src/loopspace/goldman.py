@@ -324,15 +324,14 @@ def _bracket(graph, a, b):
     m, n = len(a), len(b)
     # the ray along v backward from position j reads ib forward from n - j
     ib = b[::-1].translate(graph.inv_table)
-    tails = [b[j:] + b[:j] for j in range(n)]
     codes = _pair_codes(graph, b)
     backs = (a[-1:] + a[:-1]).translate(graph.inv_table)
     acc = {}
     limit = 2 * (m + n) + 4
     short = min(m, n)
     low = min(a + b, default="")
+    aa, bb = a + a, b + b
     for i, (fa, ba) in enumerate(zip(a, backs)):
-        head = a[i:] + a[:i]
         row = graph.rows.get(fa + ba) or _crossing_row(graph, fa, ba)
         for j, cell in enumerate(codes.translate(row)):
             if cell == ".":
@@ -349,9 +348,9 @@ def _bracket(graph, a, b):
             # ends and w starts (nothing cancels where w ends, as ba != fb): the
             # cut term is reduced unless k spans a word; an uncut one holds low
             if k < short:
-                term = _least_rotation(head[k:] + tails[j][:n - k], None if k else low)
+                term = _least_rotation(aa[i + k:i + m] + bb[j:j + n - k], None if k else low)
             else:
-                term = _least_rotation(_reduce(graph, head + tails[j]))
+                term = _least_rotation(_reduce(graph, aa[i:i + m] + bb[j:j + n]))
             c = acc.pop(term, 0) + o
             if c:
                 acc[term] = c

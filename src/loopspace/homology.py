@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .checks import InputError, apply_map
+from .checks import InputError, apply_map, ksign
 from .gca import GradedElement
 from .linalg import MatrixSlice, SpanTracker
 
@@ -209,7 +209,7 @@ def verify_chain_map(f, cutoff):
     (-1)^degree F_{n+1} (src.scale d_src); the witness divides both sides
     by src.scale * tgt.scale back to their exact values.
     """
-    sign = -1 if f.degree % 2 else 1
+    sign = ksign(f.degree)
     src, tgt = f.src, f.tgt
     nxt = _columns(f, 0)
     for n in range(cutoff + 1):

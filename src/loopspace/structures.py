@@ -393,7 +393,8 @@ def string_brackets(t, max_arity=3):
 
     # ops[k]: index tuples with a nonzero value E(M(s1)...M(sk)).  mult is
     # bilinear and runs from the left, so a prefix whose product is 0 gives
-    # 0 for every extension, and each arity extends only nonzero products.
+    # 0 for every extension: each arity extends only nonzero products, and
+    # the first arity with none is the last.
     names, deg = ss.names, ss.degree
     marked = [(i, t.mark[s]) for i, s in enumerate(names) if t.mark.get(s)]
     prods = {(i,): m for i, m in marked}
@@ -402,6 +403,8 @@ def string_brackets(t, max_arity=3):
         prods = {tup + (i,): p for tup, acc in prods.items() for i, m in marked
                  if (p := t.mult(acc, m))}
         ops[k] = {tup: v for tup, acc in prods.items() if (v := apply_map(t.erase.get, acc))}
+        if not prods:
+            break
 
     out.bracket = {(names[i], names[j]): add_into({}, v, ksign(deg(names[i])))
                    for (i, j), v in ops[2].items()}
@@ -418,7 +421,7 @@ def string_brackets(t, max_arity=3):
         # op(b,a) = (-1)^((|a|+1)(|b|+1)) op(a,b).  A swap with both sides 0
         # passes, so only the pairs with a side in ops[k] are walked, in the
         # order of a walk over every tuple.
-        for k in range(3, max_arity + 1):
+        for k in range(3, max(ops) + 1):
             op = ops[k]
             for tup, p in sorted({(u, p) for w in op for p in range(k - 1)
                                   for u in (w, swap(w, p))}):

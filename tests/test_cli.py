@@ -314,6 +314,36 @@ def test_out_failed_rename_removes_the_temporary_file(capsys, data_path, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_keeps_the_mode_a_plain_write_leaves(capsys, data_path, tmp_path):
+    # a new report gets 0o666 less the umask, and a rewritten one keeps its
+    # own mode, as open(path, "w") would leave them
+    new, old = tmp_path / "new.tsv", tmp_path / "old.tsv"
+    old.write_text("stale\n")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for target in (new, old):
+            code, out, _ = run(capsys, "betti", "--model", data_path("s2.min"),
+                               "--out", str(target))
+            assert (code, out) == (0, "")
+    finally:
+        os.umask(umask)
+    assert [p.stat().st_mode & 0o777 for p in (new, old)] == [0o644, 0o640]
+    assert old.read_bytes() == new.read_bytes() != b"stale\n"
+
+
+def test_arities_past_the_last_nonzero_product_cost_nothing(capsys, data_path):
+    # every torus operation past arity 2 is 0, so a far arity prints what
+    # --arities 2,3,4 prints, and builds no table past arity 3
+    outs = []
+    for arities in ("2,3,4", "2,1000000"):
+        code, out, err = run(capsys, "verify", "string-brackets", "--structure",
+                             data_path("torus_bracket.struct"), "--arities", arities)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

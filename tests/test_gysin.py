@@ -176,6 +176,25 @@ def test_each_map_is_verified_through_its_top_degree(name, data_path, monkeypatc
         _report(data_path, "s2.min", cutoff)
 
 
+def test_string_model_off_d_plus_u_delta_fails_restriction(data_path):
+    # a string model whose differential is not d + u*delta on generators,
+    # with D^2 = 0 still: validate_model passes it, and only the chain
+    # condition of the restriction sees that D(yb) restricts to -4*xb*x
+    # where the loop model has -2*xb*x
+    loop = loop_model(load_model(data_path("s2.min")))
+    em = equivariant_model(loop)
+    alg = em.algebra
+    x, xb, u = (alg.gen(n) for n in ("x", "xb", "u"))
+    d_values = {n: em.d(alg.gen(n)) for n in alg.names}
+    assert (d_values["x"], d_values["yb"]) == (xb * u, -2 * xb * x)
+    d_values.update(x=2 * xb * u, yb=-4 * xb * x)
+    string = models.Model(alg, Derivation(alg, 1, d_values), loop=loop)
+    assert models.validate_model(string).ok
+    with pytest.raises(ChainMapError,
+                       match="^restriction: chain condition fails in degree 2 on yb$"):
+        gysin_report(string, 4)
+
+
 def test_gysin_reads_cached_slices_and_solvers(data_path, monkeypatch):
     # verify_chain_map reads both differentials from the cached slices and
     # evaluates each map once per basis monomial, only through the degrees

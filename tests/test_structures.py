@@ -299,6 +299,15 @@ def test_each_operation_evaluated_once(torus_bracket, monkeypatch):
         assert all(all(rep.comps.values()) for rep in out.reps.values())
 
 
+def test_operations_stop_at_the_first_arity_without_products(torus_bracket):
+    # every arity-3 product is 0, so arity 3 is tabulated empty and no
+    # arity past it is built, walked or kept
+    out = string_brackets(torus_bracket, max_arity=50)
+    assert out.ok
+    assert sorted(out.reps) == [2, 3]
+    assert out.reps[3].comps == {}
+
+
 def test_string_brackets_requirements(circle):
     plain = parse_structure_file("basis T 0\nproduct T T = T\n")
     with pytest.raises(StructureError, match="needs an sbasis"):
