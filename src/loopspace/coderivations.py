@@ -249,8 +249,10 @@ def _coproduct_witness(rep, image, words, names, scale):
     deg = sdegs.__getitem__
     for word in words:
         # without a k-letter subword in comps the extension vanishes on the
-        # word and on both blocks of every split, so both sides are 0
-        if not any(sub in rep.comps for sub in itertools.combinations(word, rep.k)):
+        # word and on both blocks of every split, so both sides are 0; a
+        # word shorter than k has none, as in apply_word
+        if len(word) < rep.k or not any(
+                sub in rep.comps for sub in itertools.combinations(word, rep.k)):
             continue
         lhs = apply_map(lambda w2: coproduct(w2, sdegs), image(word))
         rhs = {}

@@ -2,6 +2,9 @@ import os
 
 import pytest
 
+from loopspace.gca import Derivation
+from loopspace.models import Model, equivariant_model, load_model, loop_model
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -44,3 +47,16 @@ def circle_structure(windings):
         if i:
             lines += [f"delta A_{i} = {i}*T_{i}", f"M S_{i} = {i}*T_{i}"]
     return "".join(line + "\n" for line in lines)
+
+
+def s2_string_model(**values):
+    """The string model of data/s2.min, equivariant_model(loop_model(...)),
+    with its differential on the named generators replaced by the given
+    element texts.  validate_model checks only that the differential squares
+    to zero, not that it is d + u*delta."""
+    loop = loop_model(load_model(os.path.join(DATA_DIR, "s2.min")))
+    em = equivariant_model(loop)
+    alg = em.algebra
+    d_values = {n: em.d(alg.gen(n)) for n in alg.names}
+    d_values.update({n: alg.parse(v) for n, v in values.items()})
+    return Model(alg, Derivation(alg, 1, d_values), loop=loop)

@@ -1,7 +1,9 @@
 """Command line behavior: exit codes, report layout, determinism."""
 
 import contextlib
+import hashlib
 import io
+import itertools
 import os
 import re
 import subprocess
@@ -342,6 +344,27 @@ def test_a_far_arity_prints_what_the_near_ones_print(capsys, data_path):
         outs.append(out)
     assert outs[0] == outs[1]
 
+
+
+def test_a_far_arity_asks_no_combination_longer_than_its_word(capsys, data_path, monkeypatch):
+    # the coproduct check skips a word shorter than the arity, as the
+    # extension does, instead of asking combinations for a million indices
+    # of a four-letter word; the report is the one recorded before the skip
+    asked = []
+    real = itertools.combinations
+
+    def combinations(iterable, r):
+        pool = tuple(iterable)
+        asked.append((len(pool), r))
+        return real(pool, r)
+
+    monkeypatch.setattr(itertools, "combinations", combinations)
+    code, out, err = run(capsys, "verify", "coderivations", "--structure",
+                         data_path("torus_bracket.struct"), "--arities", "2,1000000")
+    assert (code, err) == (0, "")
+    assert asked and all(r <= n for n, r in asked), max(asked, key=lambda a: a[1] - a[0])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5cacc419ce46cbde44e854396593223b57e85412728f0f031100719574eb88c5")
 
 @pytest.mark.parametrize(
     "argv",

@@ -15,11 +15,13 @@ import os
 import sys
 
 import pytest
+from conftest import s2_string_model
 
 import loopspace
 from loopspace.gca import AlgebraError, Derivation, GradedAlgebra
 from loopspace.goldman import FatGraph, FatGraphError
 from loopspace.homology import ChainMap, ChainMapError, CochainComplex, ComplexError, induced_map
+from loopspace.models import StringModelError, gysin_report
 from loopspace.structures import BasisSpace, StructureError, StructureTable
 
 from test_golden import CLI_GOLDEN, _golden_streams
@@ -78,13 +80,15 @@ UNREACHABLE = {
     ("homology.py", "monomial has a"):
         "the Gysin maps send each degree into the degree their shift names",
     ("homology.py", "cocycle is not a cocycle"):
-        "each map is checked to be a chain map before its induced maps are read",
+        "the Gysin maps are chain maps once gysin_report's generator checks pass",
     ("linalg.py", "outside {nrows}x{ncols}"):
         "slices are built from basis indices inside their own dimensions",
     ("models.py", "fails {where}"):
         "the loop and string models built from a loaded model pass validate_model",
     ("models.py", "chain condition fails in degree"):
-        "the Gysin maps commute with the differentials by construction",
+        "the gysin command's string model is equivariant_model's, whose d is d + u*delta",
+    ("models.py", "raise StringModelError("):
+        "the gysin command's string model is equivariant_model's, whose d is d + u*delta",
     ("structures.py", "raise StructureError(problem)"):
         "the structure-file parser checks every name before the space is built",
     ("structures.py", "structure has no product table"):
@@ -208,6 +212,9 @@ GUARDS = {
     "duplicate basis name": (
         lambda: BasisSpace([("a", 0), ("a", 1)]), StructureError,
         "duplicate basis name 'a'"),
+    "string model off the circle-equivariant d": (
+        lambda: gysin_report(s2_string_model(x="2*xb*u", y="x^2 + 2*yb*u"), 2),
+        StringModelError, "string model: differential of x is not the circle-equivariant one"),
     "product without a table": (
         lambda: StructureTable(BasisSpace([("a", 0)])).mult({"a": 1}, {"a": 1}),
         StructureError, "structure has no product table"),
