@@ -345,7 +345,6 @@ def test_a_far_arity_prints_what_the_near_ones_print(capsys, data_path):
     assert outs[0] == outs[1]
 
 
-
 def test_a_far_arity_asks_no_combination_longer_than_its_word(capsys, data_path, monkeypatch):
     # the coproduct check skips a word shorter than the arity, as the
     # extension does, instead of asking combinations for a million indices
@@ -365,6 +364,7 @@ def test_a_far_arity_asks_no_combination_longer_than_its_word(capsys, data_path,
     assert asked and all(r <= n for n, r in asked), max(asked, key=lambda a: a[1] - a[0])
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5cacc419ce46cbde44e854396593223b57e85412728f0f031100719574eb88c5")
+
 
 @pytest.mark.parametrize(
     "argv",
