@@ -21,16 +21,19 @@ so pairs whose overlap extends backward are skipped: every geometric
 crossing is counted exactly once, at the visit where the overlap starts.
 That skip also covers words that run along the same periodic line, which
 can be made disjoint and contribute nothing.  Save for walks along shared
-runs, a visit depends only on the letters on both sides of each basepoint,
-so the surface keeps one row of outcomes per such pair of w, built on first
-use, and a bracket reads all of v's positions from it with one translate.
+runs of two or more letters, a visit depends only on the letters on both
+sides of each basepoint and the next one, so the surface keeps, built on
+first use, one row of outcomes per such pair of w, read for all of v's
+positions with one translate, and one turn row per pair of consecutive
+letters: the side of every letter at the vertex, the one place that test
+is written.  A bracket adds its terms into its caller's combination.
 """
 
 from __future__ import annotations
 
 import random
 
-from .checks import NAME_RE, InputError, LineError, add_into, content_lines, read_input
+from .checks import NAME_RE, InputError, LineError, content_lines, read_input
 
 __all__ = [
     "FatGraphError",
@@ -73,7 +76,8 @@ class FatGraph:
     ranks compare like token sequences; words are stored so.  A rank's
     token is ``tok``, its letter ``letter_of``, its inverse's rank ``inv``
     (``inv_table`` for ``str.translate``), and the position of its
-    half-edge in the cyclic order ``at``; ``rows`` keeps _crossing_row's.
+    half-edge in the cyclic order ``at``; ``rows`` and ``turns`` keep
+    _crossing_row's and _turn_row's.
     """
 
     def __init__(self, names, order):
@@ -102,6 +106,7 @@ class FatGraph:
         self.inv_table = str.maketrans(self.inv)
         self.at = {self.rank[x]: k for k, x in enumerate(order)}
         self.rows = {}
+        self.turns = {}
 
     def token(self, letter):
         name = self.names[abs(letter) - 1]
@@ -258,21 +263,32 @@ def _least_rotation(key, low=None):
             least = rotation
 
 
+def _turn_row(graph, prev, x):
+    """'+' or '-' per rank y: whether y lies counterclockwise of x at the
+    vertex, read against the dart pointing back along prev; kept in
+    graph.turns under prev + x."""
+    size, at = graph.size, graph.at
+    pa, side = at[x], (at[graph.inv[prev]] - at[x]) % size
+    row = graph.turns[prev + x] = "".join(
+        "+" if (at[chr(y)] - pa) % size < side else "-" for y in range(size))
+    return row
+
+
 def _pair_order(graph, w1, i1, w2, i2, limit):
     """Counterclockwise order of the rays reading rank strings w1 from i1
     and w2 from i2, cyclically, which share their first letter: read at the
     vertex where they diverge against the dart pointing back along the
-    shared path.  Returns the sign and k, the number of letters shared."""
+    shared path.  Returns the side of w2's ray, '+' or '-', and k, the
+    number of letters shared."""
     n1, n2 = len(w1), len(w2)
     k = 1
     while w1[(i1 + k) % n1] == w2[(i2 + k) % n2]:
         k += 1
         if k > limit:
             raise FatGraphError("rays fail to diverge; words are not reduced")
-    at, size = graph.at, graph.size
-    pa = at[w1[(i1 + k) % n1]]
-    side = (at[graph.inv[w1[(i1 + k - 1) % n1]]] - pa) % size
-    return (1 if (at[w2[(i2 + k) % n2]] - pa) % size < side else -1), k
+    prev, x = w1[(i1 + k - 1) % n1], w1[(i1 + k) % n1]
+    turn = graph.turns.get(prev + x) or _turn_row(graph, prev, x)
+    return turn[ord(w2[(i2 + k) % n2])], k
 
 
 def goldman_bracket(w, v):
@@ -280,7 +296,7 @@ def goldman_bracket(w, v):
     graph = w.graph
     if not _same_surface(graph, v.graph):
         raise WordError("words live on different surfaces")
-    return {_wrap(graph, term): c for term, c in _bracket(graph, w.key, v.key).items()}
+    return {_wrap(graph, term): c for term, c in _bracket(graph, w.key, v.key, {}, 1).items()}
 
 
 def _pair_codes(graph, key):
@@ -297,52 +313,62 @@ def _crossing_row(graph, fa, ba):
     '.': no term, as the overlap extends backward (a crossing is counted
     where the overlap starts) or fb and bb lie on one side of the chord
     fa-ba.  '+', '-': a term of that sign.  'F', 'f' where fb is fa and 'B',
-    'b' where bb is: _pair_order places that ray, and there is a term where
-    it lies opposite the other, upper case where the term's sign is +1.  No
-    reduced word has a pair with fb == bb."""
-    size, at = graph.size, graph.at
-    pa, side = at[fa], (at[ba] - at[fa]) % size
-    sign = {x: 1 if (at[x] - pa) % size < side else -1 for x in at}
+    'b' where bb is: the side of that ray is read where the rays part, and
+    there is a term where it lies opposite the other, upper case where the
+    term's sign is +1.  No reduced word has a pair with fb == bb."""
+    size, prev = graph.size, graph.inv[ba]
+    turn = graph.turns.get(prev + fa) or _turn_row(graph, prev, fa)
     cells = []
     for fb, bb in (map(chr, divmod(c, size)) for c in range(size * size)):
         if ba == bb or ba == fb:
             cells.append(".")
         elif fa == fb:
-            cells.append("F" if sign[bb] < 0 else "f")
+            cells.append("F" if turn[ord(bb)] == "-" else "f")
         elif fa == bb:
-            cells.append("B" if sign[fb] > 0 else "b")
+            cells.append("B" if turn[ord(fb)] == "+" else "b")
         else:
-            o1, o2 = sign[fb], sign[bb]
-            cells.append("." if o1 == o2 else "+" if o1 > 0 else "-")
+            o1, o2 = turn[ord(fb)], turn[ord(bb)]
+            cells.append("." if o1 == o2 else o1)
     row = graph.rows[fa + ba] = "".join(cells)
     return row
 
 
-def _bracket(graph, a, b):
-    """[a, b] for the keys of two classes of graph, as {key: coefficient}
-    with no zero coefficient."""
+def _bracket(graph, a, b, acc, scale):
+    """Adds scale * [a, b], for the keys of two classes of graph, into acc,
+    {key: coefficient} with no zero coefficient; returns acc."""
+    if not scale:
+        return acc
     m, n = len(a), len(b)
     # the ray along v backward from position j reads ib forward from n - j
     ib = b[::-1].translate(graph.inv_table)
     codes = _pair_codes(graph, b)
     backs = (a[-1:] + a[:-1]).translate(graph.inv_table)
-    acc = {}
+    rows, turns, get = graph.rows, graph.turns, acc.get
     limit = 2 * (m + n) + 4
     short = min(m, n)
     low = min(a + b, default="")
     aa, bb = a + a, b + b
     for i, (fa, ba) in enumerate(zip(a, backs)):
-        row = graph.rows.get(fa + ba) or _crossing_row(graph, fa, ba)
+        row = rows.get(fa + ba) or _crossing_row(graph, fa, ba)
+        # rays along w and v that part after one letter are placed by a
+        # turn row; only longer shared runs are walked by _pair_order
+        nxt = aa[i + 1]
+        turn = turns.get(fa + nxt) or _turn_row(graph, fa, nxt)
         for j, cell in enumerate(codes.translate(row)):
             if cell == ".":
                 continue
-            o = 1 if cell in "+FB" else -1
+            up = cell in "+FB"
             k = 0
-            if cell in "Ff" and _pair_order(graph, a, i, b, j, limit)[0] != o:
-                continue
+            if cell in "Ff":
+                y = bb[j + 1]
+                side = turn[ord(y)] if y != nxt else _pair_order(graph, a, i, b, j, limit)[0]
+                if (side == "+") != up:
+                    continue
             elif cell in "Bb":
-                o2, k = _pair_order(graph, a, i, ib, n - j, limit)
-                if o2 == o:
+                y = ib[(n - j + 1) % n]
+                side, k = ((turn[ord(y)], 1) if y != nxt
+                           else _pair_order(graph, a, i, ib, n - j, limit))
+                if (side == "+") == up:
                     continue
             # v's backward ray runs along w for k letters, which cancel where v
             # ends and w starts (nothing cancels where w ends, as ba != fb): the
@@ -351,20 +377,23 @@ def _bracket(graph, a, b):
                 term = _least_rotation(aa[i + k:i + m] + bb[j:j + n - k], None if k else low)
             else:
                 term = _least_rotation(_reduce(graph, aa[i:i + m] + bb[j:j + n]))
-            c = acc.pop(term, 0) + o
+            c = get(term, 0) + (scale if up else -scale)
             if c:
                 acc[term] = c
+            else:
+                del acc[term]
     return acc
 
 
-def bracket_combo(graph, a, b):
-    """Bilinear extension of the bracket to integer combinations of the
-    keys of graph's classes."""
-    out = {}
+def bracket_combo(graph, a, b, acc=None, scale=1):
+    """acc += scale * [a, b], in place, for integer combinations a and b of
+    the keys of graph's classes: the bracket's bilinear extension; returns
+    acc, a new dict when acc is None."""
+    acc = {} if acc is None else acc
     for ka, ca in a.items():
         for kb, cb in b.items():
-            add_into(out, _bracket(graph, ka, kb), ca * cb)
-    return out
+            _bracket(graph, ka, kb, acc, scale * ca * cb)
+    return acc
 
 
 def format_combo(combo):
@@ -399,9 +428,9 @@ def jacobi_fuzz(graph, trials=200, max_len=6, seed=1):
         rng = random.Random(f"{seed}:{t}")
         u, v, w = (random_reduced_cyclic_word(graph, rng, max_len) for _ in range(3))
         a, b, c = u.key, v.key, w.key
-        residual = bracket_combo(graph, {a: 1}, _bracket(graph, b, c))
-        add_into(residual, bracket_combo(graph, _bracket(graph, a, b), {c: 1}), -1)
-        add_into(residual, bracket_combo(graph, {b: 1}, _bracket(graph, a, c)), -1)
+        residual = bracket_combo(graph, {a: 1}, _bracket(graph, b, c, {}, 1))
+        bracket_combo(graph, _bracket(graph, a, b, {}, 1), {c: 1}, residual, -1)
+        bracket_combo(graph, {b: 1}, _bracket(graph, a, c, {}, 1), residual, -1)
         if residual:
             residual = {_wrap(graph, k): n for k, n in residual.items()}
             return {"trial": t, "u": u, "v": v, "w": w, "residual": residual}

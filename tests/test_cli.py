@@ -121,12 +121,12 @@ def test_jacobi_fuzz_fail_report(capsys, monkeypatch, data_path):
 
     true_bracket = goldman._bracket
 
-    def perturbed(graph, a, b):
+    def perturbed(graph, a, b, acc, scale):
         # keys order like token sequences: the least key is the least class
-        out = true_bracket(graph, a, b)
+        out = true_bracket(graph, a, b, {}, 1)
         if out:
             out[min(out)] += 1
-        return out
+        return add_into(acc, out, scale)
 
     monkeypatch.setattr(goldman, "_bracket", perturbed)
     graph = goldman.load_fat_graph(data_path("torus.fat"))
@@ -134,9 +134,9 @@ def test_jacobi_fuzz_fail_report(capsys, monkeypatch, data_path):
     assert witness is not None and witness["residual"]
     u, v, w = witness["u"], witness["v"], witness["w"]
     a, b, c = u.key, v.key, w.key
-    residual = goldman.bracket_combo(graph, {a: 1}, perturbed(graph, b, c))
-    add_into(residual, goldman.bracket_combo(graph, perturbed(graph, a, b), {c: 1}), -1)
-    add_into(residual, goldman.bracket_combo(graph, {b: 1}, perturbed(graph, a, c)), -1)
+    residual = goldman.bracket_combo(graph, {a: 1}, perturbed(graph, b, c, {}, 1))
+    add_into(residual, goldman.bracket_combo(graph, perturbed(graph, a, b, {}, 1), {c: 1}), -1)
+    add_into(residual, goldman.bracket_combo(graph, {b: 1}, perturbed(graph, a, c, {}, 1)), -1)
     residual = {goldman._wrap(graph, k): n for k, n in residual.items()}
     assert residual == witness["residual"]
 

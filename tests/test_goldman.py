@@ -210,6 +210,9 @@ def test_jacobi_fuzz_witness_matches_reference(monkeypatch, torus, genus2):
             combo[min(combo, key=order)] += 1
         return combo
 
+    def bumped(graph, a, b, acc, scale):
+        return add_into(acc, bump(true_bracket(graph, a, b, {}, 1)), scale)
+
     def word_bracket(w, v):
         return bump(goldman_bracket(w, v), order=CyclicWord.tokens)
 
@@ -217,7 +220,7 @@ def test_jacobi_fuzz_witness_matches_reference(monkeypatch, torus, genus2):
         for seed in (1, 4):
             want = reference_jacobi_fuzz(graph, 40, 5, seed, bracket=word_bracket)
             with monkeypatch.context() as m:
-                m.setattr(goldman, "_bracket", lambda *args: bump(true_bracket(*args)))
+                m.setattr(goldman, "_bracket", bumped)
                 got = jacobi_fuzz(graph, 40, 5, seed)
             assert want is not None and want["residual"]
             assert got == want
@@ -362,6 +365,37 @@ def test_canonical_form_and_order_match_reference(text):
         assert format_combo(got) == reference_format(got)
 
 
+@pytest.mark.parametrize(
+    "text", REFERENCE_SURFACES.values(), ids=REFERENCE_SURFACES.keys()
+)
+def test_bracket_combo_adds_into_acc(text):
+    # bracket_combo(graph, a, b, acc, scale) is acc += scale * [a, b] in
+    # place, also at scale 0, with a zero coefficient in a or b, and where
+    # the bracket cancels acc to exactly zero
+    graph = parse_fat_graph(text)
+    rng = random.Random(53)
+
+    def combo(zero=False):
+        keys = [random_reduced_cyclic_word(graph, rng, 8).key for _ in range(rng.randint(1, 3))]
+        return {k: 0 if zero and n == 0 else rng.choice([-2, -1, 1, 3]) for n, k in enumerate(keys)}
+
+    a, b = {graph.word(graph.names[0]).key: 0}, {graph.word(graph.names[-1]).key: 1}
+    assert bracket_combo(graph, a, b) == {}
+    cancelled = 0
+    for trial in range(40):
+        a, b = combo(zero=trial % 4 == 0), combo()
+        bracket = bracket_combo(graph, a, b)
+        for scale in (0, rng.choice([-2, -1, 1, 2])):
+            for acc in (combo(), add_into({}, bracket, -scale),
+                        add_into(combo(), bracket, -scale)):
+                want = add_into(dict(acc), bracket, scale)
+                got = bracket_combo(graph, a, b, acc, scale)
+                assert got is acc and got == want, (a, b, scale)
+                assert 0 not in got.values()
+                cancelled += bool(bracket and scale and not got)
+    assert cancelled >= 10, cancelled
+
+
 def long_word(graph, rng, least=40, most=60):
     while True:
         w = random_reduced_cyclic_word(graph, rng, most)
@@ -465,7 +499,8 @@ def test_long_words_match_reference(genus2, monkeypatch):
     for graph, u, v in pairs:
         want = reference_bracket(graph, u.letters, v.letters)
         assert {term.letters: c for term, c in goldman_bracket(u, v).items()} == want, (u, v)
-    assert max(walks) >= 12, max(walks)
+    # a pair that parts after one letter is placed by a turn row, unwalked
+    assert min(walks) >= 2 and max(walks) >= 12, (min(walks), max(walks))
 
 
 def test_traced_commands_read_words(data_path):
@@ -492,15 +527,19 @@ def test_traced_commands_read_words(data_path):
 
 def test_crossing_rows_stay_bounded(data_path):
     # a surface builds no row until a bracket needs one, and then at most
-    # one per ordered pair of distinct letters, of one outcome per pair
+    # one per ordered pair of distinct letters, of one outcome per pair;
+    # turn rows at most one per pair of consecutive letters, of one side
+    # per letter
     genus2 = load_fat_graph(data_path("genus2.fat"))
-    assert genus2.rows == {}
+    assert genus2.rows == {} and genus2.turns == {}
     genus2.word("a b c d")
-    assert genus2.rows == {}
+    assert genus2.rows == {} and genus2.turns == {}
     assert jacobi_fuzz(genus2, trials=40, max_len=10, seed=1) is None
     size = genus2.size
     assert 0 < len(genus2.rows) <= size * (size - 1)
     assert all(len(row) == size * size for row in genus2.rows.values())
+    assert 0 < len(genus2.turns) <= size * (size - 1)
+    assert all(len(row) == size and set(row) <= set("+-") for row in genus2.turns.values())
 
 
 @pytest.mark.parametrize("order", [(1, -1), (-1, 1)])
