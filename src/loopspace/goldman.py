@@ -22,11 +22,12 @@ crossing is counted exactly once, at the visit where the overlap starts.
 That skip also covers words that run along the same periodic line, which
 can be made disjoint and contribute nothing.  Save for walks along shared
 runs of two or more letters, a visit depends only on the letters on both
-sides of each basepoint and the next one, so the surface keeps, built on
-first use, one row of outcomes per such pair of w, read for all of v's
-positions with one translate, and one turn row per pair of consecutive
-letters: the side of every letter at the vertex, the one place that test
-is written.  A bracket adds its terms into its caller's combination.
+sides of each basepoint and the next letter of each word, so the surface
+keeps, built on first use, one row of outcomes per such pair of w, read
+for all of v's positions with one translate, and one turn row per pair of
+consecutive letters, the side of every letter at the vertex: the one place
+the counterclockwise test is written.  A bracket adds its terms into its
+caller's combination.
 """
 
 from __future__ import annotations
@@ -278,8 +279,7 @@ def _pair_order(graph, w1, i1, w2, i2, limit):
     """Counterclockwise order of the rays reading rank strings w1 from i1
     and w2 from i2, cyclically, which share their first letter: read at the
     vertex where they diverge against the dart pointing back along the
-    shared path.  Returns the side of w2's ray, '+' or '-', and k, the
-    number of letters shared."""
+    shared path.  Returns w2's side, '+' or '-', and k, the shared length."""
     n1, n2 = len(w1), len(w2)
     k = 1
     while w1[(i1 + k) % n1] == w2[(i2 + k) % n2]:
