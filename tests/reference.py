@@ -28,9 +28,13 @@ switch that runs the checkers on Fractions throughout.  Every combination
 here is added by this module's own add_into, which forms all the sums
 before it drops the zeros, where the library's add_into and apply_map add
 in one pass into the caller's accumulator; the reference shares no
-combination arithmetic with the code it checks.
+combination arithmetic with the code it checks.  The command-line parser
+is kept here as argparse builds it from the command table, the renderer
+of every help text and usage error, which the command-line tests hold
+the program to.
 """
 
+import argparse
 import functools
 import itertools
 import random
@@ -38,6 +42,7 @@ import re
 from fractions import Fraction
 
 from loopspace import checks, coderivations
+from loopspace.cli import _COMMANDS
 from loopspace.checks import IDENTITIES, ksign
 from loopspace.gca import AlgebraError, Derivation, ElementSyntaxError, GradedElement
 from loopspace.goldman import CyclicWord, goldman_bracket, random_reduced_cyclic_word
@@ -678,3 +683,20 @@ def reference_symmetry_witness(t, max_arity):
                     return (f"op({' '.join(swapped)}) = {ss.render(lhs)}, "
                             f"expected {ss.render(rhs)}")
     return None
+
+
+def reference_parser():
+    """The argparse parser of the command table: a subparser per row of
+    _COMMANDS with that row's options, --out, and the row's handler."""
+    parser = argparse.ArgumentParser(
+        prog="loopspace",
+        description="exact-arithmetic workbench for loop-space chain models",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--out")
+        p.set_defaults(handler=handler)
+    return parser

@@ -14,8 +14,9 @@ import pytest
 from conftest import DATA_DIR
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_parser
 
-from loopspace.cli import main
+from loopspace.cli import _COMMANDS, main
 from loopspace.homology import betti_table, format_betti_table
 from loopspace.models import load_model, loop_model
 
@@ -459,3 +460,52 @@ def test_zero_denominator_exit_2(capsys, tmp_path, coeff):
     assert _one_error_line(code, out, err), err
     assert err.startswith("error: line 3: "), err
     assert "zero denominator" in err, err
+
+
+S2 = os.path.join(DATA_DIR, "s2.min")
+
+# Help texts and usage errors, each as argparse renders it, and two forms
+# that argparse reads though no row spells them so.
+PINNED_ARGV = [
+    ["--help"],
+    *([name, "--help"] for name in _COMMANDS),
+    [],
+    ["nosuch"],
+    ["betti"],
+    ["betti", "--model", S2, "--space", "nosuch"],
+    ["verify", "nosuch", "--structure", os.path.join(DATA_DIR, "circle.struct")],
+    ["betti", "--model", S2, "--cutoff", "x"],
+    ["betti", "--model", S2, "--nosuch", "1"],
+    ["betti", "--model"],
+    ["betti", f"--model={S2}", "--cutoff", "4"],
+    ["betti", "--model", S2, "--cut", "3"],
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv).replace(DATA_DIR + os.sep, "") or "no arguments"
+
+
+def _outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _reference_main(argv):
+    args = reference_parser().parse_args(argv)
+    text, holds = args.handler(args)
+    sys.stdout.write(text)
+    return 0 if holds else 1
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGV, ids=_argv_id)
+def test_help_and_usage_errors_are_argparse_s(argv, capsys, monkeypatch):
+    # argparse wraps help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _outcome(capsys, _reference_main, argv)
+    assert want[1] or want[2]
+    assert _outcome(capsys, main, argv) == want
