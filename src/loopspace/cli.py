@@ -214,8 +214,45 @@ def _build_parser():
     return parser
 
 
+def _read_args(argv):
+    """The namespace _build_parser gives for argv, read from _COMMANDS when
+    argv is a row name, then each of its options at most once as two
+    tokens and its positional anywhere, every value readable; else None,
+    so that argparse prints the help or the usage error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    rows = dict(options + [("--out", {})])
+    positional = next((flag for flag in rows if flag[0] != "-"), None)
+    seen = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = token if token in rows and token != positional else positional
+        value = token if flag == positional else next(tokens, "-")
+        if flag is None or flag in seen or value.startswith("-"):
+            return None
+        seen[flag] = value
+    args = argparse.Namespace(command=argv[0], handler=handler)
+    for flag, keywords in rows.items():
+        if flag in seen:
+            try:
+                value = keywords.get("type", str)(seen[flag])
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
+        elif keywords.get("required") or flag == positional:
+            return None
+        else:
+            value = keywords.get("default")
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    return args
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_args(argv) or _build_parser().parse_args(argv)
     try:
         _check_bounds(args)
         text, holds = args.handler(args)

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report layout, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,14 +10,15 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 
 import pytest
 from conftest import DATA_DIR
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import reference_parser
 
-from loopspace.cli import _COMMANDS, main
+from loopspace.cli import _COMMANDS, _read_args, main
 from loopspace.homology import betti_table, format_betti_table
 from loopspace.models import load_model, loop_model
 
@@ -444,12 +446,12 @@ def test_reports_byte_identical_across_processes(argv):
 
 
 def test_module_entry_betti(data_path):
-    cmd = [
-        sys.executable, "-m", "loopspace",
-        "betti", "--model", data_path("s2.min"), "--cutoff", "4",
-    ]
-    out = subprocess.run(cmd, capture_output=True, check=True)
-    assert out.stdout == b"0\t1\n1\t1\n2\t1\n3\t1\n4\t1\n"
+    # the second form is argparse's to read, from sys.argv
+    model = data_path("s2.min")
+    for argv in (["--model", model, "--cutoff", "4"], [f"--model={model}", "--cut", "4"]):
+        cmd = [sys.executable, "-m", "loopspace", "betti", *argv]
+        out = subprocess.run(cmd, capture_output=True, check=True)
+        assert out.stdout == b"0\t1\n1\t1\n2\t1\n3\t1\n4\t1\n"
 
 
 @pytest.mark.parametrize("coeff", ["1/0", "0/0", "3 / 0"])
@@ -509,3 +511,129 @@ def test_help_and_usage_errors_are_argparse_s(argv, capsys, monkeypatch):
     want = _outcome(capsys, _reference_main, argv)
     assert want[1] or want[2]
     assert _outcome(capsys, main, argv) == want
+
+
+# Values a perturbed command line may carry: empty, negative, padded and
+# underscored numerals, a word no int reads and one outside every choice.
+ODD_VALUES = ["", "-3", " 7", "1_0", "x", "nosuch"]
+
+
+@st.composite
+def perturbed_command_lines(draw):
+    """A command line of one _COMMANDS row in the form the reader reads:
+    each required option and some of the others as --flag value pairs in
+    any order, the positional anywhere, every value valid.  Then at most
+    one perturbation, named with the line."""
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    pairs, positional = [], []
+    for flag, keywords in _COMMANDS[name][2] + [("--out", {})]:
+        if "choices" in keywords:
+            value = draw(st.sampled_from(keywords["choices"]))
+        elif "type" in keywords:
+            value = str(draw(st.integers(0, 30)))
+        else:
+            value = draw(st.sampled_from(["s2.min", "a b", "2,3,4", "x=y", "betti", "model"]))
+        if flag[0] != "-":
+            positional = [value]
+        elif keywords.get("required") or draw(st.booleans()):
+            pairs.append([flag, value])
+    pairs = draw(st.permutations(pairs))
+    how = draw(st.sampled_from([None, "drop", "repeat", "abbreviate", "equals", "insert",
+                                "value"]))
+    i = draw(st.integers(0, len(pairs) - 1))
+    flag, value = pairs[i]
+    if how == "drop" and positional and draw(st.booleans()):
+        positional = []
+    elif how == "drop":
+        # every row has a required option
+        i = draw(st.sampled_from([k for k, (f, _) in enumerate(pairs)
+                                  if dict(_COMMANDS[name][2]).get(f, {}).get("required")]))
+        del pairs[i]
+    elif how == "repeat":
+        pairs.insert(draw(st.integers(0, len(pairs))), [flag, draw(st.sampled_from(["1", value]))])
+    elif how == "abbreviate":
+        if len(flag) == 3:
+            how = "unknown"
+            pairs[i] = ["--" + flag[2] + "x", value]
+        else:
+            pairs[i] = [flag[:draw(st.integers(3, len(flag) - 1))], value]
+    elif how == "equals":
+        pairs[i] = [f"{flag}={value}"]
+    elif how == "value":
+        if positional and draw(st.booleans()):
+            positional = [draw(st.sampled_from(ODD_VALUES))]
+        else:
+            pairs[i] = [flag, draw(st.sampled_from(ODD_VALUES))]
+    tokens = [t for pair in pairs for t in pair]
+    at = draw(st.integers(0, len(pairs))) * 2
+    tokens[at:at] = positional
+    if how == "insert":
+        at = draw(st.integers(0, len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(["--", "-h", "--help", "--nosuch"])))
+    return how, [name] + tokens
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_command_lines())
+@example(("drop", ["verify", "--structure", "circle.struct"]))
+@example(("repeat", ["betti", "--model", "s2.min", "--cutoff", "3", "--cutoff", "4"]))
+@example(("value", ["gysin", "--cutoff", "-3", "--model", "s2.min"]))
+def test_the_reader_reads_as_argparse_or_not_at_all(case):
+    how, argv = case
+    args = _read_args(argv)
+    if how in (None, "value"):
+        if how is None:
+            assert args is not None, argv
+        if args is not None:
+            # argparse exits on any argv it refuses, so it reads this one
+            assert vars(args) == vars(reference_parser().parse_args(argv)), argv
+    else:
+        assert args is None, argv
+
+
+def _bench_commands(work, monkeypatch):
+    """The Command lists of bench/run.py's build_workloads, with inputs
+    written under work.  run.py is run from its source and imports gen and
+    tracing from bench/, so no bytecode is written there."""
+    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+    path = os.path.join(bench, "run.py")
+    run_py = types.ModuleType("bench_run")
+    run_py.__file__ = path
+    with monkeypatch.context() as m:
+        m.syspath_prepend(bench)
+        m.setattr(sys, "dont_write_bytecode", True)
+        for name in ("gen", "tracing"):
+            m.delitem(sys.modules, name, raising=False)
+        with open(path, encoding="utf-8") as fh:
+            exec(compile(fh.read(), path, "exec"), run_py.__dict__)
+        return run_py.build_workloads(1, work)
+
+
+def test_the_reader_reads_every_benchmark_command(tmp_path, monkeypatch):
+    commands = [c for cs in _bench_commands(tmp_path, monkeypatch).values() for c in cs]
+    assert len(commands) == 11
+    for c in commands:
+        args = _read_args(c.argv)
+        assert args is not None, c.argv
+        assert vars(args) == vars(reference_parser().parse_args(c.argv)), c.argv
+
+
+def test_well_formed_commands_build_no_parser(capsys, monkeypatch, data_path):
+    torus, circle = data_path("torus.fat"), data_path("circle.struct")
+    commands = [
+        ["betti", "--space", "string", "--model", data_path("s2xs3.min"), "--cutoff", "6"],
+        ["gysin", "--model", data_path("s2.min"), "--cutoff", "6"],
+        ["goldman", "--surface", torus, "--a", "a", "--b", "b"],
+        ["jacobi-fuzz", "--surface", torus, "--trials", "5", "--max-len", "4"],
+        ["verify", "bv", "--structure", circle],
+        ["verify", "--structure", circle, "gerstenhaber"],
+        ["verify", "coderivations", "--structure", data_path("torus_bracket.struct"),
+         "--word-len", "3"],
+    ]
+    want = [run(capsys, *argv)[:2] for argv in commands]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an ArgumentParser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert [run(capsys, *argv)[:2] for argv in commands] == want
