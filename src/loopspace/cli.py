@@ -13,6 +13,10 @@ All reports are plain text, deterministic down to the byte for a given
 input, so repeated runs can be compared with cmp.  --out writes through a
 temporary file in the target directory and renames, so readers never see
 a half-written report, and gives it the mode a plain write would.
+
+A command line in the form a row of _COMMANDS spells is read from that
+row, without the parsers that cost a cold command a quarter of its time;
+argparse reads every other form and prints every help and usage error.
 """
 
 from __future__ import annotations
@@ -215,10 +219,9 @@ def _build_parser():
 
 
 def _read_args(argv):
-    """The namespace _build_parser gives for argv, read from _COMMANDS when
-    argv is a row name, then each of its options at most once as two
-    tokens and its positional anywhere, every value readable; else None,
-    so that argparse prints the help or the usage error."""
+    """The namespace _build_parser gives for argv when argv names a row,
+    then gives its options each at most once as --flag value and its
+    positional anywhere, every value readable; else None."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, handler, options = _COMMANDS[argv[0]]
@@ -250,8 +253,7 @@ def _read_args(argv):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv) or _build_parser().parse_args(argv)
     try:
         _check_bounds(args)
