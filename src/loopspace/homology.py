@@ -1,9 +1,10 @@
 """Cochain complexes over graded algebras and their cohomology.
 
-A complex pairs a free graded-commutative algebra with a degree +1 square-zero
-derivation.  Everything downstream is exact rational linear algebra on the
-finite graded slices: Betti numbers, deterministic cocycle representatives,
-and the maps that chain maps induce on cohomology.
+A complex is a degree +1 square-zero derivation of a free graded-commutative
+algebra, and reads its algebra from it.  Everything downstream is exact
+rational linear algebra on the finite graded slices: Betti numbers,
+deterministic cocycle representatives, and the maps that chain maps induce
+on cohomology.
 
 Derivations and chain maps enter as sparse image functions: a monomial goes
 to a {monomial: coefficient} dict (``Derivation.image``, ``ChainMap.image``).
@@ -64,14 +65,13 @@ class ChainMapError(InputError):
 
 
 class CochainComplex:
-    """A graded algebra with a degree +1 differential derivation."""
+    """A degree +1 differential derivation and its graded algebra, which is
+    the differential's own."""
 
-    def __init__(self, algebra, diff):
-        if diff.algebra != algebra:
-            raise ComplexError("differential lives on a different algebra")
+    def __init__(self, diff):
         if diff.degree != 1:
             raise ComplexError(f"differential must have degree +1, got {diff.degree}")
-        self.algebra = algebra
+        self.algebra = diff.algebra
         self.diff = diff
         self._scaled, self.scale = diff.integral()
         self._slices = {}

@@ -10,11 +10,13 @@ at least two with a decomposable degree +1 differential.  From it we build:
 - the circle-equivariant model: the free-loop generators plus one degree-2
   class, differential d + (degree-2 class) * rotation.
 
-The minimal, free-loop and circle-equivariant models are one Model type.
-The barred partner of generator ``z`` is named ``z`` + "b"; the degree-2
-class is named "u".  Both names are reserved and collisions are rejected.
-parse_model checks that d squares to zero; betti_table and validate_model
-check it again on the complex or model they are given.
+The minimal, free-loop and circle-equivariant models are one Model type,
+whose algebra is its differential's.  The barred partner of generator ``z``
+is named ``z`` + "b"; the degree-2 class is named "u".  Both names are
+reserved and collisions are rejected.  parse_model checks that d squares to
+zero; betti_table and validate_model check it again on the complex or model
+they are given.  gysin_report validates the loop model and compares the
+string model's d with d + u * rotation on generators: all its proof needs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections import namedtuple
 from .checks import (NAME_RE, CheckReport, InputError, LineError, apply_map,
                      content_lines, read_input)
 from .gca import Derivation, GradedAlgebra
-from .homology import ChainMap, ChainMapError, CochainComplex, induced_map
+from .homology import ChainMap, CochainComplex, induced_map
 
 __all__ = [
     "ModelError",
@@ -62,17 +64,17 @@ class StringModelError(ModelError):
 
 
 class Model:
-    """A free graded-commutative algebra with a degree +1 differential d and
-    its cochain complex, built once.  A free-loop model also carries its
-    degree -1 rotation delta; a circle-equivariant model carries the loop
-    model it extends.  Both are None on a minimal model."""
+    """A degree +1 differential d, its algebra and its cochain complex,
+    built once.  A free-loop model also carries its degree -1 rotation
+    delta; a circle-equivariant model carries the loop model it extends.
+    Both are None on a minimal model."""
 
-    def __init__(self, algebra, d, delta=None, loop=None):
-        self.algebra = algebra
+    def __init__(self, d, delta=None, loop=None):
+        self.algebra = d.algebra
         self.d = d
         self.delta = delta
         self.loop = loop
-        self.complex = CochainComplex(algebra, d)
+        self.complex = CochainComplex(d)
 
 
 _GEN_LINE = re.compile(r"^gen\s+(\S+)\s+(-?\d+)$")
@@ -133,7 +135,7 @@ def parse_model(text):
             Derivation(algebra, 1, {name: diffs[name]})  # checks its degree
         except ValueError as e:  # an InputError, or an int past the digit limit
             raise ModelFileError(lineno, str(e)) from e
-    model = Model(algebra, Derivation(algebra, 1, diffs))
+    model = Model(Derivation(algebra, 1, diffs))
     bad = model.complex.check_differential()
     if bad is not None:
         raise ModelError(bad)
@@ -169,14 +171,14 @@ def loop_model(model):
         val = base_alg.transfer(model.d(base_alg.gen(n)), algebra)
         d_values[n] = val
         d_values[_bar_name(n)] = -delta(val)
-    return Model(algebra, Derivation(algebra, 1, d_values), delta=delta)
+    return Model(Derivation(algebra, 1, d_values), delta=delta)
 
 
 def based_complex(model):
     """Complex of the based loop space: barred generators only, zero
     differential."""
     algebra = GradedAlgebra((_bar_name(n), deg - 1) for n, deg in model.algebra.generators)
-    return CochainComplex(algebra, Derivation(algebra, 1, {}))
+    return CochainComplex(Derivation(algebra, 1, {}))
 
 
 def equivariant_model(loop):
@@ -195,7 +197,7 @@ def equivariant_model(loop):
         dval = loop_alg.transfer(loop.d(g), algebra)
         rval = loop_alg.transfer(loop.delta(g), algebra)
         d_values[n] = dval + rval * u
-    return Model(algebra, Derivation(algebra, 1, d_values), loop=loop)
+    return Model(Derivation(algebra, 1, d_values), loop=loop)
 
 
 def _at(witness):
@@ -206,17 +208,16 @@ def _at(witness):
     return f"at {name} -> {'; '.join(str(x) for x in detail)}"
 
 
-def validate_model(obj):
-    """Run the structural checks on a model-like object (anything with
-    ``algebra`` and ``d``; ``delta`` is checked when present).
+def validate_model(model):
+    """Run the structural checks on a Model: d, and its rotation delta when
+    it has one.
 
     Returns a CheckReport whose witnesses read ``at <generator> -> <detail>``.
     Checks are complete: on a free algebra an operator identity holds
     everywhere once it holds on every generator.
     """
     rep = CheckReport()
-    d = obj.d
-    delta = getattr(obj, "delta", None)
+    d, delta = model.d, model.delta
 
     rep.add("differential respects degrees", _at(d.check_degrees()))
     if delta is not None:
@@ -224,7 +225,7 @@ def validate_model(obj):
     if not rep.ok:
         return rep
 
-    walk = obj.algebra.first_nonzero
+    walk = model.algebra.first_nonzero
     rep.add("d squares to zero", _at(walk(lambda g: d(d(g)))))
     if delta is not None:
         rep.add("rotation squares to zero", _at(walk(lambda g: delta(delta(g)))))
@@ -233,19 +234,18 @@ def validate_model(obj):
     return rep
 
 
-def format_model_report(obj, rep):
+def format_model_report(model, rep):
     """Deterministic listing: generators, nonzero differentials, nonzero
     rotation values, then the validation report."""
-    alg = obj.algebra
+    alg = model.algebra
     lines = [f"gen {n} {deg}" for n, deg in alg.generators]
     for n in alg.names:
-        v = obj.d(alg.gen(n))
+        v = model.d(alg.gen(n))
         if v:
             lines.append(f"d {n} = {v}")
-    delta = getattr(obj, "delta", None)
-    if delta is not None:
+    if model.delta is not None:
         for n in alg.names:
-            v = delta(alg.gen(n))
+            v = model.delta(alg.gen(n))
             if v:
                 lines.append(f"delta {n} = {v}")
     return "".join(line + "\n" for line in lines) + rep.text()
@@ -348,27 +348,6 @@ def _vanishes(outer, inner):
     return not any(_after(outer, inner))
 
 
-def _check_circle_differential(string, restr):
-    """Refuse a string model whose differential D is not that of
-    equivariant_model(string.loop) on some generator.  The parts free of u
-    are compared on every generator first: they are restriction's chain
-    condition on generators, so a mismatch there is a witness against it."""
-    alg, D = string.algebra, string.d
-    d_loop = string.loop.d.image
-    for i, name in enumerate(alg.names):
-        g = ((i, 1),)
-        if apply_map(restr.image, D.image(g)) != apply_map(d_loop, restr.image(g)):
-            raise ChainMapError(
-                f"{restr.name}: chain condition fails in degree {alg.degrees[i]} on {name}"
-            )
-    want = equivariant_model(string.loop)
-    for name in alg.names:
-        if D(alg.gen(name)) != want.d(want.algebra.gen(name)):
-            raise StringModelError(
-                f"string model: differential of {name} is not the circle-equivariant one"
-            )
-
-
 def gysin_report(string, cutoff):
     """Exactness and factorization report for the sequence
 
@@ -384,16 +363,19 @@ def gysin_report(string, cutoff):
     so every row and both factorizations read one formula.
 
     Precondition: the string model's differential D is that of
-    equivariant_model(string.loop).  validate_model runs on both models,
-    and D is compared with d + u*rotation on every generator, the parts
-    free of u first; a model that fails raises before any induced map is
-    read.  The four maps then commute with the differentials in every
-    degree, and none is checked monomial by monomial: a derivation of a
-    free graded-commutative algebra, or one along an algebra map out of
-    it, is fixed by its values on generators (Felix-Halperin-Thomas,
-    Rational Homotopy Theory, GTM 205, 2001), and the rotation is the
-    free-loop model's (Vigue-Poirrier-Burghelea, J. Diff. Geom. 22, 1985).
-    With r the restriction and i the inclusion of the loop algebra:
+    equivariant_model(string.loop).  validate_model runs on the loop model,
+    and D is compared with d + u*rotation on every generator; a model that
+    fails raises before any induced map is read.  Nothing else is checked
+    on the string model: D^2 = d^2 + u (d rotation + rotation d) +
+    u^2 rotation^2 is then zero on generators, and restriction kills u, so
+    its chain condition on generators is the comparison's half free of u.
+    The four maps commute with the differentials in every degree, and none
+    is checked monomial by monomial: a derivation of a free
+    graded-commutative algebra, or one along an algebra map out of it, is
+    fixed by its values on generators (Felix-Halperin-Thomas, Rational
+    Homotopy Theory, GTM 205, 2001), and the rotation is the free-loop
+    model's (Vigue-Poirrier-Burghelea, J. Diff. Geom. 22, 1985).  With r
+    the restriction and i the inclusion of the loop algebra:
 
     - r is an algebra map, and d r and r D are r-derivations that agree on
       generators, as D(u) = 0 and D = d + u rotation there;
@@ -405,15 +387,19 @@ def gysin_report(string, cutoff):
       u i(rotation rotation x) = -i(rotation d x).
     """
     loop = string.loop
-    for obj, tag in ((loop, "loop model"), (string, "string model")):
-        for label, witness in validate_model(obj).failures():
-            where = witness.partition(" -> ")[0]
-            raise ModelError(f"{tag}: {label} fails {where}")
+    for label, witness in validate_model(loop).failures():
+        where = witness.partition(" -> ")[0]
+        raise ModelError(f"loop model: {label} fails {where}")
+    alg, want = string.algebra, equivariant_model(loop)
+    for name in alg.names:
+        if string.d(alg.gen(name)) != want.d(want.algebra.gen(name)):
+            raise StringModelError(
+                f"string model: differential of {name} is not the circle-equivariant one"
+            )
 
     S = string.complex
     L = loop.complex
     restr, mult_u, conn, rot = gysin_maps(string)
-    _check_circle_differential(string, restr)
 
     def induced(f, degrees):
         return {i: induced_map(f, i) for i in degrees}

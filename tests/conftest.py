@@ -52,11 +52,12 @@ def circle_structure(windings):
 def s2_string_model(**values):
     """The string model of data/s2.min, equivariant_model(loop_model(...)),
     with its differential on the named generators replaced by the given
-    element texts.  validate_model checks only that the differential squares
-    to zero, not that it is d + u*delta."""
+    element texts.  gysin_report refuses any such change that is not
+    d + u*delta, naming the first generator in (degree, name) order whose
+    differential differs."""
     loop = loop_model(load_model(os.path.join(DATA_DIR, "s2.min")))
     em = equivariant_model(loop)
     alg = em.algebra
     d_values = {n: em.d(alg.gen(n)) for n in alg.names}
     d_values.update({n: alg.parse(v) for n, v in values.items()})
-    return Model(alg, Derivation(alg, 1, d_values), loop=loop)
+    return Model(Derivation(alg, 1, d_values), loop=loop)

@@ -1,11 +1,10 @@
 """Model files and the loop / based / circle-equivariant constructions."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from loopspace.gca import Derivation, GradedAlgebra
 from loopspace.models import (
+    Model,
     ModelError,
     ModelFileError,
     based_complex,
@@ -111,7 +110,7 @@ def test_validators_pass_on_good_models(name, data_path):
     assert rep.ok, rep.failures()
 
 
-# The report heads shared by both broken objects below: the s2 loop
+# The report heads shared by both broken models below: the s2 loop
 # model's generators and differential.
 S2_LOOP_HEAD = "gen xb 1\ngen x 2\ngen yb 2\ngen y 3\n"
 
@@ -123,12 +122,12 @@ def _broken_rotation(data_path):
     broken_delta = Derivation(
         lm.algebra, -1, {"x": "xb", "y": "yb", "xb": "1"}, check=False
     )
-    return SimpleNamespace(algebra=lm.algebra, d=lm.d, delta=broken_delta)
+    return Model(lm.d, delta=broken_delta)
 
 
 def _degree_violation(data_path):
     alg = loop_model(load_model(data_path("s2.min"))).algebra
-    return SimpleNamespace(algebra=alg, d=Derivation(alg, 1, {"y": "x"}, check=False))
+    return Model(Derivation(alg, 1, {"y": "x"}, check=False))
 
 
 def test_validator_catches_broken_rotation(data_path):
@@ -170,8 +169,8 @@ def test_validator_catches_degree_violation(data_path):
 def test_format_model_report_failures(data_path, build, want):
     # the CLI cannot print a model FAIL line (load_model checks d squared
     # first), so this pins the text of both witness shapes
-    obj = build(data_path)
-    assert format_model_report(obj, validate_model(obj)) == want
+    model = build(data_path)
+    assert format_model_report(model, validate_model(model)) == want
 
 
 def test_format_model_report_layout(data_path):

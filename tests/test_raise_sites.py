@@ -70,8 +70,6 @@ UNREACHABLE = {
         "also agree backward, a visit the bracket skips",
     ("goldman.py", "words live on different surfaces"):
         "the CLI reads both words on one surface",
-    ("homology.py", "differential lives on a different algebra"):
-        "every complex is built from its own algebra's differential",
     ("homology.py", "differential must have degree +1"):
         "a d line off its degree is rejected when the model loads",
     ("homology.py", "raise ComplexError(bad)"):
@@ -84,9 +82,7 @@ UNREACHABLE = {
     ("linalg.py", "outside {nrows}x{ncols}"):
         "slices are built from basis indices inside their own dimensions",
     ("models.py", "fails {where}"):
-        "the loop and string models built from a loaded model pass validate_model",
-    ("models.py", "chain condition fails in degree"):
-        "the gysin command's string model is equivariant_model's, whose d is d + u*delta",
+        "the loop model built from a loaded model passes validate_model",
     ("models.py", "raise StringModelError("):
         "the gysin command's string model is equivariant_model's, whose d is d + u*delta",
     ("structures.py", "raise StructureError(problem)"):
@@ -166,7 +162,7 @@ X4 = GradedAlgebra([("x", 4)])
 
 def _non_cocycle_image():
     # x is a cocycle of degree 2, and its image y has d y = x^2
-    cx = CochainComplex(X2, Derivation(X2, 1, {"y": "x^2"}))
+    cx = CochainComplex(Derivation(X2, 1, {"y": "x^2"}))
     x, y = X2.gen("x"), X2.gen("y")
     f = ChainMap(cx, cx, 1, lambda m: dict(y.terms) if m in x.terms else {}, name="shift")
     induced_map(f, 2)
@@ -200,11 +196,8 @@ GUARDS = {
     "surface without generators": (
         lambda: FatGraph([], []), FatGraphError,
         "surface needs at least one generator"),
-    "differential elsewhere": (
-        lambda: CochainComplex(X2, Derivation(X4, 1)), ComplexError,
-        "differential lives on a different algebra"),
     "differential off degree +1": (
-        lambda: CochainComplex(X2, Derivation(X2, 0)), ComplexError,
+        lambda: CochainComplex(Derivation(X2, 0)), ComplexError,
         "differential must have degree +1, got 0"),
     "image of a cocycle not a cocycle": (
         _non_cocycle_image, ChainMapError,
