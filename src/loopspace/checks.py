@@ -157,7 +157,8 @@ def apply_map(f, combo, acc=None, scale=1):
 
 
 class CheckReport:
-    """Ordered check outcomes; text() is the CLI rendering."""
+    """Ordered check outcomes; pieces() is the CLI rendering, one line per
+    check."""
 
     def __init__(self):
         self.lines = []
@@ -182,14 +183,9 @@ class CheckReport:
     def failures(self):
         return [(l, w) for l, w in self.lines if w is not None]
 
-    def text(self):
-        out = []
-        for label, witness in self.lines:
-            if witness is None:
-                out.append(f"check {label}: pass\n")
-            else:
-                out.append(f"check {label}: FAIL {witness}\n")
-        return "".join(out)
+    def pieces(self):
+        return (f"check {label}: pass\n" if witness is None else f"check {label}: FAIL {witness}\n"
+                for label, witness in self.lines)
 
 
 def _mix(acc, rows, combo, sign=1):

@@ -6,8 +6,9 @@ FAIL, a fuzz trial finds a counterexample, an exactness row breaks), 2
 when the input itself is unusable (missing file, a file that is not
 UTF-8, parse error, a differential that does not square to zero, unknown
 names, a numeric option below its least value): every such error is a
-checks.InputError or an OSError, printed as one line.  Handlers return
-a report and whether it holds; only main turns that into an exit code.
+checks.InputError or an OSError, printed as one line.  A handler checks
+everything, then returns its report as text pieces that _emit writes as
+they come, and whether it holds; only main turns that into an exit code.
 
 All reports are plain text, deterministic down to the byte for a given
 input, so repeated runs can be compared with cmp.  --out writes through a
@@ -22,6 +23,7 @@ argparse reads every other form and prints every help and usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import shutil
@@ -30,7 +32,7 @@ import tempfile
 
 from .checks import InputError
 from .coderivations import CoderivationRep, coderivation_relations, jacobi_coderivation_equiv
-from .goldman import format_combo, goldman_bracket, jacobi_fuzz, load_fat_graph
+from .goldman import bracket_combo, format_combo, jacobi_fuzz, load_fat_graph
 from .homology import betti_table, format_betti_table
 from .models import (
     based_complex,
@@ -67,10 +69,12 @@ def _check_bounds(args):
             raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
-def _emit(text, out_path):
-    """Write to stdout, or atomically to out_path; errors name out_path."""
+@contextlib.contextmanager
+def _opened(out_path):
+    """stdout, or a temporary file in out_path's directory that replaces it,
+    with the mode a plain write would give, as the block ends; errors name it."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         if os.path.isdir(out_path):
@@ -79,7 +83,7 @@ def _emit(text, out_path):
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".loopspace-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                yield fh
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
@@ -91,6 +95,12 @@ def _emit(text, out_path):
                 os.unlink(tmp)
     except OSError as e:
         raise OSError(f"{out_path}: {e.strerror or e}") from None
+
+
+def _emit(pieces, out_path):
+    """Write the pieces as they come to stdout, or atomically to out_path."""
+    with _opened(out_path) as stream:
+        stream.writelines(pieces)
 
 
 def _space_complex(model, space):
@@ -119,14 +129,13 @@ def _cmd_model(args):
 def _cmd_gysin(args):
     em = equivariant_model(loop_model(load_model(args.model)))
     report = gysin_report(em, args.cutoff)
-    return report.text(), report.ok
+    return report.pieces(), report.ok
 
 
 def _cmd_goldman(args):
     graph = load_fat_graph(args.surface)
-    w = graph.word(args.a)
-    v = graph.word(args.b)
-    return format_combo(goldman_bracket(w, v)), True
+    a, b = graph.word(args.a).key, graph.word(args.b).key
+    return format_combo(graph, bracket_combo(graph, {a: 1}, {b: 1})), True
 
 
 def _cmd_jacobi_fuzz(args):
@@ -135,15 +144,15 @@ def _cmd_jacobi_fuzz(args):
         graph, trials=args.trials, max_len=args.max_len, seed=args.seed
     )
     if witness is None:
-        return "pass\n", True
-    text = (
+        return ["pass\n"], True
+    head = (
         f"FAIL trial {witness['trial']}\n"
         f"u\t{witness['u']}\n"
         f"v\t{witness['v']}\n"
         f"w\t{witness['w']}\n"
-        "residual:\n" + format_combo(witness["residual"])
+        "residual:\n"
     )
-    return text, False
+    return [head, *format_combo(graph, witness["residual"])], False
 
 
 def _parse_arities(text):
@@ -163,20 +172,20 @@ def _cmd_verify(args):
     checker = {"gerstenhaber": check_gerstenhaber, "bv": check_bv}.get(args.what)
     if checker:
         rep = checker(table)
-        return rep.text(), rep.ok
+        return rep.pieces(), rep.ok
     arities = _parse_arities(args.arities)
     sb = string_brackets(table, max_arity=arities[-1])
     if args.what == "string-brackets":
-        return sb.text(), sb.ok
+        return sb.pieces(), sb.ok
     # coderivations: the bracket and operations must exist first
     if not sb.ok:
-        return sb.checks.text(), False
+        return sb.checks.pieces(), False
     # an arity past the last one tabulated has an empty component
     ss = table.string_space
     reps = {k: sb.reps.get(k) or CoderivationRep.from_operation(ss, k, {}) for k in arities}
     rep = coderivation_relations(reps, args.word_len, ss.names)
     rep.lines += jacobi_coderivation_equiv(ss, sb.bracket, args.word_len, rep).lines
-    return rep.text(), rep.ok
+    return rep.pieces(), rep.ok
 
 
 _REQUIRED = {"required": True}
@@ -257,8 +266,8 @@ def main(argv=None):
     args = _read_args(argv) or _build_parser().parse_args(argv)
     try:
         _check_bounds(args)
-        text, holds = args.handler(args)
-        _emit(text, args.out)
+        pieces, holds = args.handler(args)
+        _emit(pieces, args.out)
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -8,8 +8,8 @@ pairs: each transversal crossing of taut representatives contributes the
 concatenated class with the sign of the crossing.  On one surface a word
 is a rank string and a class is its key: words are reduced, rotated and
 bracketed as strings, the bracket, its bilinear extension and the Jacobi
-fuzz add {key: coefficient} combinations, and int letters and CyclicWords
-appear only where a word enters or leaves.
+fuzz add {key: coefficient} combinations, which format_combo prints, and
+int letters and CyclicWords appear only where a word enters or leaves.
 
 Crossing detection works on the four rays leaving a merged basepoint (both
 words forward and backward).  The directions of rays that leave along the
@@ -396,10 +396,11 @@ def bracket_combo(graph, a, b, acc=None, scale=1):
     return acc
 
 
-def format_combo(combo):
-    """One ``coefficient<TAB>word`` line per class, sorted by word."""
-    items = sorted(combo.items(), key=lambda kv: kv[0].key)
-    return "".join(f"{c}\t{w}\n" for w, c in items)
+def format_combo(graph, combo):
+    """Iterator of ``coefficient<TAB>word`` lines of a {key: coefficient}
+    combination on graph, in key order, each word read through graph.tok."""
+    tok = graph.tok.__getitem__
+    return (f"{combo[key]}\t{' '.join(map(tok, key)) or '1'}\n" for key in sorted(combo))
 
 
 def random_reduced_cyclic_word(graph, rng, max_len):
@@ -422,7 +423,8 @@ def jacobi_fuzz(graph, trials=200, max_len=6, seed=1):
 
     Each trial draws its words from random.Random(f"{seed}:{trial}"), so any
     counterexample is reproducible from (seed, trial) alone.  Returns None
-    when every trial balances, else a dict describing the first failure.
+    when every trial balances, else the first failure's trial, words u, v,
+    w, and residual, a {key: coefficient} combination.
     """
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
@@ -432,6 +434,5 @@ def jacobi_fuzz(graph, trials=200, max_len=6, seed=1):
         bracket_combo(graph, _bracket(graph, a, b, {}, 1), {c: 1}, residual, -1)
         bracket_combo(graph, {b: 1}, _bracket(graph, a, c, {}, 1), residual, -1)
         if residual:
-            residual = {_wrap(graph, k): n for k, n in residual.items()}
             return {"trial": t, "u": u, "v": v, "w": w, "residual": residual}
     return None

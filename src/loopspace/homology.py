@@ -256,5 +256,5 @@ def induced_map(f, n):
 
 
 def format_betti_table(table):
-    return "".join(f"{i}\t{b}\n" for i, b in enumerate(table))
+    return (f"{i}\t{b}\n" for i, b in enumerate(table))
 

@@ -235,20 +235,20 @@ def validate_model(model):
 
 
 def format_model_report(model, rep):
-    """Deterministic listing: generators, nonzero differentials, nonzero
-    rotation values, then the validation report."""
+    """Deterministic listing, one line at a time: generators, nonzero
+    differentials, nonzero rotation values, then the validation report."""
     alg = model.algebra
-    lines = [f"gen {n} {deg}" for n, deg in alg.generators]
+    yield from (f"gen {n} {deg}\n" for n, deg in alg.generators)
     for n in alg.names:
         v = model.d(alg.gen(n))
         if v:
-            lines.append(f"d {n} = {v}")
+            yield f"d {n} = {v}\n"
     if model.delta is not None:
         for n in alg.names:
             v = model.delta(alg.gen(n))
             if v:
-                lines.append(f"delta {n} = {v}")
-    return "".join(line + "\n" for line in lines) + rep.text()
+                yield f"delta {n} = {v}\n"
+    yield from rep.pieces()
 
 
 class GysinReport(namedtuple("GysinReport", "cutoff rows factor_rotation factor_zero")):
@@ -266,7 +266,7 @@ class GysinReport(namedtuple("GysinReport", "cutoff rows factor_rotation factor_
             and all(self.factor_zero)
         )
 
-    def text(self):
+    def pieces(self):
         out = [
             f"# long exact sequence report, degrees 0..{self.cutoff}",
             "# columns: degree, dim H(string), dim H(loop), rank of multiplication "
@@ -298,7 +298,7 @@ class GysinReport(namedtuple("GysinReport", "cutoff rows factor_rotation factor_
             "# factorization: connecting after restriction vanishes: "
             + ("pass" if all(self.factor_zero) else "FAIL")
         )
-        return "".join(line + "\n" for line in out)
+        return (line + "\n" for line in out)
 
 
 def gysin_maps(string):

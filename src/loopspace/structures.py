@@ -314,8 +314,8 @@ class StringBracketReport:
     """Outcome bundle: precondition and identity checks, the bracket table
     on the marked-point space, and the higher operations as coderivation
     components keyed by basis index.  Each table is filled in once the
-    checks before it pass; text() renders the checks, then the bracket and
-    the components in the marked-point space."""
+    checks before it pass; pieces() renders the checks, then the bracket
+    and the components in the marked-point space, one line each."""
 
     def __init__(self, space):
         self.space = space
@@ -327,15 +327,14 @@ class StringBracketReport:
     def ok(self):
         return self.checks.ok
 
-    def text(self):
+    def pieces(self):
         names, render = self.space.names, self.space.render
-        lines = [self.checks.text()]
-        lines += (f"bracket {' '.join(pair)} = {render(combo)}\n"
-                  for pair, combo in self.bracket.items())
-        lines += (f"m{k} {render_word(word, names)} = "
-                  f"{render({names[x]: c for x, c in combo.items()})}\n"
-                  for k, rep in self.reps.items() for word, combo in rep.comps.items())
-        return "".join(lines)
+        yield from self.checks.pieces()
+        yield from (f"bracket {' '.join(pair)} = {render(combo)}\n"
+                    for pair, combo in self.bracket.items())
+        yield from (f"m{k} {render_word(word, names)} = "
+                    f"{render({names[x]: c for x, c in combo.items()})}\n"
+                    for k, rep in self.reps.items() for word, combo in rep.comps.items())
 
 
 def string_brackets(t, max_arity=3):

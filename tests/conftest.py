@@ -16,6 +16,19 @@ def data_path():
     return get
 
 
+def reduced_word(rng, n, names="abcd"):
+    """A cyclically reduced word of exactly n letters on the generators
+    names, as surface tokens, drawn from rng."""
+    alphabet = [s * k for k in range(1, len(names) + 1) for s in (1, -1)]
+    letters = []
+    while len(letters) < n:
+        x = rng.choice(alphabet)
+        if letters and (x == -letters[-1] or (len(letters) == n - 1 and x == -letters[0])):
+            continue
+        letters.append(x)
+    return " ".join(names[abs(x) - 1] + ("^-" if x < 0 else "") for x in letters)
+
+
 def circle_structure(windings):
     """Structure file of loops on the circle with windings 0..n, higher
     windings set to zero, as in data/circle.struct (which is n = 4).

@@ -435,7 +435,8 @@ def format_letter_combo(graph, combo):
 
 def reference_jacobi_fuzz(graph, trials=200, max_len=6, seed=1, bracket=goldman_bracket):
     """jacobi_fuzz on {CyclicWord: coefficient} combinations, through a
-    bracket of two CyclicWords: the same draws, verdict and witness."""
+    bracket of two CyclicWords: the same draws, verdict and witness, whose
+    residual is read back on keys, as the library keeps it."""
 
     def combo(a, b):
         out = {}
@@ -454,6 +455,7 @@ def reference_jacobi_fuzz(graph, trials=200, max_len=6, seed=1, bracket=goldman_
         rhs2 = combo({v: 1}, bracket(u, w))
         residual = add_into(add_into(lhs, rhs1, -1), rhs2, -1)
         if residual:
+            residual = {x.key: c for x, c in residual.items()}
             return {"trial": t, "u": u, "v": v, "w": w, "residual": residual}
     return None
 

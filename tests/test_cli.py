@@ -2,18 +2,21 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 
 import pytest
-from conftest import DATA_DIR
+from conftest import DATA_DIR, reduced_word
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import reference_parser
@@ -35,7 +38,7 @@ def test_betti_matches_library(capsys, data_path):
     )
     assert code == 0 and err == ""
     cx = loop_model(load_model(data_path("s2.min"))).complex
-    assert out == format_betti_table(betti_table(cx, 9))
+    assert out == "".join(format_betti_table(betti_table(cx, 9)))
     assert out.splitlines()[0] == "0\t1"
 
 
@@ -140,7 +143,6 @@ def test_jacobi_fuzz_fail_report(capsys, monkeypatch, data_path):
     residual = goldman.bracket_combo(graph, {a: 1}, perturbed(graph, b, c, {}, 1))
     add_into(residual, goldman.bracket_combo(graph, perturbed(graph, a, b, {}, 1), {c: 1}), -1)
     add_into(residual, goldman.bracket_combo(graph, {b: 1}, perturbed(graph, a, c, {}, 1)), -1)
-    residual = {goldman._wrap(graph, k): n for k, n in residual.items()}
     assert residual == witness["residual"]
 
     code, out, _ = run(
@@ -151,7 +153,7 @@ def test_jacobi_fuzz_fail_report(capsys, monkeypatch, data_path):
     assert code == 1
     assert out == (
         f"FAIL trial {witness['trial']}\nu\t{u}\nv\t{v}\nw\t{w}\n"
-        "residual:\n" + goldman.format_combo(residual)
+        "residual:\n" + "".join(goldman.format_combo(graph, residual))
     )
 
 
@@ -337,6 +339,74 @@ def test_out_keeps_the_mode_a_plain_write_leaves(capsys, data_path, tmp_path):
     assert old.read_bytes() == new.read_bytes() != b"stale\n"
 
 
+def _long_goldman_argv(data_path):
+    """goldman on a genus-2 pair of 60 and 120 letters, which prints about
+    2 000 classes, over a megabyte of report."""
+    rng = random.Random(1)
+    a, b = reduced_word(rng, 60), reduced_word(rng, 120)
+    return ["goldman", "--surface", data_path("genus2.fat"), "--a", a, "--b", b]
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_goldman_holds_less_than_its_report(data_path, monkeypatch):
+    # the report is written as it is formatted, from the bracket's term
+    # dict, so the peak of the whole command stays below the report's size
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(_long_goldman_argv(data_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.chars > 10**6
+    assert peak < sink.chars, (peak, sink.chars)
+
+
+def test_out_streams_and_a_failed_write_leaves_no_trace(capsys, data_path, tmp_path,
+                                                       monkeypatch):
+    # the long report through --out is the one on stdout, byte for byte; a
+    # write that fails after the first piece exits 2 naming the target,
+    # which keeps its old text, and removes the temporary file
+    argv = _long_goldman_argv(data_path)
+    code, want, _ = run(capsys, *argv)
+    target = tmp_path / "report.tsv"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == want.encode()
+
+    target.write_text("old\n")
+    writes = []
+
+    class FullDisk(io.TextIOWrapper):
+        def write(self, text):
+            writes.append(sorted(p.name[:11] for p in tmp_path.iterdir()))
+            if len(writes) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(text)
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode, encoding: FullDisk(
+        open(fd, "wb"), encoding=encoding))
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert _one_error_line(code, out, err), err
+    assert err == f"error: {target}: No space left on device\n"
+    assert writes == [[".loopspace-", "report.tsv"]] * 2
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.tsv"]
+
+
 def test_a_far_arity_prints_what_the_near_ones_print(capsys, data_path):
     # every torus operation past arity 2 is 0, so a far arity adds no line
     outs = []
@@ -401,7 +471,7 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, argv):
     ],
 )
 def test_out_of_range_options_exit_2(capsys, argv, flag):
-    from conftest import DATA_DIR
+    from conftest import DATA_DIR, reduced_word
 
     code, out, err = run(capsys, *(a.replace("{d}", DATA_DIR) for a in argv))
     assert _one_error_line(code, out, err), err
@@ -434,7 +504,7 @@ def test_out_flag_atomic_write(capsys, data_path, tmp_path):
     ],
 )
 def test_reports_byte_identical_across_processes(argv):
-    from conftest import DATA_DIR
+    from conftest import DATA_DIR, reduced_word
 
     cmd = [sys.executable, "-m", "loopspace"] + [
         a.replace("{d}", DATA_DIR) for a in argv
@@ -499,8 +569,8 @@ def _outcome(capsys, call, argv):
 
 def _reference_main(argv):
     args = reference_parser().parse_args(argv)
-    text, holds = args.handler(args)
-    sys.stdout.write(text)
+    pieces, holds = args.handler(args)
+    sys.stdout.write("".join(pieces))
     return 0 if holds else 1
 
 

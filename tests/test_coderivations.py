@@ -176,7 +176,7 @@ def torus_reps(data_path):
 def test_torus_relations_clean(torus_reps):
     t, out = torus_reps
     rep = coderivation_relations(out.reps, word_len=4, names=t.string_space.names)
-    assert rep.ok, rep.text()
+    assert rep.ok, "".join(rep.pieces())
     labels = [l for l, _ in rep.lines]
     assert "m2 squares to zero on words up to length 4" in labels
     assert "m2 and m3 anticommute on words up to length 4" in labels
@@ -237,7 +237,7 @@ def test_torus_jacobi_equivalence(torus_reps):
         "arity-2 coderivation squares to zero on words up to length 3",
         "formulations agree",
     ]
-    assert rep.ok, rep.text()
+    assert rep.ok, "".join(rep.pieces())
 
 
 def test_perturbed_bracket_fails_both_ways(torus_reps):
@@ -292,7 +292,7 @@ def test_jacobi_equiv_on_gl21():
                 bracket[a, b] = combo
     assert bracket["E02", "E20"] == {"E00": 1, "E22": 1}
     rep = jacobi_coderivation_equiv(BasisSpace(deg.items()), bracket, 3)
-    assert rep.ok, rep.text()
+    assert rep.ok, "".join(rep.pieces())
 
 
 def test_jacobi_equiv_input_errors():

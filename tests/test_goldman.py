@@ -281,10 +281,15 @@ def test_parse_fat_graph_errors():
         FatGraph(["a", "a"], [1, -1, 2, -2])
 
 
+def combo_text(graph, combo):
+    """format_combo's text for a {CyclicWord: coefficient} combination."""
+    return "".join(format_combo(graph, {w.key: c for w, c in combo.items()}))
+
+
 def test_format_combo(torus):
-    combo = {torus.word("b"): -2, torus.word("a"): 1, torus.word(""): 3}
-    text = format_combo(combo)
-    assert text == "3\t1\n1\ta\n-2\tb\n"
+    # one line per class, in key order, the empty class printed as 1
+    combo = {torus.word("b").key: -2, torus.word("a").key: 1, torus.word("").key: 3}
+    assert list(format_combo(torus, combo)) == ["3\t1\n", "1\ta\n", "-2\tb\n"]
 
 
 def test_random_words_are_reduced(torus, genus2):
@@ -358,11 +363,11 @@ def test_canonical_form_and_order_match_reference(text):
             graph, reference_reduce(letters)), letters
         assert w.tokens() == tuple(graph.token(x) for x in w.letters)
     combo = {w: k + 1 for k, w in enumerate(words)}
-    assert format_combo(combo) == reference_format(combo)
+    assert combo_text(graph, combo) == reference_format(combo)
     for u, v in zip(words[:40], words[40:80]):
         got = goldman_bracket(u, v)
         assert all(w.letters == reference_canonical(graph, w.letters) for w in got)
-        assert format_combo(got) == reference_format(got)
+        assert combo_text(graph, got) == reference_format(got)
 
 
 @pytest.mark.parametrize(
@@ -450,7 +455,7 @@ def test_bracket_matches_reference(torus, genus2, annulus):
                 continue
             want = reference_bracket(graph, w, v)
             got = goldman_bracket(CyclicWord(graph, w), CyclicWord(graph, v))
-            assert format_combo(got) == format_letter_combo(graph, want), (w, v)
+            assert combo_text(graph, got) == format_letter_combo(graph, want), (w, v)
             lengths = [len(term) for term in want]
             joins += any(n < len(w) + len(v) for n in lengths)
             whole += any(n <= abs(len(w) - len(v)) for n in lengths)
@@ -505,24 +510,28 @@ def test_long_words_match_reference(genus2, monkeypatch):
 
 def test_traced_commands_read_words(data_path):
     # bench/tracing.py counts the letters handed to CyclicWord.__init__ and
-    # reads .letters of both bracket arguments; a traced run must not fail
+    # reads .letters of both goldman_bracket arguments; a traced run must
+    # not fail
     bench = os.path.join(os.path.dirname(__file__), "..", "bench")
     torus = data_path("torus.fat")
     script = (
         f"import sys; sys.path.insert(0, {bench!r})\n"
         "import tracing\n"
-        "from loopspace import cli\n"
+        "from loopspace import cli, goldman\n"
         "tracer = tracing.install()\n"
         f"codes = [cli.main(['goldman', '--surface', {torus!r}, '--a', 'a b', '--b', 'b']),\n"
         f"         cli.main(['jacobi-fuzz', '--surface', {torus!r}, '--trials', '4'])]\n"
+        f"graph = goldman.load_fat_graph({torus!r})\n"
+        "goldman.goldman_bracket(graph.word('a b'), graph.word('b'))\n"
         "counts = tracer.counts\n"
         "print(codes, counts['goldman.CyclicWord.calls'], counts['goldman.goldman_bracket.calls'])\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    # the span covers the direct bracket only: the fuzz brackets keys
-    assert run.stdout.splitlines()[-1] == "[0, 0] 14 1"
+    # both commands bracket keys, so the span covers the direct call only;
+    # the commands make 2 and 3 * 4 words, the direct call 2
+    assert run.stdout.splitlines()[-1] == "[0, 0] 16 1"
 
 
 def test_crossing_rows_stay_bounded(data_path):

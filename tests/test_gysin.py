@@ -64,7 +64,7 @@ def test_sphere_parity_pattern(data_path):
 @pytest.mark.parametrize("name,cutoff", [("s2xs3.min", 8), ("cp2.min", 8), ("s3.min", 8)])
 def test_exactness_other_models(name, cutoff, data_path):
     rep = _report(data_path, name, cutoff)
-    assert rep.ok, rep.text()
+    assert rep.ok, "".join(rep.pieces())
 
 
 def test_rank_identities_row_by_row(data_path):
@@ -83,8 +83,8 @@ def test_rank_identities_row_by_row(data_path):
 
 def test_report_text_layout(data_path):
     rep = _report(data_path, "s2.min", 3)
-    text = rep.text()
-    assert text == rep.text()  # rendering is pure
+    text = "".join(rep.pieces())
+    assert text == "".join(rep.pieces())  # rendering is pure
     lines = text.splitlines()
     assert lines[6] == "# degree\thString\thLoop\trank_u\trank_restr\trank_conn\texact"
     assert lines[7] == "0\t1\t1\t0\t1\t0\ttrue"
@@ -137,7 +137,7 @@ def test_nonzero_composite_breaks_exactness(outer, inner, data_path, monkeypatch
     assert [r[6] for r in rep.rows] == [True] * 4 + [False] + [True] * 2
     assert rep.rows[4][:6] == (4, 1, 1, 1, 0, 1)
     assert not rep.ok
-    assert "4\t1\t1\t1\t0\t1\tfalse\n" in rep.text()
+    assert "4\t1\t1\t1\t0\t1\tfalse\n" in "".join(rep.pieces())
 
 
 # the top source degree of each map that the report's induced maps read,

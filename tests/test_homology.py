@@ -178,7 +178,7 @@ def test_map_of_the_wrong_degree_is_rejected(data_path):
 
 def test_format_betti_table_layout(data_path):
     cx = _loop_cx(data_path("s2.min"))
-    text = format_betti_table(betti_table(cx, 3))
+    text = "".join(format_betti_table(betti_table(cx, 3)))
     assert text == "0\t1\n1\t1\n2\t1\n3\t1\n"
 
 

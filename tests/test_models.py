@@ -170,12 +170,12 @@ def test_format_model_report_failures(data_path, build, want):
     # the CLI cannot print a model FAIL line (load_model checks d squared
     # first), so this pins the text of both witness shapes
     model = build(data_path)
-    assert format_model_report(model, validate_model(model)) == want
+    assert "".join(format_model_report(model, validate_model(model))) == want
 
 
 def test_format_model_report_layout(data_path):
     lm = loop_model(load_model(data_path("s2.min")))
-    text = format_model_report(lm, validate_model(lm))
+    text = "".join(format_model_report(lm, validate_model(lm)))
     lines = text.splitlines()
     assert lines[0] == "gen xb 1"
     assert "d yb = -2*xb*x" in lines

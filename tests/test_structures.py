@@ -169,7 +169,7 @@ def test_structure_file_duplicate_entry_line_number():
 
 def test_circle_bv(circle):
     rep = check_bv(circle)
-    assert rep.ok, rep.text()
+    assert rep.ok, "".join(rep.pieces())
     labels = [l for l, _ in rep.lines]
     assert labels[:5] == [
         "product respects degrees",
@@ -179,12 +179,12 @@ def test_circle_bv(circle):
         "delta squares to zero",
     ]
     assert "formulations agree" in labels
-    assert "check delta squares to zero: pass\n" in rep.text()
+    assert "check delta squares to zero: pass\n" in "".join(rep.pieces())
 
 
 def test_circle_gerstenhaber(circle):
     rep = check_gerstenhaber(circle)
-    assert rep.ok, rep.text()
+    assert rep.ok, "".join(rep.pieces())
 
 
 def test_circle_derived_bracket_matches_file(circle):
@@ -193,9 +193,9 @@ def test_circle_derived_bracket_matches_file(circle):
 
 def test_circle_string_brackets_vanish(circle):
     out = string_brackets(circle, max_arity=3)
-    assert out.ok, out.checks.text()
+    assert out.ok, "".join(out.checks.pieces())
     assert out.bracket == {}
-    assert out.text() == out.checks.text()
+    assert "".join(out.pieces()) == "".join(out.checks.pieces())
     # every higher operation is zero as well
     for rep in out.reps.values():
         assert all(not combo for combo in rep.comps.values())
@@ -250,7 +250,7 @@ def _det(u, v):
 
 def test_torus_bracket_table(torus_bracket):
     out = string_brackets(torus_bracket, max_arity=3)
-    assert out.ok, out.checks.text()
+    assert out.ok, "".join(out.checks.pieces())
     vecs = [(p, q) for p in range(3) for q in range(3)]
     want = {}
     for u in vecs:
@@ -444,7 +444,7 @@ def _mutant(name):
 def test_mutated_circle_witnesses(name, what):
     rep = CHECKERS[what](_mutant(name))
     want = MUTANTS[name][1][what]
-    assert rep.text() == _report(want)
+    assert "".join(rep.pieces()) == _report(want)
     assert rep.ok == (want == PASSES[what])
 
 
@@ -474,7 +474,7 @@ def test_good_and_mutated_tables_back_to_back(what, mutant_first):
     if mutant_first:
         runs.reverse()
     for table, want in runs + runs:
-        assert CHECKERS[what](table).text() == _report(want)
+        assert "".join(CHECKERS[what](table).pieces()) == _report(want)
 
 
 # The identity engine against the tuple-by-tuple reference: every label
