@@ -71,8 +71,8 @@ def _check_bounds(args):
 
 @contextlib.contextmanager
 def _opened(out_path):
-    """stdout, or a temporary file in out_path's directory that replaces it,
-    with the mode a plain write would give, as the block ends; errors name it."""
+    """stdout, or a temporary file beside out_path that replaces it, with
+    the mode a plain write would give, as the block ends; errors name out_path."""
     if out_path is None:
         yield sys.stdout
         return

@@ -353,9 +353,6 @@ class _CountingSink(io.TextIOBase):
     def __init__(self):
         self.chars = 0
 
-    def writable(self):
-        return True
-
     def write(self, text):
         self.chars += len(text)
         return len(text)
