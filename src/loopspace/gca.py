@@ -325,9 +325,6 @@ class GradedElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def degrees(self):
-        return sorted({self.algebra.monomial_degree(m) for m in self.terms})
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same(self, other):
@@ -390,7 +387,8 @@ class GradedElement:
 class Derivation:
     """A degree-r derivation of a free graded-commutative algebra.
 
-    Determined by its values on generators and extended by the graded
+    Determined by its values on generators, each kept as the {monomial:
+    coefficient} dict that ``image`` reads, and extended by the graded
     Leibniz rule D(m*m') = D(m)*m' + (-1)^{r*deg(m)} m*D(m').  ``check``
     enforces that each value is homogeneous of degree deg(g) + r (or zero);
     validators re-run the same check on demand so deliberately broken tables
@@ -410,7 +408,7 @@ class Derivation:
             if v.algebra != algebra:
                 raise AlgebraError(f"value for {name!r} lives in a different algebra")
             if v:
-                vals[i] = v
+                vals[i] = v.terms
         self._values = vals
         if check:
             bad = self.check_degrees()
@@ -425,9 +423,8 @@ class Derivation:
         degree, as (name, expected, got-degrees); None when consistent."""
         alg = self.algebra
         for i in sorted(self._values):
-            v = self._values[i]
             want = alg.degrees[i] + self.degree
-            got = v.degrees()
+            got = sorted({alg.monomial_degree(m) for m in self._values[i]})
             if got != [want]:
                 return (alg.names[i], want, got)
         return None
@@ -449,7 +446,7 @@ class Derivation:
             if val is not None:
                 q = mono[:t] + (((g, e - 1),) if e > 1 else ()) + mono[t + 1:]
                 k = -e if (odd and parity) else e
-                for m, c in val.terms.items():
+                for m, c in val.items():
                     prod, s = alg.mono_mul(m, q)
                     if prod is not None:
                         out[prod] = out.get(prod, 0) + k * s * c
@@ -457,12 +454,11 @@ class Derivation:
         return {m: c for m, c in out.items() if c}
 
     def integral(self):
-        """(D times this derivation, D), for D the lcm of the denominators
-        of its values; the copy's coefficients are ints."""
-        (values,), scale = integral([{i: v.terms for i, v in self._values.items()}])
-        copy = Derivation(self.algebra, self.degree, check=False)
-        copy._values = {i: GradedElement(self.algebra, t) for i, t in values.items()}
-        return copy, scale
+        """This derivation times the lcm of the denominators of its values,
+        a copy whose coefficients are ints."""
+        copy = Derivation(self.algebra, self.degree)
+        (copy._values,), _ = integral([self._values])
+        return copy
 
     def __call__(self, elt):
         if not isinstance(elt, GradedElement):
@@ -473,6 +469,7 @@ class Derivation:
 
     def __repr__(self):
         body = ", ".join(
-            f"{self.algebra.names[i]} -> {v}" for i, v in sorted(self._values.items())
+            f"{self.algebra.names[i]} -> {GradedElement(self.algebra, v)}"
+            for i, v in sorted(self._values.items())
         )
         return f"Derivation(deg {self.degree}; {body})"

@@ -12,14 +12,14 @@ Every vector is a sparse {index: value} dict over a degree's basis: slice
 columns, kernel vectors, representatives and induced-map columns.  No image
 is memoised, for the peak-memory reason given in ``gca``: the differential's
 images live on only as the slices, which are cached per degree, and the
-chain condition holds a map's columns for two degrees at a time and reads
-both differentials from the slices.
+chain condition is checked one monomial at a time through the image
+functions.
 
 Slices and elimination run on ints.  Each complex keeps an int copy of its
-differential, scale * d for the lcm scale of the denominators of d's
-values (``Derivation.integral``), and builds its slices from it; scaling d
-by a nonzero constant changes no rank, kernel or class, and the complex's
-own d, which reports print, is never scaled.
+differential, d times the lcm of the denominators of d's values
+(``Derivation.integral``), and builds its slices from it; scaling d by a
+nonzero constant changes no rank, kernel or class, and the complex's own
+d, which reports print, is never scaled.
 
 Representative convention: the cohomology basis in degree n consists of the
 first kernel vectors that enlarge the span of the coboundaries.  Kernel
@@ -73,7 +73,7 @@ class CochainComplex:
             raise ComplexError(f"differential must have degree +1, got {diff.degree}")
         self.algebra = diff.algebra
         self.diff = diff
-        self._scaled, self.scale = diff.integral()
+        self._scaled = diff.integral()
         self._slices = {}
         self._ranks = {}
         self._cohomology = {}   # n -> (tagged SpanTracker, representatives)
@@ -91,8 +91,7 @@ class CochainComplex:
         return len(self.algebra.basis(n))
 
     def slice(self, n):
-        """Matrix of scale * d from degree n to degree n+1, with int
-        entries."""
+        """Matrix of the int copy of d from degree n to degree n+1."""
         if n not in self._slices:
             src, tgt = self.algebra.basis(n), self.algebra.basis(n + 1)
             index = {m: k for k, m in enumerate(tgt)}
@@ -178,53 +177,40 @@ def betti_table(cx, cutoff):
 ChainMap = namedtuple("ChainMap", "src tgt degree image name", defaults=("",))
 
 
-def _indexed(f, n, img, index):
-    """An image of f from degree n, as a sparse column over index's basis."""
-    if not img.keys() <= index.keys():
+def _in_degree(f, n, ok):
+    """Raise unless ok says an image of f from degree n lies in degree n + f.degree."""
+    if not ok:
         raise ChainMapError(
             f"{f.name or 'map'}: image of a degree-{n} monomial has a "
             f"term outside degree {n + f.degree}"
         )
+
+
+def _indexed(f, n, img, index):
+    """An image of f from degree n, as a sparse column over index's basis."""
+    _in_degree(f, n, img.keys() <= index.keys())
     return {index[m]: c for m, c in img.items()}
 
 
-def _columns(f, n):
-    """f on basis(n) of its source, as sparse {index: coefficient} columns
-    over basis(n + degree) of its target."""
-    index = {m: i for i, m in enumerate(f.tgt.algebra.basis(n + f.degree))}
-    return [_indexed(f, n, f.image(mono), index) for mono in f.src.algebra.basis(n)]
-
-
 def verify_chain_map(f, cutoff):
-    """First monomial (degree <= cutoff) where the chain condition fails,
-    as (degree, monomial, lhs, rhs) with both sides as elements of the
-    target algebra; None when the map is a chain map.
-
-    f is evaluated once per basis monomial, into the columns F_n of one
-    degree, and only F_n and F_{n+1} are held.  Column by column, in basis
-    order, d_tgt F_n is compared with (-1)^degree F_{n+1} d_src, both
-    differentials read from the cached slices of the two complexes.  The
-    slices hold the differentials times the complexes' scales, so the
-    comparison is of src.scale * (tgt.scale d_tgt) F_n with tgt.scale *
-    (-1)^degree F_{n+1} (src.scale d_src); the witness divides both sides
-    by src.scale * tgt.scale back to their exact values.
+    """First monomial m (degree <= cutoff), in basis order, where d_tgt(f(m))
+    differs from (-1)^degree f(d_src(m)), as (degree, m, lhs, rhs) with both
+    sides as elements of the target algebra; None when the map is a chain
+    map.  Each image of f is checked to lie in its degree as it is read.
     """
-    sign = ksign(f.degree)
-    src, tgt = f.src, f.tgt
-    nxt = _columns(f, 0)
+    sign, alg = ksign(f.degree), f.tgt.algebra
+
+    def image(mono, n):
+        img = f.image(mono)
+        _in_degree(f, n, all(alg.monomial_degree(m) == n + f.degree for m in img))
+        return img
+
     for n in range(cutoff + 1):
-        cur, nxt = nxt, _columns(f, n + 1)
-        d_tgt = tgt.slice(n + f.degree).column_vectors()
-        d_src = src.slice(n).column_vectors()
-        for j, mono in enumerate(src.algebra.basis(n)):
-            lhs = apply_map(d_tgt.__getitem__, cur[j], scale=src.scale)
-            rhs = apply_map(nxt.__getitem__, d_src[j], scale=sign * tgt.scale)
+        for mono in f.src.algebra.basis(n):
+            lhs = apply_map(f.tgt.diff.image, image(mono, n))
+            rhs = apply_map(lambda m: image(m, n + 1), f.src.diff.image(mono), scale=sign)
             if lhs != rhs:
-                basis = tgt.algebra.basis(n + f.degree + 1)
-                lhs, rhs = (GradedElement(tgt.algebra, {
-                    basis[i]: Fraction(c, src.scale * tgt.scale) for i, c in side.items()
-                }) for side in (lhs, rhs))
-                return (n, mono, lhs, rhs)
+                return (n, mono, GradedElement(alg, lhs), GradedElement(alg, rhs))
     return None
 
 

@@ -9,8 +9,9 @@ its edit to a fresh copy of its file, runs only its tests with pytest,
 one process at a time, and prints the mutant as killed or survived.  It
 exits 1 if any mutant survived, and 2 if the tests fail unmutated or a
 row's tests cannot run.  tests/test_mutants.py checks, in Tier-1, that
-every row still applies once and names tests that exist, so a refactor
-that moves mutated code must update its row.
+row names are unique and every row still changes its text, applies once
+and names distinct tests that exist, so a refactor that moves mutated
+code must update its row.
 """
 
 from __future__ import annotations
@@ -47,6 +48,37 @@ MUTANTS = [
            "or '1'}", "or ''}",
            ["tests/test_goldman.py::test_format_combo",
             "tests/test_goldman.py::test_canonical_form_and_order_match_reference"]),
+    Mutant("arity-stop-removed", "src/loopspace/structures.py",
+           "if not prods:", "if False:",
+           ["tests/test_structures.py::test_operations_stop_at_the_first_arity_without_products",
+            "tests/test_scaling.py::test_a_far_arity_costs_what_a_near_one_does"]),
+    Mutant("coproduct-skips-only-short-words", "src/loopspace/coderivations.py",
+           "if len(word) < rep.k or not any(", "if len(word) < rep.k and not any(",
+           ["tests/test_scaling.py::test_a_far_arity_costs_what_a_near_one_does"]),
+    Mutant("turn-row-read-on-shared-runs", "src/loopspace/goldman.py",
+           "if y != nxt else _pair_order(", "if y else _pair_order(",
+           ["tests/test_goldman.py::test_bracket_matches_reference",
+            "tests/test_goldman.py::test_long_words_match_reference"]),
+    Mutant("overlap-skip-forgets-forward", "src/loopspace/goldman.py",
+           "if ba == bb or ba == fb:", "if ba == bb:",
+           ["tests/test_goldman.py::test_bracket_matches_reference",
+            "tests/test_goldman.py::test_pinned_torus_brackets"]),
+    Mutant("derivation-sign-one-shift", "src/loopspace/checks.py",
+           "ksign((self.deg[a] + s) * (self.deg[b] + t))",
+           "ksign((self.deg[a] + s) * (self.deg[b] + s))",
+           ["tests/test_structures.py::test_circle_bv",
+            "tests/test_structures.py::test_identities_match_reference_on_forty_elements"]),
+    Mutant("representatives-share-a-tag", "src/loopspace/homology.py",
+           "if tracker.add({**v, dim + len(reps): 1}):", "if tracker.add({**v, dim: 1}):",
+           ["tests/test_homology.py::test_class_of_roundtrip",
+            "tests/test_homology.py::test_identity_chain_map_induces_identity"]),
+    Mutant("chain-map-rhs-unsigned", "src/loopspace/homology.py",
+           "f.src.diff.image(mono), scale=sign)", "f.src.diff.image(mono))",
+           ["tests/test_homology.py::test_rotation_is_a_chain_map_and_squares_to_zero"]),
+    Mutant("chain-map-degree-check-from-below", "src/loopspace/homology.py",
+           "alg.monomial_degree(m) == n + f.degree", "alg.monomial_degree(m) >= n + f.degree",
+           ["tests/test_homology.py::test_map_of_the_wrong_degree_is_rejected",
+            "tests/test_homology.py::test_an_off_degree_image_is_reported_at_the_degree_it_is_read"]),
 ]
 
 

@@ -203,7 +203,7 @@ def apply_monomial(deriv, mono):
                 rest.insert(0, (g, e - 1))
             sign = -1 if (d_parity and prefix_parity % 2) else 1
             term = GradedElement(alg, {prefix: Fraction(sign * e)})
-            term = term * val
+            term = term * GradedElement(alg, val)
             term = term * GradedElement(alg, {tuple(rest): Fraction(1)})
             out = out + term
         prefix_parity += alg.degrees[g] * e

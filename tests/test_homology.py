@@ -168,12 +168,45 @@ def test_from_generator_images_is_multiplicative():
 
 def test_map_of_the_wrong_degree_is_rejected(data_path):
     # the rotation lowers degree by one; declared as degree 0, its images
-    # leave the target degree the columns are indexed by
+    # leave their degree from x in degree 2 on.  The check reads no degree-2
+    # image up to cutoff 1, as d vanishes on degree 1, so it reports none
     lm = loop_model(load_model(data_path("s2.min")))
     cx = lm.complex
     f = ChainMap(cx, cx, 0, lm.delta.image, name="rotation")
+    assert verify_chain_map(f, 1) is None
     with pytest.raises(ChainMapError, match="rotation: image of a degree-2 monomial"):
         verify_chain_map(f, 4)
+
+
+def _bent(alg, cx, images):
+    """The degree-0 map that is the identity but on the monomials images
+    names, each given as an element expression over alg."""
+    table = {next(iter(alg.parse(k).terms)): alg.parse(v).terms for k, v in images.items()}
+    return ChainMap(cx, cx, 0, lambda mono: table.get(mono, {mono: 1}), name="bent")
+
+
+@pytest.mark.parametrize("images, cutoff, named", [
+    # f(x^2) = x falls below degree 4, and the check first reads it at
+    # degree 3, through d(y) = x^2 on the right-hand side
+    ({"x^2": "x"}, 3, 4),
+    # f(x) = x^2 rises above degree 2, read at degree 2 on the left
+    ({"x": "x^2"}, 2, 2),
+], ids=["falls", "rises"])
+def test_an_off_degree_image_is_reported_at_the_degree_it_is_read(images, cutoff, named):
+    alg = GradedAlgebra([("x", 2), ("y", 3)])
+    f = _bent(alg, CochainComplex(Derivation(alg, 1, {"y": "x^2"})), images)
+    assert verify_chain_map(f, cutoff - 1) is None
+    with pytest.raises(ChainMapError, match=f"bent: image of a degree-{named} monomial"):
+        verify_chain_map(f, cutoff)
+
+
+def test_a_map_on_degree_returns_its_first_failure():
+    # f(y) = 2y: d f(y) = 2x^2 but f(d y) = x^2, and every lower degree holds
+    alg = GradedAlgebra([("x", 2), ("y", 3)])
+    f = _bent(alg, CochainComplex(Derivation(alg, 1, {"y": "x^2"})), {"y": "2*y"})
+    assert verify_chain_map(f, 2) is None
+    y = next(iter(alg.parse("y").terms))
+    assert verify_chain_map(f, 5) == (3, y, alg.parse("2*x^2"), alg.parse("x^2"))
 
 
 def test_format_betti_table_layout(data_path):
@@ -198,10 +231,13 @@ def test_rational_model_eliminates_on_ints(monkeypatch):
     string = equivariant_model(loop_model(parse_model(
         "gen x 2\ngen y 3\ngen z 3\nd y = -128/49*x^2\n")))
     cx = string.complex
-    assert cx.scale == 49
     for n in range(13):
         cx.cohomology(n)
         cx.slice(n).rank()
+    for n, sl in cx._slices.items():
+        src, tgt = cx.algebra.basis(n), cx.algebra.basis(n + 1)
+        assert sl.entries == {(tgt.index(m), j): 49 * c for j, mono in enumerate(src)
+                              for m, c in cx.diff.image(mono).items()}, n
     assert gysin_report(string, 8).ok
     for complex_ in (cx, string.loop.complex):
         for n, sl in complex_._slices.items():

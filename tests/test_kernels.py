@@ -87,7 +87,7 @@ def _negated_rotation(loop, name):
 
 @pytest.mark.parametrize("name", FIXTURES + tuple(INLINE))
 def test_chain_map_check_matches_reference(name, data_path):
-    # the slice-based check against the per-monomial one: the same verdict
+    # the library's check against the reference one: the same verdict
     # and, for a broken map, the same first monomial and the same two sides
     loop, string = _models(name, data_path)
     maps = list(gysin_maps(string))

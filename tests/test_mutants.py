@@ -1,5 +1,6 @@
-"""The mutant table stays current: every row's edit applies exactly once,
-and every test it names exists.  The mutants themselves run only through
+"""The mutant table stays current: row names are unique, every row's edit
+changes its text and applies exactly once, and every row names distinct
+tests that exist.  The mutants themselves run only through
 `python3 tests/mutants.py`."""
 
 import re
@@ -17,6 +18,7 @@ def test_mutant_names_are_unique():
 def test_mutant_row_applies_and_names_real_tests(mutant):
     assert (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old) == 1
     assert mutant.new != mutant.old and mutant.tests
+    assert len(set(mutant.tests)) == len(mutant.tests), mutant.tests
     for node in mutant.tests:
         path, _, name = node.partition("::")
         source = (ROOT / path).read_text(encoding="utf-8")

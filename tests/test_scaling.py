@@ -2,6 +2,7 @@
 parameter.  The work is counted by wrapping the functions that do it, so a
 contract is exact and reads the same on every host."""
 
+import math
 import random
 
 import pytest
@@ -71,3 +72,38 @@ def test_goldman_terms_stay_within_the_visits(data_path):
     size = graph.size
     assert 0 < len(graph.rows) <= size * (size - 1)
     assert 0 < len(graph.turns) <= size * (size - 1)
+
+
+def _canonical_words(sdegs, length):
+    """The number of canonical wedge words of length <= length: a multiset
+    of j even letters beside a subset of k odd ones, j + k <= length.  With
+    no even letter only j = 0 counts, and comb(0, 0) = 1 gives it."""
+    even = sum(1 for d in sdegs if d % 2 == 0)
+    odd = len(sdegs) - even
+    return sum(math.comb(max(even + j - 1, 0), j) * math.comb(odd, k)
+               for j in range(length + 1) for k in range(length + 1 - j))
+
+
+def test_coderivations_walk_each_canonical_word_once(data_path, monkeypatch, capsys):
+    # the words up to --word-len are walked once per run, so their count is
+    # the closed form; the torus string space has nine odd letters
+    calls, walked = [], []
+    real = coderivations.wedge_words
+
+    def counted(sdegs, max_len):
+        calls.append(sdegs)
+        for word in real(sdegs, max_len):
+            walked.append(word)
+            yield word
+
+    assert [len(list(real((0, 1, 2, 1, 1), n))) for n in range(5)] == [
+        _canonical_words((0, 1, 2, 1, 1), n) for n in range(5)] == [1, 6, 18, 38, 66]
+    monkeypatch.setattr(coderivations, "wedge_words", counted)
+    struct = data_path("torus_bracket.struct")
+    for length in (3, 4, 5, 6):
+        calls.clear()
+        walked.clear()
+        code = main(["verify", "coderivations", "--structure", struct, "--word-len", str(length)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert calls == [(-1,) * 9]
+        assert len(set(walked)) == len(walked) == _canonical_words(calls[0], length), length
