@@ -127,8 +127,7 @@ def _cmd_model(args):
 
 
 def _cmd_gysin(args):
-    em = equivariant_model(loop_model(load_model(args.model)))
-    report = gysin_report(em, args.cutoff)
+    report = gysin_report(loop_model(load_model(args.model)), args.cutoff)
     return report.pieces(), report.ok
 
 

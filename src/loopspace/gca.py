@@ -206,28 +206,6 @@ class GradedAlgebra:
             ends.append(cut)
         return bases[n]
 
-    # -- moving elements between algebras ----------------------------------
-
-    def transfer(self, elt, target):
-        """Re-express an element in another algebra containing the same
-        named generators (same degrees).  Generator order is preserved by the
-        shared (degree, name) key, so no signs appear."""
-        if elt.algebra is not self and elt.algebra != self:
-            raise AlgebraError("element does not belong to this algebra")
-        out = {}
-        for mono, c in elt.terms.items():
-            new = []
-            for g, e in mono:
-                j = target.index(self.names[g])
-                if target.degrees[j] != self.degrees[g]:
-                    raise AlgebraError(
-                        f"generator {self.names[g]!r} changes degree under transfer"
-                    )
-                new.append((j, e))
-            new.sort()
-            out[tuple(new)] = c
-        return GradedElement(target, out)
-
     # -- parsing -----------------------------------------------------------
 
     def parse(self, text):

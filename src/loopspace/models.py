@@ -13,10 +13,12 @@ at least two with a decomposable degree +1 differential.  From it we build:
 The minimal, free-loop and circle-equivariant models are one Model type,
 whose algebra is its differential's.  The barred partner of generator ``z``
 is named ``z`` + "b"; the degree-2 class is named "u".  Both names are
-reserved and collisions are rejected.  parse_model checks that d squares to
-zero; betti_table and validate_model check it again on the complex or model
-they are given.  gysin_report validates the loop model and compares the
-string model's d with d + u * rotation on generators: all its proof needs.
+reserved and collisions are rejected.  Each larger algebra holds the
+smaller one's generators under the same names and degrees, and _mover
+carries values into it.  parse_model checks that d squares to zero;
+betti_table and validate_model check it again on the complex or model they
+are given.  gysin_report takes the loop model, validates it, and builds the
+circle-equivariant model from it: all its proof needs.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from collections import namedtuple
 
 from .checks import (NAME_RE, CheckReport, InputError, LineError, apply_map,
                      content_lines, read_input)
-from .gca import Derivation, GradedAlgebra
+from .gca import Derivation, GradedAlgebra, GradedElement
 from .homology import ChainMap, CochainComplex, induced_map
 
 __all__ = [
     "ModelError",
     "ModelFileError",
-    "StringModelError",
     "Model",
     "parse_model",
     "load_model",
@@ -58,22 +59,15 @@ class ModelFileError(ModelError, LineError):
     """Model file rejected; carries the offending line number."""
 
 
-class StringModelError(ModelError):
-    """String model whose differential is not the circle-equivariant one
-    on some generator."""
-
-
 class Model:
     """A degree +1 differential d, its algebra and its cochain complex,
     built once.  A free-loop model also carries its degree -1 rotation
-    delta; a circle-equivariant model carries the loop model it extends.
-    Both are None on a minimal model."""
+    delta, which is None on the other models."""
 
-    def __init__(self, d, delta=None, loop=None):
+    def __init__(self, d, delta=None):
         self.algebra = d.algebra
         self.d = d
         self.delta = delta
-        self.loop = loop
         self.complex = CochainComplex(d)
 
 
@@ -150,6 +144,15 @@ def _bar_name(name):
     return name + BAR_SUFFIX
 
 
+def _mover(src, tgt):
+    """The map re-indexing {monomial: coefficient} dicts of algebra src
+    into tgt, which holds src's generators under the same names and
+    degrees.  Both order their generators by (degree, name), so a moved
+    monomial keeps its factor order and needs no sort and no sign."""
+    to = [tgt.index(n) for n in src.names]
+    return lambda combo: {tuple((to[g], e) for g, e in m): c for m, c in combo.items()}
+
+
 def loop_model(model):
     """Model of the free loop space: original and barred generators, the
     extended differential, and the degree -1 rotation operator."""
@@ -166,9 +169,10 @@ def loop_model(model):
     delta = Derivation(
         algebra, -1, {n: algebra.gen(_bar_name(n)) for n in base_alg.names}
     )
+    move = _mover(base_alg, algebra)
     d_values = {}
     for n in base_alg.names:
-        val = base_alg.transfer(model.d(base_alg.gen(n)), algebra)
+        val = GradedElement(algebra, move(model.d(base_alg.gen(n)).terms))
         d_values[n] = val
         d_values[_bar_name(n)] = -delta(val)
     return Model(Derivation(algebra, 1, d_values), delta=delta)
@@ -190,14 +194,13 @@ def equivariant_model(loop):
             f"generator name {CIRCLE_CLASS!r} is reserved for the degree-2 class"
         )
     algebra = GradedAlgebra(loop_alg.generators + ((CIRCLE_CLASS, 2),))
-    u = algebra.gen(CIRCLE_CLASS)
+    u, move = algebra.gen(CIRCLE_CLASS), _mover(loop_alg, algebra)
     d_values = {}
     for n in loop_alg.names:
         g = loop_alg.gen(n)
-        dval = loop_alg.transfer(loop.d(g), algebra)
-        rval = loop_alg.transfer(loop.delta(g), algebra)
+        dval, rval = (GradedElement(algebra, move(f(g).terms)) for f in (loop.d, loop.delta))
         d_values[n] = dval + rval * u
-    return Model(Derivation(algebra, 1, d_values), loop=loop)
+    return Model(Derivation(algebra, 1, d_values))
 
 
 def _at(witness):
@@ -301,19 +304,18 @@ class GysinReport(namedtuple("GysinReport", "cutoff rows factor_rotation factor_
         return (line + "\n" for line in out)
 
 
-def gysin_maps(string):
-    """The chain maps of the sequence, as sparse images: restriction
-    (string -> loop), multiplication by the degree-2 class (string ->
-    string), the connecting map (loop -> string) and the rotation (loop ->
-    loop).  Both algebras order their shared generators by the same
-    (degree, name) key, so moving a monomial between them re-indexes its
-    generators and needs no sign."""
-    loop = string.loop
-    S, L = string.complex, loop.complex
+def gysin_maps(loop):
+    """The chain maps of the sequence between the loop model and the
+    string model, equivariant_model(loop), built here once, as sparse
+    images: restriction (string -> loop), multiplication by the degree-2
+    class (string -> string), the connecting map (loop -> string) and the
+    rotation (loop -> loop).  The connecting map is the rotation moved
+    into the string algebra by _mover; restriction also drops u, so it
+    re-indexes on its own."""
+    S, L = equivariant_model(loop).complex, loop.complex
     ui = S.algebra.index(CIRCLE_CLASS)
     to_l = {i: L.algebra.index(n) for i, n in enumerate(S.algebra.names) if i != ui}
-    to_s = {j: S.algebra.index(n) for j, n in enumerate(L.algebra.names)}
-    u = ((ui, 1),)
+    u, move = ((ui, 1),), _mover(L.algebra, S.algebra)
 
     def restrict(mono):
         if any(g == ui for g, _ in mono):
@@ -324,16 +326,10 @@ def gysin_maps(string):
         prod, sign = S.algebra.mono_mul(u, mono)
         return {prod: sign}
 
-    def connect(mono):
-        return {
-            tuple((to_s[g], e) for g, e in m): c
-            for m, c in loop.delta.image(mono).items()
-        }
-
     return (
         ChainMap(S, L, 0, restrict, name="restriction"),
         ChainMap(S, S, 2, times_u, name="multiplication by the degree-2 class"),
-        ChainMap(L, S, -1, connect, name="connecting map"),
+        ChainMap(L, S, -1, lambda m: move(loop.delta.image(m)), name="connecting map"),
         ChainMap(L, L, -1, loop.delta.image, name="rotation"),
     )
 
@@ -348,7 +344,7 @@ def _vanishes(outer, inner):
     return not any(_after(outer, inner))
 
 
-def gysin_report(string, cutoff):
+def gysin_report(loop, cutoff):
     """Exactness and factorization report for the sequence
 
         ... -> H^{i-2}(string) -> H^i(string) -> H^i(loop) -> H^{i-1}(string) -> ...
@@ -362,13 +358,9 @@ def gysin_report(string, cutoff):
     and restriction from -1, where both are zero maps out of zero spaces,
     so every row and both factorizations read one formula.
 
-    Precondition: the string model's differential D is that of
-    equivariant_model(string.loop).  validate_model runs on the loop model,
-    and D is compared with d + u*rotation on every generator; a model that
-    fails raises before any induced map is read.  Nothing else is checked
-    on the string model: D^2 = d^2 + u (d rotation + rotation d) +
-    u^2 rotation^2 is then zero on generators, and restriction kills u, so
-    its chain condition on generators is the comparison's half free of u.
+    validate_model runs on the loop model, and a model that fails raises
+    before any map is built.  gysin_maps builds the string model from it,
+    so its differential D is d + u*rotation on generators by construction.
     The four maps commute with the differentials in every degree, and none
     is checked monomial by monomial: a derivation of a free
     graded-commutative algebra, or one along an algebra map out of it, is
@@ -386,20 +378,11 @@ def gysin_report(string, cutoff):
       generators, so D(i rotation x) = i(d rotation x) +
       u i(rotation rotation x) = -i(rotation d x).
     """
-    loop = string.loop
     for label, witness in validate_model(loop).failures():
         where = witness.partition(" -> ")[0]
         raise ModelError(f"loop model: {label} fails {where}")
-    alg, want = string.algebra, equivariant_model(loop)
-    for name in alg.names:
-        if string.d(alg.gen(name)) != want.d(want.algebra.gen(name)):
-            raise StringModelError(
-                f"string model: differential of {name} is not the circle-equivariant one"
-            )
-
-    S = string.complex
-    L = loop.complex
-    restr, mult_u, conn, rot = gysin_maps(string)
+    restr, mult_u, conn, rot = gysin_maps(loop)
+    S, L = restr.src, restr.tgt
 
     def induced(f, degrees):
         return {i: induced_map(f, i) for i in degrees}

@@ -3,10 +3,11 @@ must fail once it is made.
 
     python3 tests/mutants.py [--only NAME]
 
-copies src/ and tests/ into a temporary directory, runs the rows' tests
-there once unmutated (they must pass), then for each row in turn applies
-its edit to a fresh copy of its file, runs only its tests with pytest,
-one process at a time, and prints the mutant as killed or survived.  It
+copies src/, tests/ and bench/ (test_gysin.py reads bench/gen.py) into a
+temporary directory, runs the rows' tests there once unmutated (they must
+pass), then for each row in turn applies its edit to a fresh copy of its
+file, runs only its tests with pytest, one process at a time, and prints
+the mutant as killed or survived.  It
 exits 1 if any mutant survived, and 2 if the tests fail unmutated or a
 row's tests cannot run.  tests/test_mutants.py checks, in Tier-1, that
 row names are unique and every row still changes its text, applies once
@@ -79,6 +80,27 @@ MUTANTS = [
            "alg.monomial_degree(m) == n + f.degree", "alg.monomial_degree(m) >= n + f.degree",
            ["tests/test_homology.py::test_map_of_the_wrong_degree_is_rejected",
             "tests/test_homology.py::test_an_off_degree_image_is_reported_at_the_degree_it_is_read"]),
+    Mutant("gysin-u-in-and-out-swapped", "src/loopspace/models.py",
+           "u_in, u_out = mult_at[i - 2], mult_at[i - 1]",
+           "u_in, u_out = mult_at[i - 1], mult_at[i - 2]",
+           ["tests/test_gysin.py::test_sphere_low_degrees_hand_oracle",
+            "tests/test_gysin.py::test_rank_identities_row_by_row"]),
+    Mutant("gysin-u-then-restriction-unchecked", "src/loopspace/models.py",
+           "and _vanishes(restr_i, u_in)", "and True",
+           ["tests/test_gysin.py::test_nonzero_composite_breaks_exactness"
+            "[outer0-multiplication by the degree-2 class]"]),
+    Mutant("gysin-rotation-factor-reads-restriction-a-degree-up", "src/loopspace/models.py",
+           "_after(restr_at[i - 1], conn_i)", "_after(restr_at[i], conn_i)",
+           ["tests/test_gysin.py::test_sphere_parity_pattern",
+            "tests/test_acceptance.py::test_sphere_exact_sequence_through_12"]),
+    Mutant("gysin-broken-loop-model-not-raised", "src/loopspace/models.py",
+           'raise ModelError(f"loop model: {label} fails {where}")',
+           'ModelError(f"loop model: {label} fails {where}")',
+           ["tests/test_models.py::test_gysin_report_rejects_a_broken_loop_model"]),
+    Mutant("mover-keeps-source-index", "src/loopspace/models.py",
+           "tuple((to[g], e) for g, e in m)", "tuple((g, e) for g, e in m)",
+           ["tests/test_kernels.py::test_gysin_images_match_element_constructions",
+            "tests/test_golden.py::test_golden_cli"]),
 ]
 
 
@@ -98,7 +120,7 @@ def main(argv=None):
     rows = [m for m in MUTANTS if args.only in (None, m.name)]
     with tempfile.TemporaryDirectory(prefix="loopspace-mutants-") as tmp:
         where = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, where / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", where)

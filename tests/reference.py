@@ -268,23 +268,35 @@ def compose(outer, inner):
 
 
 def reference_verify_chain_map(f, cutoff):
-    """verify_chain_map monomial by monomial: both differentials applied
-    through their image functions, d_tgt on every term of f(m) and f on
-    every term of d_src(m), with no slice or column reused."""
+    """verify_chain_map monomial by monomial, on the basis reference_basis
+    enumerates, with both differentials applied by apply_monomial's Leibniz
+    rule: d_tgt on every term of f(m) and f on every term of d_src(m),
+    summed as elements."""
     sign = -1 if f.degree % 2 else 1
-    image, d_src, d_tgt = f.image, f.src.diff.image, f.tgt.diff.image
+    alg = f.tgt.algebra
     for n in range(cutoff + 1):
-        for mono in f.src.algebra.basis(n):
-            lhs = {}
-            for m, c in image(mono).items():
-                add_into(lhs, d_tgt(m), c)
-            rhs = {}
-            for m, c in d_src(mono).items():
-                add_into(rhs, image(m), sign * c)
+        for mono in reference_basis(f.src.algebra, n):
+            lhs = alg.zero()
+            for m, c in f.image(mono).items():
+                lhs = lhs + c * apply_monomial(f.tgt.diff, m)
+            rhs = sign * apply_map(f, apply_monomial(f.src.diff, mono))
             if lhs != rhs:
-                alg = f.tgt.algebra
-                return (n, mono, GradedElement(alg, lhs), GradedElement(alg, rhs))
+                return (n, mono, lhs, rhs)
     return None
+
+
+def reference_transfer(elt, target):
+    """elt re-expressed in target, an algebra holding elt's generators under
+    the same names: each monomial rebuilt as the product, in target, of the
+    generators named by its factors."""
+    out = target.zero()
+    for mono, c in elt.terms.items():
+        term = target.one() * c
+        for g, e in mono:
+            for _ in range(e):
+                term = term * target.gen(elt.algebra.names[g])
+        out = out + term
+    return out
 
 
 def algebra_element(alg, terms):

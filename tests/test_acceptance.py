@@ -82,8 +82,7 @@ def test_sphere_rotation_rank_parity():
 
 def test_sphere_exact_sequence_through_12():
     started = time.monotonic()
-    em = equivariant_model(loop_model(load_model(_data("s2.min"))))
-    rep = gysin_report(em, 12)
+    rep = gysin_report(loop_model(load_model(_data("s2.min"))), 12)
     ok = rep.ok and len(rep.rows) == 13
     for i, _hs, _hl, rank_u, rank_restr, rank_conn, exact in rep.rows:
         ok = ok and exact

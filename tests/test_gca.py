@@ -235,16 +235,6 @@ def test_graded_commutator_anticommutes_d_and_rotation():
         assert not square(alg.gen(name)), name
 
 
-def test_transfer_moves_elements_by_name():
-    small = GradedAlgebra([("x", 2), ("y", 3)])
-    big = GradedAlgebra(LOOP_GENS)
-    e = small.parse("x^2 - 3*y")
-    moved = small.transfer(e, big)
-    assert moved == big.parse("x^2 - 3*y")
-    with pytest.raises(AlgebraError):
-        big.transfer(big.parse("xb"), small)
-
-
 def _monomial_strategy(alg):
     caps = [1 if d % 2 else 3 for d in alg.degrees]
     return st.tuples(*[st.integers(min_value=0, max_value=c) for c in caps]).map(

@@ -12,22 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, s2_string_model
+from conftest import DATA_DIR
 
 from loopspace import models
 from loopspace.cli import main
 from loopspace.gca import Derivation, GradedElement
 from loopspace.homology import CochainComplex, verify_chain_map
 from loopspace.linalg import SpanTracker
-from loopspace.models import (StringModelError, equivariant_model, gysin_maps, gysin_report,
-                              load_model, loop_model, parse_model)
+from loopspace.models import (equivariant_model, gysin_maps, gysin_report, load_model,
+                              loop_model, parse_model)
 
 from reference import generator_images_map, reference_verify_chain_map
 
 
 def _report(data_path, name, cutoff):
-    em = equivariant_model(loop_model(load_model(data_path(name))))
-    return gysin_report(em, cutoff)
+    return gysin_report(loop_model(load_model(data_path(name))), cutoff)
 
 
 def test_sphere_low_degrees_hand_oracle(data_path):
@@ -171,8 +170,7 @@ def test_gysin_maps_are_chain_maps_through_their_top_degree(label):
     # gysin_report proves the four maps chain maps and checks none of
     # them; the per-monomial reference check holds them to it through the
     # top degree the report reads at cutoff 8
-    em = equivariant_model(loop_model(parse_model(ORACLE_MODELS[label])))
-    maps = gysin_maps(em)
+    maps = gysin_maps(loop_model(parse_model(ORACLE_MODELS[label])))
     assert [f.name for f in maps] == list(TOPS)
     for f in maps:
         assert reference_verify_chain_map(f, 8 + TOPS[f.name]) is None, f.name
@@ -202,93 +200,10 @@ def test_each_map_is_verified_through_its_top_degree(name, data_path):
     # only the chain condition at the top degree itself can see the
     # perturbation, and the reference check finds it there
     top = 6 + TOPS[name]
-    em = equivariant_model(loop_model(load_model(data_path("s2.min"))))
-    f, mono = _perturbed(next(g for g in gysin_maps(em) if g.name == name), top)
+    loop = loop_model(load_model(data_path("s2.min")))
+    f, mono = _perturbed(next(g for g in gysin_maps(loop) if g.name == name), top)
     assert reference_verify_chain_map(f, top - 1) is None
     assert reference_verify_chain_map(f, top)[:2] == (top, mono)
-
-
-def test_string_model_off_d_plus_u_delta_is_refused_at_x(data_path):
-    # a string model whose differential is not d + u*delta on generators,
-    # with D^2 = 0 still: validate_model passes it, and the restriction's
-    # chain condition fails in degree 2 on yb, where D(yb) restricts to
-    # -4*xb*x and the loop model has -2*xb*x.  gysin_report compares D
-    # with d + u*delta on generators in (degree, name) order, and x comes
-    # before yb
-    loop = loop_model(load_model(data_path("s2.min")))
-    em = equivariant_model(loop)
-    alg = em.algebra
-    assert alg.names == ("xb", "u", "x", "yb", "y")
-    x, xb, u = (alg.gen(n) for n in ("x", "xb", "u"))
-    d_values = {n: em.d(alg.gen(n)) for n in alg.names}
-    assert (d_values["x"], d_values["yb"]) == (xb * u, -2 * xb * x)
-    d_values.update(x=2 * xb * u, yb=-4 * xb * x)
-    string = models.Model(Derivation(alg, 1, d_values), loop=loop)
-    assert models.validate_model(string).ok
-    degree, mono, _, _ = reference_verify_chain_map(gysin_maps(string)[0], 4)
-    assert (degree, alg.monomial_str(mono)) == (2, "yb")
-    with pytest.raises(StringModelError) as err:
-        gysin_report(string, 4)
-    assert str(err.value) == "string model: differential of x is not the circle-equivariant one"
-
-
-def test_string_model_off_the_circle_part_is_refused():
-    # the parts free of u are d, so restriction is a chain map and its
-    # check passes; the u-parts are doubled, which is no chain-condition
-    # failure (all four maps still commute with the differentials), but
-    # the model is not equivariant_model(loop), the report's precondition
-    string = s2_string_model(x="2*xb*u", y="x^2 + 2*yb*u")
-    assert models.validate_model(string).ok
-    for f in gysin_maps(string):
-        assert reference_verify_chain_map(f, 6) is None, f.name
-    with pytest.raises(StringModelError) as err:
-        gysin_report(string, 4)
-    assert str(err.value) == "string model: differential of x is not the circle-equivariant one"
-
-
-def _u_split(em, g):
-    """D(g) on the string model em as (its terms with u, its terms free of
-    u), two elements of em's algebra."""
-    alg = em.algebra
-    ui = alg.index("u")
-    terms = em.d(alg.gen(g)).terms
-    with_u = {m: c for m, c in terms.items() if any(i == ui for i, _ in m)}
-    free = {m: c for m, c in terms.items() if m not in with_u}
-    return GradedElement(alg, with_u), GradedElement(alg, free)
-
-
-def _one_generator_changes():
-    """(model, generator, part) for each way of changing the string
-    model's D on one generator alone: D(g) doubled, and, where both are
-    nonzero, only its u-part or only its part free of u doubled."""
-    cases = []
-    for name in ("s2", "s2xs3", "cp2"):
-        em = equivariant_model(loop_model(load_model(os.path.join(DATA_DIR, f"{name}.min"))))
-        for g in em.algebra.names:
-            u_part, free = _u_split(em, g)
-            if u_part and free:
-                cases += [(name, g, part) for part in ("all", "u-part", "free-part")]
-            elif u_part or free:
-                cases.append((name, g, "all"))
-    return cases
-
-
-@pytest.mark.parametrize("name, gen, part", _one_generator_changes())
-def test_d_changed_on_one_generator_is_refused_there(name, gen, part, data_path):
-    # D = d + u*delta is compared on every generator, the u-part and the
-    # part free of u alike, so a change on one generator alone is named
-    em = equivariant_model(loop_model(load_model(data_path(f"{name}.min"))))
-    alg = em.algebra
-    u_part, free = _u_split(em, gen)
-    changed = {"all": 2 * (u_part + free), "u-part": 2 * u_part + free,
-               "free-part": u_part + 2 * free}[part]
-    d_values = {n: em.d(alg.gen(n)) for n in alg.names}
-    d_values[gen] = changed
-    string = models.Model(Derivation(alg, 1, d_values), loop=em.loop)
-    with pytest.raises(StringModelError) as err:
-        gysin_report(string, 2)
-    assert str(err.value) == (
-        f"string model: differential of {gen} is not the circle-equivariant one")
 
 
 def test_gysin_reads_cached_slices_and_solvers(data_path, monkeypatch):
@@ -297,8 +212,9 @@ def test_gysin_reads_cached_slices_and_solvers(data_path, monkeypatch):
     # induced maps, and each (complex, degree) is eliminated once; the
     # per-monomial check made 4098 image calls here, the check through
     # cutoff + 2 made 1485 and the one through the degrees the induced maps
-    # read 1091, 810 with the generator checks, and 792 once the string
-    # model is only compared with d + u*delta on generators; a solver
+    # read 1091, 810 with the generator checks, 792 once the string model
+    # was only compared with d + u*delta on generators, and 774 since the
+    # report builds the string model itself and compares nothing; a solver
     # beside each elimination made the SpanTracker count 176
     calls = {"image": 0, "tracker": 0}
     image, init = Derivation.image, SpanTracker.__init__
@@ -315,7 +231,7 @@ def test_gysin_reads_cached_slices_and_solvers(data_path, monkeypatch):
     monkeypatch.setattr(SpanTracker, "__init__", counted_init)
     rep = _report(data_path, "s2.min", 16)
     assert rep.ok
-    assert calls["image"] <= 792, calls
+    assert calls["image"] == 774, calls
     assert calls["tracker"] <= 150, calls
 
 
@@ -331,9 +247,16 @@ def test_gysin_builds_no_slice_above_cutoff_plus_one(name, cutoff, data_path, mo
         return real(self, n)
 
     monkeypatch.setattr(CochainComplex, "slice", recorded)
-    em = equivariant_model(loop_model(load_model(data_path(name))))
-    assert gysin_report(em, cutoff).ok
-    assert asked.keys() == {id(em.complex), id(em.loop.complex)}
+    built = []
+
+    def maps(loop):
+        built.append(gysin_maps(loop))
+        return built[-1]
+
+    monkeypatch.setattr(models, "gysin_maps", maps)
+    assert gysin_report(loop_model(load_model(data_path(name))), cutoff).ok
+    (restr, *_), = built
+    assert asked.keys() == {id(restr.src), id(restr.tgt)}
     assert max(asked.values()) == cutoff + 1, asked
 
 

@@ -228,9 +228,8 @@ def test_rational_model_eliminates_on_ints(monkeypatch):
         trackers.append(self)
 
     monkeypatch.setattr(SpanTracker, "__init__", recorded)
-    string = equivariant_model(loop_model(parse_model(
-        "gen x 2\ngen y 3\ngen z 3\nd y = -128/49*x^2\n")))
-    cx = string.complex
+    loop = loop_model(parse_model("gen x 2\ngen y 3\ngen z 3\nd y = -128/49*x^2\n"))
+    cx = equivariant_model(loop).complex
     for n in range(13):
         cx.cohomology(n)
         cx.slice(n).rank()
@@ -238,8 +237,8 @@ def test_rational_model_eliminates_on_ints(monkeypatch):
         src, tgt = cx.algebra.basis(n), cx.algebra.basis(n + 1)
         assert sl.entries == {(tgt.index(m), j): 49 * c for j, mono in enumerate(src)
                               for m, c in cx.diff.image(mono).items()}, n
-    assert gysin_report(string, 8).ok
-    for complex_ in (cx, string.loop.complex):
+    assert gysin_report(loop, 8).ok
+    for complex_ in (cx, loop.complex):
         for n, sl in complex_._slices.items():
             assert all(type(v) is int for v in sl.entries.values()), n
         assert complex_._cohomology

@@ -15,13 +15,11 @@ import os
 import sys
 
 import pytest
-from conftest import s2_string_model
 
 import loopspace
 from loopspace.gca import AlgebraError, Derivation, GradedAlgebra
 from loopspace.goldman import FatGraph, FatGraphError
 from loopspace.homology import ChainMap, ChainMapError, CochainComplex, ComplexError, induced_map
-from loopspace.models import StringModelError, gysin_report
 from loopspace.structures import BasisSpace, StructureError, StructureTable
 
 from test_golden import CLI_GOLDEN, _golden_streams
@@ -45,10 +43,6 @@ UNREACHABLE = {
         "model files reject degrees below 2, and barred generators lose only one degree",
     ("gca.py", "duplicate generator name"):
         "model files reject duplicates, barred collisions and the reserved u first",
-    ("gca.py", "element does not belong to this algebra"):
-        "transfer is only called with elements of its own algebra",
-    ("gca.py", "changes degree under transfer"):
-        "transfer only targets algebras that extend its own with the same degrees",
     ("gca.py", "empty element expression"):
         "a d line's right side keeps a character that is not whitespace",
     ("gca.py", "operands live in different algebras"):
@@ -78,13 +72,11 @@ UNREACHABLE = {
     ("homology.py", "monomial has a"):
         "the Gysin maps send each degree into the degree their shift names",
     ("homology.py", "cocycle is not a cocycle"):
-        "the Gysin maps are chain maps once gysin_report's generator checks pass",
+        "the Gysin maps are chain maps once gysin_report's loop model passes validate_model",
     ("linalg.py", "outside {nrows}x{ncols}"):
         "slices are built from basis indices inside their own dimensions",
     ("models.py", "fails {where}"):
         "the loop model built from a loaded model passes validate_model",
-    ("models.py", "raise StringModelError("):
-        "the gysin command's string model is equivariant_model's, whose d is d + u*delta",
     ("structures.py", "raise StructureError(problem)"):
         "the structure-file parser checks every name before the space is built",
     ("structures.py", "structure has no product table"):
@@ -169,12 +161,6 @@ def _non_cocycle_image():
 
 
 GUARDS = {
-    "transfer foreign element": (
-        lambda: X4.transfer(X2.gen("x"), X2), AlgebraError,
-        "element does not belong to this algebra"),
-    "transfer changes degree": (
-        lambda: X2.transfer(X2.gen("x"), X4), AlgebraError,
-        "generator 'x' changes degree under transfer"),
     "sum across algebras": (
         lambda: X2.gen("x") + X4.gen("x"), AlgebraError,
         "operands live in different algebras"),
@@ -205,9 +191,6 @@ GUARDS = {
     "duplicate basis name": (
         lambda: BasisSpace([("a", 0), ("a", 1)]), StructureError,
         "duplicate basis name 'a'"),
-    "string model off the circle-equivariant d": (
-        lambda: gysin_report(s2_string_model(x="2*xb*u", y="x^2 + 2*yb*u"), 2),
-        StringModelError, "string model: differential of x is not the circle-equivariant one"),
     "product without a table": (
         lambda: StructureTable(BasisSpace([("a", 0)])).mult({"a": 1}, {"a": 1}),
         StructureError, "structure has no product table"),

@@ -12,6 +12,7 @@ from loopspace import coderivations
 from loopspace.cli import main
 from loopspace.coderivations import CoderivationRep
 from loopspace.goldman import goldman_bracket, load_fat_graph
+from loopspace.homology import CochainComplex
 from loopspace.structures import StructureTable
 
 COUNTED = {
@@ -107,3 +108,38 @@ def test_coderivations_walk_each_canonical_word_once(data_path, monkeypatch, cap
         assert (code, capsys.readouterr().err) == (0, "")
         assert calls == [(-1,) * 9]
         assert len(set(walked)) == len(walked) == _canonical_words(calls[0], length), length
+
+
+# summed nonzeros of the slices betti builds, at cutoffs 8, 16 and 32
+BETTI_NONZEROS = {
+    ("s2", "loop"): [25, 113, 481],
+    ("s2", "string"): [88, 688, 5472],
+    ("s2xs3", "loop"): [54, 526, 4766],
+    ("s2xs3", "string"): [200, 3152, 51872],
+}
+
+
+@pytest.mark.parametrize("model, space", BETTI_NONZEROS,
+                         ids=[f"{m}-{s}" for m, s in BETTI_NONZEROS])
+def test_betti_slice_nonzeros_along_the_cutoff(model, space, data_path, monkeypatch, capsys):
+    # betti builds the slice out of each degree through the cutoff once;
+    # per doubling of the cutoff the nonzeros grow about 4x on the s2 loop
+    # complex and 16x on the s2xs3 string complex, and the pins hold both
+    built = {}
+    real = CochainComplex.slice
+
+    def counted(self, n):
+        sl = real(self, n)
+        built[id(self), n] = len(sl.entries)
+        return sl
+
+    monkeypatch.setattr(CochainComplex, "slice", counted)
+    got = []
+    for cutoff in (8, 16, 32):
+        built.clear()
+        code = main(["betti", "--space", space, "--model", data_path(f"{model}.min"),
+                     "--cutoff", str(cutoff)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert sorted(n for _, n in built) == list(range(cutoff + 1))
+        got.append(sum(built.values()))
+    assert got == BETTI_NONZEROS[model, space]
