@@ -360,7 +360,8 @@ def gysin_report(loop, cutoff):
 
     validate_model runs on the loop model, and a model that fails raises
     before any map is built.  gysin_maps builds the string model from it,
-    so its differential D is d + u*rotation on generators by construction.
+    so its differential D is d + u*rotation on generators by construction,
+    and D^2 = d^2 + u (d rotation + rotation d) + u^2 rotation^2 is zero.
     The four maps commute with the differentials in every degree, and none
     is checked monomial by monomial: a derivation of a free
     graded-commutative algebra, or one along an algebra map out of it, is
