@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from loopspace import models
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -11,6 +13,20 @@ def data_path():
         return os.path.join(DATA_DIR, name)
 
     return get
+
+
+@pytest.fixture
+def built_gysin_maps(monkeypatch):
+    """The maps of every models.gysin_maps call the test makes, in order,
+    so a test can read the complexes gysin_report builds."""
+    built, real = [], models.gysin_maps
+
+    def recorded(loop):
+        built.append(real(loop))
+        return built[-1]
+
+    monkeypatch.setattr(models, "gysin_maps", recorded)
+    return built
 
 
 def reduced_word(rng, n, names="abcd"):

@@ -236,7 +236,8 @@ def test_gysin_reads_cached_slices_and_solvers(data_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name, cutoff", [("s2.min", 16), ("s2xs3.min", 8)])
-def test_gysin_builds_no_slice_above_cutoff_plus_one(name, cutoff, data_path, monkeypatch):
+def test_gysin_builds_no_slice_above_cutoff_plus_one(name, cutoff, data_path, monkeypatch,
+                                                     built_gysin_maps):
     # the induced maps read cohomology through cutoff + 1, so neither
     # complex needs a differential slice past that degree
     asked = {}
@@ -247,15 +248,8 @@ def test_gysin_builds_no_slice_above_cutoff_plus_one(name, cutoff, data_path, mo
         return real(self, n)
 
     monkeypatch.setattr(CochainComplex, "slice", recorded)
-    built = []
-
-    def maps(loop):
-        built.append(gysin_maps(loop))
-        return built[-1]
-
-    monkeypatch.setattr(models, "gysin_maps", maps)
     assert gysin_report(loop_model(load_model(data_path(name))), cutoff).ok
-    (restr, *_), = built
+    (restr, *_), = built_gysin_maps
     assert asked.keys() == {id(restr.src), id(restr.tgt)}
     assert max(asked.values()) == cutoff + 1, asked
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from loopspace import models
 from loopspace.gca import Derivation, GradedAlgebra
 from loopspace.homology import (
     ChainMap,
@@ -216,7 +215,7 @@ def test_format_betti_table_layout(data_path):
     assert text == "0\t1\n1\t1\n2\t1\n3\t1\n"
 
 
-def test_rational_model_eliminates_on_ints(monkeypatch):
+def test_rational_model_eliminates_on_ints(monkeypatch, built_gysin_maps):
     # the slices hold 49 * d for d y = -128/49*x^2, kernel vectors and so
     # representatives are int vectors, and the engine clears the
     # denominators of class coordinates as they enter, so no Fraction
@@ -238,15 +237,8 @@ def test_rational_model_eliminates_on_ints(monkeypatch):
         src, tgt = cx.algebra.basis(n), cx.algebra.basis(n + 1)
         assert sl.entries == {(tgt.index(m), j): 49 * c for j, mono in enumerate(src)
                               for m, c in cx.diff.image(mono).items()}, n
-    built, real_maps = [], models.gysin_maps
-
-    def maps(loop):
-        built.append(real_maps(loop))
-        return built[-1]
-
-    monkeypatch.setattr(models, "gysin_maps", maps)
     assert gysin_report(loop, 8).ok
-    for complex_ in (cx, built[0][0].src, loop.complex):
+    for complex_ in (cx, built_gysin_maps[0][0].src, loop.complex):
         for n, sl in complex_._slices.items():
             assert all(type(v) is int for v in sl.entries.values()), n
         assert complex_._cohomology
